@@ -29,17 +29,14 @@ from .direction import (
     DirectionLabel,
     classify_direction,
     default_dead_zone_px,
-    direction_for_track,
 )
 from .evaluation import (
     AlignmentError,
     BandPartition,
     EvalError,
     EvalReport,
-    ExcuseConfig,
     GapComparison,
     ScenarioRun,
-    TruthProjector,
     compare_gap_strategies,
     config_for_scenario,
     run_scenario,

@@ -53,7 +53,7 @@ DEFAULT_STAGES: Tuple[AlarmStage, ...] = (
 
 @dataclass(frozen=True)
 class AlarmPolicy:
-    """The three stages plus rate limiting.
+    """The three stages, held in stage order, plus rate limiting.
 
     cumulative_bands widens each band downward to the top of the next
     nearer one (and stage 3 down to zero), so the gaps between bands also
@@ -66,14 +66,14 @@ class AlarmPolicy:
     cumulative_bands: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.stages, tuple):
-            object.__setattr__(self, "stages", tuple(self.stages))
-        if len(self.stages) != 3:
-            raise ValueError(f"policy needs exactly 3 stages, got {len(self.stages)}")
-        numbers = tuple(s.stage for s in self.stages)
-        if sorted(numbers) != [1, 2, 3]:
+        # kept in stage order, so lookups never re-sort
+        ordered = tuple(sorted(self.stages, key=lambda s: s.stage))
+        object.__setattr__(self, "stages", ordered)
+        if len(ordered) != 3:
+            raise ValueError(f"policy needs exactly 3 stages, got {len(ordered)}")
+        numbers = tuple(s.stage for s in ordered)
+        if numbers != (1, 2, 3):
             raise ValueError(f"stage numbers must be 1, 2, 3, got {numbers}")
-        ordered = sorted(self.stages, key=lambda s: s.stage)
         for earlier, nearer in zip(ordered, ordered[1:]):
             if not nearer.band_hi_cm < earlier.band_lo_cm:
                 raise ValueError("a higher stage must cover a strictly nearer band")
@@ -83,9 +83,6 @@ class AlarmPolicy:
             raise ValueError(f"cooldown_ms must be a non-negative integer, got {self.cooldown_ms!r}")
         if not isinstance(self.max_events_per_frame, int) or self.max_events_per_frame < 1:
             raise ValueError(f"max_events_per_frame must be an integer >= 1, got {self.max_events_per_frame!r}")
-
-    def ordered_stages(self) -> Tuple[AlarmStage, ...]:
-        return tuple(sorted(self.stages, key=lambda s: s.stage))
 
 
 @dataclass(frozen=True)
@@ -118,16 +115,15 @@ def stage_for_distance(distance_cm: float, policy: AlarmPolicy) -> Optional[Alar
     """
     if not distance_cm > 0:
         raise ValueError(f"distance_cm must be positive, got {distance_cm!r}")
-    ordered = policy.ordered_stages()
     if policy.cumulative_bands:
         # nearest stage first so the most urgent band wins
         floor = 0.0
-        for st in reversed(ordered):
+        for st in reversed(policy.stages):
             if floor < distance_cm <= st.band_hi_cm:
                 return st
             floor = st.band_hi_cm
         return None
-    for st in ordered:
+    for st in policy.stages:
         if st.contains(distance_cm):
             return st
     return None

@@ -96,15 +96,11 @@ def project_ground_point(
     the horizontal center at image_w/2 + f * X / Z. Width is
     aspect_ratio * height. The box may extend past the frame edges.
     """
-    if not depth_cm > 0:
-        raise ValueError(f"depth_cm must be positive, got {depth_cm!r}")
-    if not real_height_cm > 0:
-        raise ValueError(f"real_height_cm must be positive, got {real_height_cm!r}")
+    h = project_height(intr, real_height_cm, depth_cm)
     if not aspect_ratio > 0:
         raise ValueError(f"aspect_ratio must be positive, got {aspect_ratio!r}")
     if camera_height_cm < 0:
         raise ValueError(f"camera_height_cm must be non-negative, got {camera_height_cm!r}")
-    h = intr.focal_px * real_height_cm / depth_cm
     w = aspect_ratio * h
     center_x = intr.image_w / 2.0 + intr.focal_px * lateral_cm / depth_cm
     bottom_y = intr.image_h / 2.0 + intr.focal_px * camera_height_cm / depth_cm

@@ -10,21 +10,16 @@ alignment failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from collections import Counter
 from typing import List, Optional
 
 from .alarm import stage_for_distance
 from .config import ConfigError, load_config
-from .evaluation import (
-    AlignmentError,
-    BandPartition,
-    EvalError,
-    ExcuseConfig,
-    TruthProjector,
-    score,
-)
+from .evaluation import AlignmentError, BandPartition, EvalError, score
 from .jsonl import (
     ParseError,
     decode_detection_frame,
@@ -104,27 +99,32 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    pipeline = Pipeline(cfg)
+    pipeline = Pipeline(load_config(args.config))
     stage_counts: Counter = Counter()
     frames = 0
-    total_events = 0
-    with open(args.out_tracked, "w", encoding="utf-8", newline="") as tracked_out, open(
-        args.out_events, "w", encoding="utf-8", newline=""
-    ) as events_out:
-        for frame in read_records(args.detections, decode_detection_frame):
-            tracked, events = pipeline.process_frame(frame)
-            frames += 1
-            for obj in tracked:
-                tracked_out.write(encode_tracked_object(obj) + "\n")
-            for event in events:
-                events_out.write(encode_alarm_event(event) + "\n")
-                stage_counts[event.stage] += 1
-                total_events += 1
+    created: List[str] = []
+    try:
+        with open(args.out_tracked, "w", encoding="utf-8", newline="") as tracked_out:
+            created.append(args.out_tracked)
+            with open(args.out_events, "w", encoding="utf-8", newline="") as events_out:
+                created.append(args.out_events)
+                for tracked, events in pipeline.run(read_records(args.detections, decode_detection_frame)):
+                    frames += 1
+                    for obj in tracked:
+                        tracked_out.write(encode_tracked_object(obj) + "\n")
+                    for event in events:
+                        events_out.write(encode_alarm_event(event) + "\n")
+                        stage_counts[event.stage] += 1
+    except BaseException:
+        # cut-off streams would look complete; leave none behind
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
     print(f"frames: {frames}")
     for stage in (1, 2, 3):
         print(f"stage {stage} events: {stage_counts.get(stage, 0)}")
-    print(f"total events: {total_events}")
+    print(f"total events: {sum(stage_counts.values())}")
     return 0
 
 
@@ -138,21 +138,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         except ValueError:
             raise EvalError(f"--bands must be comma-separated numbers, got {args.bands!r}") from None
         bands = BandPartition(boundaries)
-    excuse = None
-    projector = None
-    if args.config:
-        cfg = load_config(args.config)
-        excuse = ExcuseConfig(
-            focal_px=cfg.camera.focal_px,
-            gap=cfg.direction.gap,
-            dead_zone_px=cfg.direction.dead_zone_px,
-        )
-        projector = TruthProjector(
-            camera=cfg.camera,
-            camera_height_cm=cfg.camera_height_cm,
-            heights=cfg.heights,
-        )
-    report = score(tracked, truth, bands, excuse=excuse, projector=projector)
+    cfg = load_config(args.config) if args.config else None
+    report = score(tracked, truth, bands, excuse=cfg, projector=cfg)
     with open(args.report, "w", encoding="utf-8", newline="") as fh:
         fh.write(json.dumps(report.to_dict(), indent=2) + "\n")
     print(report.render_text())

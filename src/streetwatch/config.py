@@ -16,7 +16,7 @@ from .alarm import AlarmPolicy, AlarmStage
 from .camera import CameraIntrinsics, HeightTable
 from .direction import DirectionConfig, default_dead_zone_px
 from .matcher import MatchConfig
-from .pipeline import PipelineConfig, WINDOW_DEPTH
+from .pipeline import PipelineConfig
 
 
 class ConfigError(ValueError):
@@ -123,8 +123,6 @@ def load_config(path: Optional[Union[str, Path]] = None) -> PipelineConfig:
         )
 
         gap = _get_int(parser, "direction", "gap", minimum=1)
-        if gap > WINDOW_DEPTH:
-            raise ConfigError(f"[direction] gap: must be <= {WINDOW_DEPTH}, got {gap}")
         if parser.has_option("direction", "dead_zone_px"):
             dead_zone = _get_float(parser, "direction", "dead_zone_px")
         else:
@@ -146,16 +144,16 @@ def load_config(path: Optional[Union[str, Path]] = None) -> PipelineConfig:
             max_events_per_frame=_get_int(parser, "alarm", "max_events_per_frame", minimum=1),
             cumulative_bands=_get_bool(parser, "alarm", "cumulative_bands"),
         )
+        # PipelineConfig checks gap against the window depth
+        return PipelineConfig(
+            camera=camera,
+            camera_height_cm=camera_height_cm,
+            heights=heights,
+            matcher=matcher,
+            direction=direction,
+            alarm=alarm,
+        )
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-    return PipelineConfig(
-        camera=camera,
-        camera_height_cm=camera_height_cm,
-        heights=heights,
-        matcher=matcher,
-        direction=direction,
-        alarm=alarm,
-    )

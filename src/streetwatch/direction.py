@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional
 
 
 class DirectionLabel(str, Enum):
@@ -56,25 +55,3 @@ def classify_direction(x_current: float, x_reference: float, cfg: DirectionConfi
     if dx < -cfg.dead_zone_px:
         return DirectionLabel.LEFT
     return DirectionLabel.FORWARD
-
-
-def direction_for_track(
-    history: Mapping[int, float],
-    cfg: DirectionConfig,
-    current_frame_id: Optional[int] = None,
-) -> Optional[DirectionLabel]:
-    """Classify one track from its frame_id -> center-x history.
-
-    Uses the entries at the current frame and exactly gap frames earlier;
-    returns None when either is missing. A hole in between does not matter,
-    the lookback skips over it.
-    """
-    if not history:
-        return None
-    current = max(history) if current_frame_id is None else current_frame_id
-    if current not in history:
-        return None
-    reference = current - cfg.gap
-    if reference not in history:
-        return None
-    return classify_direction(history[current], history[reference], cfg)

@@ -17,9 +17,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .camera import CameraIntrinsics, HeightTable
+from .camera import HeightTable, project_ground_point
 from .direction import DirectionConfig, DirectionLabel, default_dead_zone_px
-from .matcher import MatchConfig
+from .matcher import MatchConfig, greedy_assign
 from .pipeline import Pipeline, PipelineConfig, TrackedObject
 from .simulator import ScenarioSpec, TruthRecord, generate
 from .types import Category, DetectionFrame
@@ -70,43 +70,6 @@ class BandPartition:
             if depth_cm <= hi:
                 return k
         return len(self.boundaries_cm)
-
-
-@dataclass(frozen=True)
-class ExcuseConfig:
-    """What the excusable-forward rule needs to project truth displacement."""
-
-    focal_px: float
-    gap: int
-    dead_zone_px: float
-
-    def __post_init__(self):
-        if not self.focal_px > 0:
-            raise EvalError(f"focal_px must be positive, got {self.focal_px!r}")
-        if not isinstance(self.gap, int) or self.gap < 1:
-            raise EvalError(f"gap must be an integer >= 1, got {self.gap!r}")
-        if not self.dead_zone_px > 0:
-            raise EvalError(f"dead_zone_px must be positive, got {self.dead_zone_px!r}")
-
-
-@dataclass(frozen=True)
-class TruthProjector:
-    """Projects truth records back into pixel centers for alignment."""
-
-    camera: CameraIntrinsics
-    camera_height_cm: float
-    heights: HeightTable
-
-    def center(self, rec: TruthRecord) -> Tuple[float, float]:
-        real_height = self.heights.lookup(rec.true_category)
-        if real_height is None:
-            raise EvalError(f"no height entry for category {rec.true_category.label!r}; cannot project truth")
-        f = self.camera.focal_px
-        z = rec.true_depth_cm
-        h = f * real_height / z
-        cx = self.camera.image_w / 2.0 + f * rec.true_lateral_cm / z
-        cy = self.camera.image_h / 2.0 + f * self.camera_height_cm / z - h / 2.0
-        return cx, cy
 
 
 @dataclass(frozen=True)
@@ -167,31 +130,33 @@ def _group_by_frame(records: Iterable, key=lambda r: r.frame_id) -> Dict[int, Li
     return grouped
 
 
+def _truth_center(rec: TruthRecord, cfg: PipelineConfig) -> Tuple[float, float]:
+    real_height = cfg.heights.lookup(rec.true_category)
+    if real_height is None:
+        raise EvalError(f"no height entry for category {rec.true_category.label!r}; cannot project truth")
+    # the box width does not move its center, so any aspect ratio will do
+    box = project_ground_point(
+        cfg.camera, rec.true_lateral_cm, rec.true_depth_cm, real_height, 1.0, cfg.camera_height_cm
+    )
+    return box.center()
+
+
 def _align_frame(
     tracked: List[TrackedObject],
     emitted: List[TruthRecord],
-    projector: Optional[TruthProjector],
+    projector: Optional[PipelineConfig],
 ) -> List[Tuple[TrackedObject, TruthRecord]]:
     if projector is None:
         return list(zip(tracked, emitted))
     # greedy nearest-center assignment; counts are equal, so everything pairs
+    centers = [_truth_center(r, projector) for r in emitted]
     candidates = []
-    centers = [projector.center(r) for r in emitted]
     for ti, obj in enumerate(tracked):
         cx, cy = obj.bbox.center()
         for rj, (rx, ry) in enumerate(centers):
             candidates.append((math.hypot(cx - rx, cy - ry), ti, rj))
-    candidates.sort()
-    taken_t = [False] * len(tracked)
-    taken_r = [False] * len(emitted)
-    pairs = []
-    for _cost, ti, rj in candidates:
-        if taken_t[ti] or taken_r[rj]:
-            continue
-        taken_t[ti] = True
-        taken_r[rj] = True
-        pairs.append((tracked[ti], emitted[rj]))
-    return pairs
+    accepted = greedy_assign(candidates, len(tracked), len(emitted))
+    return [(tracked[ti], emitted[rj]) for _cost, ti, rj in accepted]
 
 
 def score(
@@ -199,18 +164,20 @@ def score(
     truth: Sequence[TruthRecord],
     bands: Optional[BandPartition] = None,
     *,
-    excuse: Optional[ExcuseConfig] = None,
-    projector: Optional[TruthProjector] = None,
+    excuse: Optional[PipelineConfig] = None,
+    projector: Optional[PipelineConfig] = None,
 ) -> EvalReport:
     """Score a tracked stream against the truth stream of the same run.
 
     category accuracy counts emitted detections whose label survived;
     direction accuracy counts only objects that carry a direction (the
-    matched fraction reports how many that is). With an ExcuseConfig, a
+    matched fraction reports how many that is). With an excuse config, a
     'forward' label on a moving actor is accepted when the actor's true
-    projected displacement over the gap stays inside the dead zone; without
-    one, scoring is strict. Raises AlignmentError when per-frame counts of
-    tracked objects and emitted truth records disagree.
+    displacement over its gap, projected with its focal length, stays
+    inside its dead zone; without one, scoring is strict. With a projector
+    config, records align by projected truth center instead of position.
+    Raises AlignmentError when per-frame counts of tracked objects and
+    emitted truth records disagree.
     """
     bands = bands or BandPartition()
     labels = bands.labels()
@@ -255,13 +222,13 @@ def score(
                 and obj.direction == DirectionLabel.FORWARD
                 and rec.true_direction != DirectionLabel.FORWARD
             ):
-                past = truth_by_actor_frame.get((rec.actor_id, rec.frame_id - excuse.gap))
+                past = truth_by_actor_frame.get((rec.actor_id, rec.frame_id - excuse.direction.gap))
                 if past is not None:
-                    disp = excuse.focal_px * (
+                    disp = excuse.camera.focal_px * (
                         rec.true_lateral_cm / rec.true_depth_cm
                         - past.true_lateral_cm / past.true_depth_cm
                     )
-                    if abs(disp) <= excuse.dead_zone_px:
+                    if abs(disp) <= excuse.direction.dead_zone_px:
                         dir_correct[band] += 1
 
     classified_total = sum(dir_classified)
@@ -301,7 +268,6 @@ def config_for_scenario(
     *,
     gap: int = 2,
     dead_zone_px: Optional[float] = None,
-    secondary_match: bool = True,
 ) -> PipelineConfig:
     """A pipeline config that mirrors a scenario: same camera, same heights."""
     heights: Dict[str, float] = {}
@@ -317,7 +283,6 @@ def config_for_scenario(
         heights=HeightTable(heights),
         matcher=MatchConfig(max_center_dist_px=0.25 * spec.camera.image_w),
         direction=DirectionConfig(gap=gap, dead_zone_px=dz),
-        secondary_match=secondary_match,
     )
 
 
@@ -347,21 +312,12 @@ def run_scenario(
     """
     cfg = config or config_for_scenario(spec)
     frames, truth = generate(spec)
-    pipeline = Pipeline(cfg)
     tracked: List[TrackedObject] = []
     events: List = []
-    for frame in frames:
-        t, e = pipeline.process_frame(frame)
+    for t, e in Pipeline(cfg).run(frames):
         tracked.extend(t)
         events.extend(e)
-    excuse = None
-    if not strict:
-        excuse = ExcuseConfig(
-            focal_px=cfg.camera.focal_px,
-            gap=cfg.direction.gap,
-            dead_zone_px=cfg.direction.dead_zone_px,
-        )
-    report = score(tracked, truth, bands, excuse=excuse)
+    report = score(tracked, truth, bands, excuse=None if strict else cfg)
     return ScenarioRun(spec=spec, frames=frames, truth=truth, tracked=tracked, events=events, report=report)
 
 
@@ -381,11 +337,7 @@ def compare_gap_strategies(spec: ScenarioSpec, dead_zone_px: float) -> GapCompar
     frames, truth = generate(spec)
     reports: Dict[int, EvalReport] = {}
     for gap in (1, 2):
-        cfg = config_for_scenario(spec, gap=gap, dead_zone_px=dead_zone_px)
-        pipeline = Pipeline(cfg)
-        tracked: List[TrackedObject] = []
-        for frame in frames:
-            t, _ = pipeline.process_frame(frame)
-            tracked.extend(t)
+        pipeline = Pipeline(config_for_scenario(spec, gap=gap, dead_zone_px=dead_zone_px))
+        tracked = [obj for t, _ in pipeline.run(frames) for obj in t]
         reports[gap] = score(tracked, truth)
     return GapComparison(gap1=reports[1], gap2=reports[2])

@@ -1,9 +1,11 @@
 """JSON-Lines stream formats: detections, truth, tracked objects, events.
 
 One record per line, compact separators, fixed key order. Encoding a
-decoded line reproduces it byte for byte, so files can be diffed and
-golden-tested. Decoders are strict: unknown or missing keys and
-out-of-range values are errors that cite the offending line.
+decoded canonical line (one this module wrote) reproduces it byte for
+byte, so files can be diffed and golden-tested; any other valid line comes
+back in canonical form (an integer 1 in a float field re-encodes as 1.0).
+Decoders are strict: unknown or missing keys and out-of-range values are
+errors that cite the offending line.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from .alarm import AlarmEvent
 from .direction import DirectionLabel
 from .pipeline import TrackedObject
 from .simulator import TruthRecord
-from .types import BoundingBox, Category, Detection, DetectionFrame
+from .types import BoundingBox, Category, Detection, DetectionFrame, key_mismatch
 
 T = TypeVar("T")
 PathLike = Union[str, Path]
@@ -31,17 +33,8 @@ def _dumps(obj) -> str:
 
 
 def _expect_keys(data: dict, expected: tuple, what: str) -> None:
-    keys = set(data)
-    wanted = set(expected)
-    if keys != wanted:
-        missing = sorted(wanted - keys)
-        extra = sorted(keys - wanted)
-        problems = []
-        if missing:
-            problems.append(f"missing {missing}")
-        if extra:
-            problems.append(f"unexpected {extra}")
-        raise ParseError(f"{what}: " + ", ".join(problems))
+    if data.keys() != set(expected):
+        raise ParseError(f"{what}: {key_mismatch(data, expected)}")
 
 
 def _int_field(data: dict, key: str, minimum: int = 0) -> int:

@@ -87,13 +87,35 @@ def iou_cost(a: Detection, b: Detection) -> Optional[float]:
     return _iou(a.bbox, b.bbox)
 
 
+def greedy_assign(
+    candidates: List[Tuple[float, int, int]], n_cur: int, n_ref: int
+) -> List[Tuple[float, int, int]]:
+    """Accept (key, i, j) candidates best-first while both ends are free.
+
+    Sorts the list in place: ascending key, ties broken by (i, j). i ranges
+    over n_cur current items and j over n_ref reference items. Returns the
+    accepted candidates in acceptance order.
+    """
+    candidates.sort()
+    taken_cur = [False] * n_cur
+    taken_ref = [False] * n_ref
+    accepted = []
+    for cand in candidates:
+        _key, i, j = cand
+        if taken_cur[i] or taken_ref[j]:
+            continue
+        taken_cur[i] = True
+        taken_ref[j] = True
+        accepted.append(cand)
+    return accepted
+
+
 def match_frames(current: DetectionFrame, reference: DetectionFrame, cfg: MatchConfig) -> MatchResult:
     """Associate the current frame's detections with the reference frame's.
 
     Candidate pairs share a category and pass the strategy gate. They are
-    sorted best-first (ascending center distance, or descending IoU), ties
-    broken by (current_index, reference_index); a pair is accepted when
-    both endpoints are still free.
+    assigned by greedy_assign, best first: ascending center distance, or
+    descending IoU.
     """
     cur = current.detections
     ref = reference.detections
@@ -121,22 +143,14 @@ def match_frames(current: DetectionFrame, reference: DetectionFrame, cfg: MatchC
                 if overlap >= gate:
                     # negate so one ascending sort serves both strategies
                     candidates.append((-overlap, i, j))
-    candidates.sort()
 
-    taken_cur = [False] * len(cur)
-    taken_ref = [False] * len(ref)
-    pairs: List[Tuple[int, int, float]] = []
-    for key, i, j in candidates:
-        if taken_cur[i] or taken_ref[j]:
-            continue
-        taken_cur[i] = True
-        taken_ref[j] = True
-        cost = -key if cfg.strategy == "iou" else key
-        pairs.append((i, j, cost))
-
-    pairs.sort(key=lambda p: p[0])
+    accepted = greedy_assign(candidates, len(cur), len(ref))
+    iou = cfg.strategy == "iou"
+    pairs = sorted((i, j, -key if iou else key) for key, i, j in accepted)
+    matched_cur = {i for i, _, _ in pairs}
+    matched_ref = {j for _, j, _ in pairs}
     return MatchResult(
         pairs=tuple(pairs),
-        unmatched_current=tuple(i for i in range(len(cur)) if not taken_cur[i]),
-        unmatched_reference=tuple(j for j in range(len(ref)) if not taken_ref[j]),
+        unmatched_current=tuple(i for i in range(len(cur)) if i not in matched_cur),
+        unmatched_reference=tuple(j for j in range(len(ref)) if j not in matched_ref),
     )

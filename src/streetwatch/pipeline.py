@@ -3,15 +3,16 @@
 The pipeline is deliberately stateless beyond a three-frame window, a
 monotonic id counter and the alarm cooldown ledger, so memory and per-frame
 cost never depend on stream length. Direction comes only from the match
-against the lookback-gap frame; a secondary match against the previous
-frame (on by default) keeps object ids continuous across the frames the
-gap match cannot reach, but never feeds direction.
+against the lookback-gap frame; a bridge match of the leftovers against
+the previous frame keeps object ids continuous across the frames the gap
+match cannot reach, but never feeds direction. Both are the same
+association step, run twice.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .alarm import AlarmEvent, AlarmPolicy, CooldownLedger, emit_alarms
 from .camera import CameraIntrinsics, HeightTable, estimate_distance
@@ -61,9 +62,6 @@ class PipelineConfig:
     matcher: MatchConfig = field(default_factory=MatchConfig)
     direction: DirectionConfig = field(default_factory=DirectionConfig)
     alarm: AlarmPolicy = field(default_factory=AlarmPolicy)
-    # bridge ids over the frames the gap match cannot reach (cold start,
-    # new entrants); never used for direction
-    secondary_match: bool = True
 
     def __post_init__(self):
         if not self.camera_height_cm >= 0:
@@ -91,10 +89,10 @@ class Pipeline:
         """Run one frame through the pipeline.
 
         Order per frame: validate, estimate distances, match against the
-        gap frame (ids + direction), optionally bridge leftovers to the
-        previous frame (ids only), assign fresh ids, emit alarms, advance
-        the window. Raises StreamOrderError on a frame that does not
-        strictly follow the previous one.
+        gap frame (ids + direction), bridge leftovers to the previous frame
+        (ids only), assign fresh ids, emit alarms, advance the window.
+        Raises StreamOrderError on a frame that does not strictly follow
+        the previous one.
         """
         validate_frame(frame)
         if self._window:
@@ -116,49 +114,41 @@ class Pipeline:
         if skipped:
             logger.debug("frame %d: %d detection(s) without a height entry", frame.frame_id, skipped)
 
-        ids: List[Optional[ObjectId]] = [None] * n
         matched_from: List[Optional[ObjectId]] = [None] * n
         directions: List[Optional[DirectionLabel]] = [None] * n
+        claimed = set()
+
+        def associate(current: DetectionFrame, rows, ref: _WindowEntry, directed: bool) -> None:
+            # rows maps current's detection indices back to this frame's
+            for k, j, _cost in match_frames(current, ref.frame, cfg.matcher).pairs:
+                rid = ref.ids[j]
+                if rid in claimed:
+                    # id already continued through the gap match
+                    continue
+                i = rows[k]
+                matched_from[i] = rid
+                claimed.add(rid)
+                if directed:
+                    cx, _ = dets[i].bbox.center()
+                    rx, _ = ref.frame.detections[j].bbox.center()
+                    directions[i] = classify_direction(cx, rx, cfg.direction)
 
         gap = cfg.direction.gap
         primary = self._window[-gap] if len(self._window) >= gap else None
-        claimed = set()
         if primary is not None:
-            result = match_frames(frame, primary.frame, cfg.matcher)
-            for i, j, _cost in result.pairs:
-                rid = primary.ids[j]
-                ids[i] = rid
-                matched_from[i] = rid
-                claimed.add(rid)
-                cx, _ = dets[i].bbox.center()
-                rx, _ = primary.frame.detections[j].bbox.center()
-                directions[i] = classify_direction(cx, rx, cfg.direction)
+            associate(frame, range(n), primary, directed=True)
+        if self._window and self._window[-1] is not primary:
+            leftovers = [i for i in range(n) if matched_from[i] is None]
+            if leftovers:
+                sub = DetectionFrame(frame.frame_id, frame.t_ms, tuple(dets[i] for i in leftovers))
+                associate(sub, leftovers, self._window[-1], directed=False)
 
-        if cfg.secondary_match and self._window:
-            previous = self._window[-1]
-            if previous is not primary:
-                leftovers = [i for i in range(n) if ids[i] is None]
-                if leftovers:
-                    sub = DetectionFrame(
-                        frame_id=frame.frame_id,
-                        t_ms=frame.t_ms,
-                        detections=tuple(dets[i] for i in leftovers),
-                    )
-                    result = match_frames(sub, previous.frame, cfg.matcher)
-                    for si, j, _cost in result.pairs:
-                        rid = previous.ids[j]
-                        if rid in claimed:
-                            # id already continued through the gap match
-                            continue
-                        i = leftovers[si]
-                        ids[i] = rid
-                        matched_from[i] = rid
-                        claimed.add(rid)
-
-        for i in range(n):
-            if ids[i] is None:
-                ids[i] = self._next_id
+        ids: List[ObjectId] = []
+        for rid in matched_from:
+            if rid is None:
+                rid = self._next_id
                 self._next_id += 1
+            ids.append(rid)
 
         tracked = [
             TrackedObject(
@@ -180,3 +170,8 @@ class Pipeline:
             del self._window[0]
 
         return tracked, events
+
+    def run(self, frames: Iterable[DetectionFrame]) -> Iterator[Tuple[List[TrackedObject], List[AlarmEvent]]]:
+        """Process frames in stream order, yielding each frame's (tracked, events)."""
+        for frame in frames:
+            yield self.process_frame(frame)

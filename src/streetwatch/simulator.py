@@ -20,7 +20,7 @@ import numpy as np
 
 from .camera import CameraIntrinsics, project_ground_point
 from .direction import DirectionLabel
-from .types import BoundingBox, Category, Detection, DetectionFrame, KNOWN_CATEGORIES
+from .types import BoundingBox, Category, Detection, DetectionFrame, KNOWN_CATEGORIES, key_mismatch
 
 TRAJECTORY_KINDS = ("linear", "stationary")
 
@@ -245,9 +245,11 @@ def generate(spec: ScenarioSpec) -> Tuple[List[DetectionFrame], List[TruthRecord
     return frames, truth
 
 
-# Camera shared by the bundled scenarios: 640x480, f = 1000 px, chest height.
+# Camera shared by the bundled scenarios: 640x480, f = 1000 px, chest
+# height, 10 fps.
 SUITE_CAMERA = CameraIntrinsics(focal_px=1000.0, image_w=640.0, image_h=480.0)
 SUITE_CAMERA_HEIGHT_CM = 140.0
+SUITE_FRAME_RATE_HZ = 10.0
 
 # Real heights used by the bundled scenarios; chosen to agree with the
 # shipped default height table so noise-free estimates are exact.
@@ -284,7 +286,7 @@ def _suite_spec(name: str, duration_s: float, actors: Tuple[ActorSpec, ...], see
     return ScenarioSpec(
         name=name,
         duration_s=duration_s,
-        frame_rate_hz=10.0,
+        frame_rate_hz=SUITE_FRAME_RATE_HZ,
         camera=SUITE_CAMERA,
         camera_height_cm=SUITE_CAMERA_HEIGHT_CM,
         actors=actors,
@@ -390,19 +392,15 @@ def slow_crosser(dead_zone_px: float = 8.0) -> ScenarioSpec:
     if not dead_zone_px > 0:
         raise ScenarioError(f"dead_zone_px must be positive, got {dead_zone_px!r}")
     depth = 1000.0
-    fps = 10.0
+    fps = SUITE_FRAME_RATE_HZ
     # dx_px = f * vx * dt / z  =>  vx = dx_px * z / (f * dt)
     vx = 0.75 * dead_zone_px * depth / (SUITE_CAMERA.focal_px / fps)
     duration = 3.0
     x0 = -vx * duration / 2.0
-    return ScenarioSpec(
-        name="slow-crosser",
-        duration_s=duration,
-        frame_rate_hz=fps,
-        camera=SUITE_CAMERA,
-        camera_height_cm=SUITE_CAMERA_HEIGHT_CM,
-        actors=(_actor(0, "car", 2.0, Trajectory("linear", x0_cm=x0, z0_cm=depth, vx_cm_s=vx)),),
-        noise=NoiseSpec(),
+    return _suite_spec(
+        "slow-crosser",
+        duration,
+        (_actor(0, "car", 2.0, Trajectory("linear", x0_cm=x0, z0_cm=depth, vx_cm_s=vx)),),
         seed=107,
     )
 
@@ -418,16 +416,9 @@ def with_seed(spec: ScenarioSpec, seed: int) -> ScenarioSpec:
 # --- declarative scenario files ------------------------------------------
 
 def _check_keys(data: dict, required: Tuple[str, ...], optional: Tuple[str, ...], what: str) -> None:
-    keys = set(data)
-    missing = sorted(set(required) - keys)
-    extra = sorted(keys - set(required) - set(optional))
-    if missing or extra:
-        problems = []
-        if missing:
-            problems.append(f"missing {missing}")
-        if extra:
-            problems.append(f"unknown {extra}")
-        raise ScenarioError(f"{what}: " + ", ".join(problems))
+    problems = key_mismatch(data, required, optional)
+    if problems:
+        raise ScenarioError(f"{what}: {problems}")
 
 
 def scenario_to_dict(spec: ScenarioSpec) -> dict:

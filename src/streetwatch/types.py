@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Collection, Iterable, Tuple
 
 KNOWN_CATEGORIES: Tuple[str, ...] = (
     "car",
@@ -107,6 +107,23 @@ class DetectionFrame:
             raise ValueError(f"t_ms must be a non-negative integer, got {self.t_ms!r}")
         if not isinstance(self.detections, tuple):
             object.__setattr__(self, "detections", tuple(self.detections))
+
+
+def key_mismatch(keys: Iterable[str], required: Collection[str], optional: Collection[str] = ()) -> str:
+    """How keys differ from the required ones plus any optional ones.
+
+    Returns 'missing [...], unexpected [...]' (each part only when it
+    applies), or an empty string when the keys fit.
+    """
+    keys = set(keys)
+    missing = sorted(set(required) - keys)
+    extra = sorted(keys - set(required) - set(optional))
+    problems = []
+    if missing:
+        problems.append(f"missing {missing}")
+    if extra:
+        problems.append(f"unexpected {extra}")
+    return ", ".join(problems)
 
 
 def validate_frame(frame: DetectionFrame) -> None:

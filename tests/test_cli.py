@@ -158,6 +158,23 @@ def test_replay_parse_error_cites_the_line(tmp_path):
     assert "line 5" in proc.stderr
 
 
+def test_replay_failure_mid_stream_leaves_no_outputs(tmp_path):
+    det, _, _ = simulate(tmp_path)
+    lines = det.read_text(encoding="utf-8").splitlines()
+    data = json.loads(lines[5])
+    data["detections"][0]["bbox"]["w"] = -1.0
+    lines[5] = json.dumps(data)
+    det.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tracked = tmp_path / "t.jsonl"
+    events = tmp_path / "e.jsonl"
+    proc = run_cli("replay", str(det), "--out-tracked", str(tracked), "--out-events", str(events))
+    assert proc.returncode == 1
+    assert "line 6" in proc.stderr
+    # five good frames were processed first; none of their lines may remain
+    assert not tracked.exists()
+    assert not events.exists()
+
+
 def test_replay_out_of_order_stream_exits_two(tmp_path):
     frames = [
         make_frame(0, 0, [make_det("car")]),

@@ -28,7 +28,6 @@ def test_defaults_load_without_a_file():
     assert cfg.alarm.cooldown_ms == 1500
     assert cfg.alarm.max_events_per_frame == 2
     assert cfg.alarm.cumulative_bands is False
-    assert cfg.secondary_match is True
 
 
 def test_default_text_parses_to_the_same_config():

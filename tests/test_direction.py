@@ -1,4 +1,4 @@
-"""Direction classification: dead zone edges, gap lookback, symmetry."""
+"""Direction classification: dead zone edges, symmetry, config."""
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,7 +7,6 @@ from streetwatch.direction import (
     DirectionLabel,
     classify_direction,
     default_dead_zone_px,
-    direction_for_track,
 )
 
 CFG = DirectionConfig(gap=2, dead_zone_px=8.0)
@@ -42,33 +41,6 @@ def test_mirror_antisymmetry(xc, xr):
     label = classify_direction(float(xc), float(xr), CFG)
     mirrored = classify_direction(float(-xc), float(-xr), CFG)
     assert mirrored is swap[label]
-
-
-def test_gap_two_sees_what_gap_one_misses():
-    # 3 px per frame against a 5 px dead zone
-    history = {0: 100.0, 1: 103.0, 2: 106.0}
-    gap1 = DirectionConfig(gap=1, dead_zone_px=5.0)
-    gap2 = DirectionConfig(gap=2, dead_zone_px=5.0)
-    assert direction_for_track(history, gap1, current_frame_id=2) is DirectionLabel.FORWARD
-    assert direction_for_track(history, gap2, current_frame_id=2) is DirectionLabel.RIGHT
-
-
-def test_lookback_skips_holes():
-    # nothing at frame 1; the gap-2 reference is frame 0, which is there
-    history = {0: 100.0, 2: 120.0}
-    assert direction_for_track(history, CFG, current_frame_id=2) is DirectionLabel.RIGHT
-
-
-def test_missing_reference_returns_none():
-    assert direction_for_track({2: 100.0}, CFG, current_frame_id=2) is None
-    assert direction_for_track({1: 100.0, 2: 100.0}, CFG, current_frame_id=2) is None
-    assert direction_for_track({}, CFG) is None
-    assert direction_for_track({0: 100.0, 2: 120.0}, CFG, current_frame_id=3) is None
-
-
-def test_latest_frame_is_the_default_anchor():
-    history = {0: 100.0, 1: 110.0, 2: 140.0}
-    assert direction_for_track(history, CFG) is DirectionLabel.RIGHT
 
 
 def test_config_validation():

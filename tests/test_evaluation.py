@@ -7,8 +7,6 @@ from streetwatch.evaluation import (
     BandPartition,
     EvalError,
     EvalReport,
-    ExcuseConfig,
-    TruthProjector,
     compare_gap_strategies,
     config_for_scenario,
     run_scenario,
@@ -110,11 +108,8 @@ def test_projected_center_alignment_agrees_with_positional():
     spec = scenario_by_name("crowded-midrange")
     cfg = config_for_scenario(spec)
     run = run_scenario(spec, config=cfg)
-    projector = TruthProjector(
-        camera=cfg.camera, camera_height_cm=cfg.camera_height_cm, heights=cfg.heights
-    )
     positional = score(run.tracked, run.truth)
-    projected = score(run.tracked, run.truth, projector=projector)
+    projected = score(run.tracked, run.truth, projector=cfg)
     assert projected.category_accuracy == positional.category_accuracy
     assert projected.direction_accuracy_overall == positional.direction_accuracy_overall
     assert projected.id_switches == positional.id_switches
@@ -126,15 +121,12 @@ def test_projected_alignment_survives_within_frame_shuffle():
     spec = scenario_by_name("crowded-midrange")
     cfg = config_for_scenario(spec)
     run = run_scenario(spec, config=cfg)
-    projector = TruthProjector(
-        camera=cfg.camera, camera_height_cm=cfg.camera_height_cm, heights=cfg.heights
-    )
     reordered = []
     for frame_id in sorted({t.frame_id for t in run.tracked}):
         group = [t for t in run.tracked if t.frame_id == frame_id]
         reordered.extend(reversed(group))
-    base = score(run.tracked, run.truth, projector=projector)
-    shuffled = score(reordered, run.truth, projector=projector)
+    base = score(run.tracked, run.truth, projector=cfg)
+    shuffled = score(reordered, run.truth, projector=cfg)
     assert shuffled.category_accuracy == base.category_accuracy
     assert shuffled.direction_accuracy_overall == base.direction_accuracy_overall
 
@@ -203,17 +195,14 @@ def test_excusable_forward_rule():
     strict = score(tracked, truth)
     # every gap-1 label is 'forward' on a truly rightward actor
     assert strict.direction_accuracy_overall == 0.0
-    excused = score(
-        tracked, truth,
-        excuse=ExcuseConfig(focal_px=cfg.camera.focal_px, gap=1, dead_zone_px=8.0),
-    )
+    excused = score(tracked, truth, excuse=cfg)
     # the actor's one-frame displacement hides inside the dead zone, so
     # those same labels are excusable
     assert excused.direction_accuracy_overall == 1.0
     # over two frames the displacement clears the zone: no excuse
     wide = score(
         tracked, truth,
-        excuse=ExcuseConfig(focal_px=cfg.camera.focal_px, gap=2, dead_zone_px=8.0),
+        excuse=config_for_scenario(spec, gap=2, dead_zone_px=8.0),
     )
     assert wide.direction_accuracy_overall == 0.0
 

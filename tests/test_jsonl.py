@@ -2,6 +2,7 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from streetwatch.alarm import AlarmEvent
 from streetwatch.direction import DirectionLabel
@@ -21,7 +22,7 @@ from streetwatch.jsonl import (
 )
 from streetwatch.pipeline import TrackedObject
 from streetwatch.simulator import TruthRecord, generate, scenario_by_name
-from streetwatch.types import BoundingBox, Category
+from streetwatch.types import BoundingBox, Category, Detection, DetectionFrame
 
 from conftest import make_det, make_frame
 
@@ -81,6 +82,28 @@ def test_byte_exact_round_trip(value, encode, decode):
     line = encode(value)
     assert decode(line) == value
     assert encode(decode(line)) == line
+
+
+def test_non_canonical_lines_re_encode_canonically():
+    canonical = encode_detection_frame(sample_frame())
+    data = json.loads(canonical)
+    data["detections"][0]["bbox"]["x"] = 80  # an integer where the encoder writes 80.0
+    loose = json.dumps(data)  # default ", " and ": " separators
+    assert loose != canonical
+    assert encode_detection_frame(decode_detection_frame(loose)) == canonical
+
+
+@given(
+    x=st.floats(min_value=-1e6, max_value=1e6),
+    y=st.floats(min_value=-1e6, max_value=1e6),
+    w=st.floats(min_value=1e-3, max_value=1e6),
+    h=st.floats(min_value=1e-3, max_value=1e6),
+    confidence=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_canonical_lines_are_fixed_points(x, y, w, h, confidence):
+    frame = DetectionFrame(0, 0, (Detection(Category("car"), BoundingBox(x, y, w, h), confidence),))
+    line = encode_detection_frame(frame)
+    assert encode_detection_frame(decode_detection_frame(line)) == line
 
 
 def test_lines_are_compact_single_objects():

@@ -124,17 +124,6 @@ def test_direction_only_comes_from_the_gap_match():
     assert tracked[0].matched_from == 0
 
 
-def test_secondary_match_off_splits_cold_start_identities():
-    pipeline = Pipeline(make_config(secondary_match=False))
-    pipeline.process_frame(make_frame(0, 0, [car_at(100.0)]))
-    tracked1, _ = pipeline.process_frame(make_frame(1, 33, [car_at(105.0)]))
-    tracked2, _ = pipeline.process_frame(make_frame(2, 66, [car_at(110.0)]))
-    # without the bridge, frame 1 cannot reach frame 0 and mints a new id
-    assert tracked1[0].object_id == 1
-    # frame 2 reaches frame 0 through the gap match
-    assert tracked2[0].object_id == 0
-
-
 def test_unknown_category_tracks_without_distance_or_alarms():
     cfg = make_config(alarm=AlarmPolicy(cooldown_ms=0))
     pipeline = Pipeline(cfg)

@@ -98,7 +98,24 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _same_file(a: str, b: str) -> bool:
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        # one of them does not exist yet
+        return False
+
+
 def _cmd_replay(args: argparse.Namespace) -> int:
+    # opening an output truncates it, so an alias would destroy the input
+    # or the other output before a frame is read
+    paths = (("the input", args.detections), ("--out-tracked", args.out_tracked), ("--out-events", args.out_events))
+    for k, (name_a, a) in enumerate(paths):
+        for name_b, b in paths[k + 1:]:
+            if _same_file(a, b):
+                raise ValueError(f"{name_b} and {name_a} name the same file: {b}")
     pipeline = Pipeline(load_config(args.config))
     stage_counts: Counter = Counter()
     frames = 0

@@ -18,7 +18,7 @@ from .alarm import AlarmEvent
 from .direction import DirectionLabel
 from .pipeline import TrackedObject
 from .simulator import TruthRecord
-from .types import BoundingBox, Category, Detection, DetectionFrame, key_mismatch
+from .types import KNOWN_CATEGORIES, BoundingBox, Category, Detection, DetectionFrame, key_mismatch
 
 T = TypeVar("T")
 PathLike = Union[str, Path]
@@ -28,8 +28,13 @@ class ParseError(ValueError):
     """A stream line failed to parse or validate."""
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+# One encoder for every record: json.dumps with non-default options builds
+# a new JSONEncoder per call. Same bytes, and NaN/inf are still refused.
+_dumps = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+
+# A known label decodes to one shared frozen Category rather than a new,
+# re-checked one per record.
+_KNOWN_CATEGORY = {label: Category(label) for label in KNOWN_CATEGORIES}
 
 
 def _expect_keys(data: dict, expected: tuple, what: str) -> None:
@@ -56,6 +61,16 @@ def _str_field(data: dict, key: str) -> str:
     if not isinstance(v, str) or not v:
         raise ParseError(f"{key} must be a non-empty string, got {v!r}")
     return v
+
+
+def _category_field(data: dict, key: str) -> Category:
+    v = data[key]
+    # type check first: an unhashable value must reach the ParseError below
+    if type(v) is str:
+        known = _KNOWN_CATEGORY.get(v)
+        if known is not None:
+            return known
+    return Category(_str_field(data, key))
 
 
 def _bool_field(data: dict, key: str) -> bool:
@@ -127,7 +142,7 @@ def decode_detection_frame(line: str) -> DetectionFrame:
         try:
             detections.append(
                 Detection(
-                    category=Category(_str_field(item, "category")),
+                    category=_category_field(item, "category"),
                     bbox=_bbox_from(item["bbox"]),
                     confidence=_num_field(item, "confidence"),
                 )
@@ -181,7 +196,7 @@ def decode_truth_record(line: str) -> TruthRecord:
             true_lateral_cm=_num_field(data, "true_lateral_cm"),
             true_direction=direction,
             emitted=_bool_field(data, "emitted"),
-            true_category=Category(_str_field(data, "true_category")),
+            true_category=_category_field(data, "true_category"),
         )
     except ValueError as exc:
         raise ParseError(str(exc)) from None
@@ -222,7 +237,7 @@ def decode_tracked_object(line: str) -> TrackedObject:
         return TrackedObject(
             object_id=_int_field(data, "object_id"),
             frame_id=_int_field(data, "frame_id"),
-            category=Category(_str_field(data, "category")),
+            category=_category_field(data, "category"),
             bbox=_bbox_from(data["bbox"]),
             distance_cm=distance,
             direction=_direction_field(data, "direction"),
@@ -265,7 +280,7 @@ def decode_alarm_event(line: str) -> AlarmEvent:
     return AlarmEvent(
         t_ms=_int_field(data, "t_ms"),
         object_id=_int_field(data, "object_id"),
-        category=Category(_str_field(data, "category")),
+        category=_category_field(data, "category"),
         stage=_int_field(data, "stage", minimum=1),
         vibration_s=vibration,
         distance_cm=distance,

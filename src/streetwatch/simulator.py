@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from .camera import CameraIntrinsics, project_ground_point
 from .direction import DirectionLabel
 from .types import BoundingBox, Category, Detection, DetectionFrame, KNOWN_CATEGORIES, key_mismatch
@@ -175,11 +173,6 @@ def true_direction_of(trajectory: Trajectory) -> DirectionLabel:
     return DirectionLabel.FORWARD
 
 
-def _cell_rng(seed: int, frame_id: int, actor_id: int) -> np.random.Generator:
-    # one independent Philox stream per (seed, actor, frame) cell
-    return np.random.Generator(np.random.Philox(key=[seed, actor_id], counter=[frame_id, 0, 0, 0]))
-
-
 def generate(spec: ScenarioSpec) -> Tuple[List[DetectionFrame], List[TruthRecord]]:
     """Render a scenario into a detection stream and its truth stream.
 
@@ -188,6 +181,10 @@ def generate(spec: ScenarioSpec) -> Tuple[List[DetectionFrame], List[TruthRecord
     detections and truth records follow the actor order of the spec, so
     the k-th detection corresponds to the k-th emitted truth record.
     """
+    # numpy is imported here, not at module level, so that only the
+    # simulator pays for it; replay, eval and stage never load it
+    import numpy as np
+
     frames: List[DetectionFrame] = []
     truth: List[TruthRecord] = []
     noise = spec.noise
@@ -208,7 +205,8 @@ def generate(spec: ScenarioSpec) -> Tuple[List[DetectionFrame], List[TruthRecord
                 aspect_ratio=actor.aspect_ratio,
                 camera_height_cm=spec.camera_height_cm,
             )
-            rng = _cell_rng(spec.seed, i, actor.actor_id)
+            # one independent Philox stream per (seed, actor, frame) cell
+            rng = np.random.Generator(np.random.Philox(key=[spec.seed, actor.actor_id], counter=[i, 0, 0, 0]))
             # fixed draw order keeps streams diffable when toggling one knob
             normals = rng.standard_normal(3)
             uniforms = rng.random(2)

@@ -22,9 +22,51 @@ KNOWN_CATEGORIES: Tuple[str, ...] = (
 # Identity assigned by the pipeline, unique within one stream, never reused.
 ObjectId = int
 
+_INF = math.inf
+
 
 class FrameValidationError(ValueError):
     """A frame or one of its detections violates a type invariant."""
+
+
+# Each invariant is checked in one place: these return the error text, or
+# "" when the value is valid. The constructors raise ValueError with it and
+# validate_frame raises FrameValidationError with it, so both say the same.
+
+def _label_error(label) -> str:
+    if isinstance(label, str) and label:
+        return ""
+    return "category label must be a non-empty string"
+
+
+def _box_error(x, y, w, h) -> str:
+    if (
+        type(x) is float and type(y) is float and type(w) is float and type(h) is float
+        and -_INF < x < _INF and -_INF < y < _INF and 0.0 < w < _INF and 0.0 < h < _INF
+    ):
+        return ""
+    for name, v in (("x", x), ("y", y), ("w", w), ("h", h)):
+        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+            return f"box {name} must be a finite number, got {v!r}"
+    if not w > 0 or not h > 0:
+        return f"box needs w > 0 and h > 0, got w={w}, h={h}"
+    return ""
+
+
+def _confidence_error(c) -> str:
+    if not isinstance(c, (int, float)) or isinstance(c, bool) or not math.isfinite(c):
+        return f"confidence must be a finite number, got {c!r}"
+    if not 0.0 <= c <= 1.0:
+        return f"confidence must lie in [0, 1], got {c}"
+    return ""
+
+
+def _parts_error(category, bbox) -> str:
+    if not isinstance(category, Category):
+        return f"detection category must be a Category, got {category!r}"
+    if not isinstance(bbox, BoundingBox):
+        return f"detection bbox must be a BoundingBox, got {bbox!r}"
+    return ""
 
 
 @dataclass(frozen=True)
@@ -39,8 +81,9 @@ class Category:
     label: str
 
     def __post_init__(self):
-        if not isinstance(self.label, str) or not self.label:
-            raise ValueError("category label must be a non-empty string")
+        text = _label_error(self.label)
+        if text:
+            raise ValueError(text)
 
     @property
     def is_known(self) -> bool:
@@ -61,12 +104,9 @@ class BoundingBox:
     h: float
 
     def __post_init__(self):
-        for name in ("x", "y", "w", "h"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-                raise ValueError(f"box {name} must be a finite number, got {v!r}")
-        if not self.w > 0 or not self.h > 0:
-            raise ValueError(f"box needs w > 0 and h > 0, got w={self.w}, h={self.h}")
+        text = _box_error(self.x, self.y, self.w, self.h)
+        if text:
+            raise ValueError(text)
 
     def center(self) -> Tuple[float, float]:
         return (self.x + self.w / 2.0, self.y + self.h / 2.0)
@@ -81,11 +121,9 @@ class Detection:
     confidence: float
 
     def __post_init__(self):
-        c = self.confidence
-        if not isinstance(c, (int, float)) or isinstance(c, bool) or not math.isfinite(c):
-            raise ValueError(f"confidence must be a finite number, got {c!r}")
-        if not 0.0 <= c <= 1.0:
-            raise ValueError(f"confidence must lie in [0, 1], got {c}")
+        text = _parts_error(self.category, self.bbox) or _confidence_error(self.confidence)
+        if text:
+            raise ValueError(text)
 
 
 @dataclass(frozen=True)
@@ -129,18 +167,25 @@ def key_mismatch(keys: Iterable[str], required: Collection[str], optional: Colle
 def validate_frame(frame: DetectionFrame) -> None:
     """Re-check every invariant of a frame and its detections.
 
-    Construction already rejects invalid values; this guards data that
-    arrived through deserialization or was assembled by hand. Raises
-    FrameValidationError naming the first offending detection index.
+    Construction already rejects invalid values; this guards objects that
+    were assembled around the constructors. It reads the fields and builds
+    nothing. Raises FrameValidationError naming the first offending
+    detection index, with the text its constructor would have raised.
     """
     if not isinstance(frame.frame_id, int) or frame.frame_id < 0:
         raise FrameValidationError(f"frame_id must be a non-negative integer, got {frame.frame_id!r}")
     if not isinstance(frame.t_ms, int) or frame.t_ms < 0:
         raise FrameValidationError(f"t_ms must be a non-negative integer, got {frame.t_ms!r}")
     for i, det in enumerate(frame.detections):
-        try:
-            Category(det.category.label)
-            BoundingBox(det.bbox.x, det.bbox.y, det.bbox.w, det.bbox.h)
-            Detection(det.category, det.bbox, det.confidence)
-        except ValueError as exc:
-            raise FrameValidationError(f"detection {i}: {exc}") from exc
+        if not isinstance(det, Detection):
+            text = f"must be a Detection, got {det!r}"
+        else:
+            box = det.bbox
+            text = (
+                _parts_error(det.category, box)
+                or _label_error(det.category.label)
+                or _box_error(box.x, box.y, box.w, box.h)
+                or _confidence_error(det.confidence)
+            )
+        if text:
+            raise FrameValidationError(f"detection {i}: {text}")

@@ -175,6 +175,29 @@ def test_replay_failure_mid_stream_leaves_no_outputs(tmp_path):
     assert not events.exists()
 
 
+def test_replay_refuses_an_output_that_is_the_input(tmp_path):
+    det, _, _ = simulate(tmp_path)
+    before = det.read_bytes()
+    events = tmp_path / "events.jsonl"
+    proc = run_cli("replay", str(det), "--out-tracked", str(det), "--out-events", str(events))
+    assert proc.returncode == 1
+    assert "--out-tracked" in proc.stderr and "input" in proc.stderr
+    assert det.read_bytes() == before
+    assert not events.exists()
+
+
+def test_replay_refuses_one_path_for_both_outputs(tmp_path):
+    det, _, _ = simulate(tmp_path)
+    before = det.read_bytes()
+    out = tmp_path / "out.jsonl"
+    # the same file under two spellings
+    proc = run_cli("replay", str(det), "--out-tracked", str(out), "--out-events", str(tmp_path / "." / "out.jsonl"))
+    assert proc.returncode == 1
+    assert "--out-tracked" in proc.stderr and "--out-events" in proc.stderr
+    assert det.read_bytes() == before
+    assert not out.exists()
+
+
 def test_replay_out_of_order_stream_exits_two(tmp_path):
     frames = [
         make_frame(0, 0, [make_det("car")]),
@@ -327,3 +350,17 @@ def test_usage_errors_exit_one():
     assert proc.returncode == 1
     proc = run_cli()
     assert proc.returncode == 1
+
+
+def test_cli_import_and_config_load_leave_numpy_unloaded():
+    # only simulate needs numpy; replay, eval and stage must not pay for it
+    code = (
+        "import sys\n"
+        "import streetwatch.cli\n"
+        "from streetwatch.config import load_config\n"
+        "load_config()\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,11 +1,13 @@
 """Wire formats: byte-exact round trips and strict decoding."""
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
 
 from streetwatch.alarm import AlarmEvent
 from streetwatch.direction import DirectionLabel
+from streetwatch import jsonl
 from streetwatch.jsonl import (
     ParseError,
     decode_alarm_event,
@@ -104,6 +106,69 @@ def test_canonical_lines_are_fixed_points(x, y, w, h, confidence):
     frame = DetectionFrame(0, 0, (Detection(Category("car"), BoundingBox(x, y, w, h), confidence),))
     line = encode_detection_frame(frame)
     assert encode_detection_frame(decode_detection_frame(line)) == line
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+count = st.integers(min_value=0, max_value=2**63)
+maybe_direction = st.sampled_from([None, "left", "right", "forward"])
+tracked_dicts = st.fixed_dictionaries(
+    {
+        "frame_id": count,
+        "object_id": count,
+        "category": st.text(min_size=1),
+        "bbox": st.fixed_dictionaries({"x": finite, "y": finite, "w": finite, "h": finite}),
+        "distance_cm": st.none() | finite,
+        "direction": maybe_direction,
+        "matched_from": st.none() | count,
+    }
+)
+event_dicts = st.fixed_dictionaries(
+    {
+        "t_ms": count,
+        "object_id": count,
+        "category": st.text(min_size=1),
+        "stage": st.integers(min_value=1, max_value=3),
+        "vibration_s": finite,
+        "distance_cm": finite,
+        "direction": maybe_direction,
+        "message": st.text(),
+    }
+)
+
+
+@given(record=tracked_dicts | event_dicts)
+def test_shared_encoder_writes_what_json_dumps_writes(record):
+    assert jsonl._dumps(record) == json.dumps(record, separators=(",", ":"), allow_nan=False)
+
+
+def test_shared_encoder_still_refuses_nan():
+    obj = TrackedObject(
+        object_id=0,
+        frame_id=0,
+        category=Category("car"),
+        bbox=BoundingBox(0.0, 0.0, 1.0, 1.0),
+        distance_cm=math.nan,
+        direction=None,
+        matched_from=None,
+    )
+    with pytest.raises(ValueError):
+        encode_tracked_object(obj)
+
+
+@pytest.mark.parametrize("category", [["car"], {"car": 1}, "", 7, None])
+def test_bad_category_values_are_parse_errors(category):
+    data = json.loads(encode_detection_frame(sample_frame()))
+    data["detections"][0]["category"] = category
+    with pytest.raises(ParseError, match="detection 0: category must be a non-empty string"):
+        decode_detection_frame(json.dumps(data))
+
+
+def test_known_and_open_set_categories_decode_alike():
+    data = json.loads(encode_detection_frame(sample_frame()))
+    data["detections"].append(dict(data["detections"][0], category="e-scooter"))
+    frame = decode_detection_frame(json.dumps(data))
+    assert [d.category for d in frame.detections] == [Category("car"), Category("e-scooter")]
+    assert frame.detections[0].category.is_known and not frame.detections[1].category.is_known
 
 
 def test_lines_are_compact_single_objects():

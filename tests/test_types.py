@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from streetwatch.pipeline import Pipeline, PipelineConfig
 from streetwatch.types import (
     KNOWN_CATEGORIES,
     BoundingBox,
@@ -109,3 +110,70 @@ def test_validate_frame_catches_degenerate_box():
     object.__setattr__(det, "confidence", 0.9)
     with pytest.raises(FrameValidationError, match="detection 0"):
         validate_frame(make_frame(0, 0, [det]))
+
+
+def smuggle(cls, **fields):
+    """An instance whose fields were never checked by its constructor."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+GOOD_BOX = dict(x=0.0, y=0.0, w=5.0, h=5.0)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [(name, bad) for name in ("x", "h") for bad in (math.nan, math.inf, -math.inf, True, "1")]
+    + [("w", 0.0), ("w", -2.5), ("h", 0.0), ("h", -1)]
+    + [("confidence", -0.1), ("confidence", 1.5), ("confidence", math.nan)]
+    + [("label", "")],
+)
+def test_constructor_and_validate_frame_report_the_same_text(field, value):
+    box, label, confidence = dict(GOOD_BOX), "car", 0.5
+    with pytest.raises(ValueError) as built:
+        if field in box:
+            box[field] = value
+            BoundingBox(**box)
+        elif field == "confidence":
+            confidence = value
+            Detection(Category(label), BoundingBox(**box), confidence)
+        else:
+            label = value
+            Category(label)
+    bad = smuggle(
+        Detection,
+        category=smuggle(Category, label=label),
+        bbox=smuggle(BoundingBox, **box),
+        confidence=confidence,
+    )
+    with pytest.raises(FrameValidationError) as validated:
+        validate_frame(make_frame(0, 0, [make_det(), bad]))
+    assert str(validated.value) == f"detection 1: {built.value}"
+
+
+def test_detection_rejects_parts_of_the_wrong_type():
+    box = BoundingBox(0.0, 0.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="category must be a Category"):
+        Detection("car", box, 0.5)
+    with pytest.raises(ValueError, match="bbox must be a BoundingBox"):
+        Detection(Category("car"), (0, 0, 1, 1), 0.5)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "car",
+        (Category("car"), BoundingBox(0.0, 0.0, 1.0, 1.0), 0.5),
+        smuggle(Detection, category="car", bbox=BoundingBox(0.0, 0.0, 1.0, 1.0), confidence=0.5),
+        smuggle(Detection, category=Category("car"), bbox=(0, 0, 1, 1), confidence=0.5),
+    ],
+)
+def test_validate_frame_rejects_what_is_not_a_detection(bad, intrinsics, heights):
+    frame = make_frame(0, 0, [make_det(), bad])
+    with pytest.raises(FrameValidationError, match="^detection 1: "):
+        validate_frame(frame)
+    pipeline = Pipeline(PipelineConfig(camera=intrinsics, camera_height_cm=140.0, heights=heights))
+    with pytest.raises(FrameValidationError, match="^detection 1: "):
+        pipeline.process_frame(frame)

@@ -171,6 +171,41 @@ def test_known_and_open_set_categories_decode_alike():
     assert frame.detections[0].category.is_known and not frame.detections[1].category.is_known
 
 
+CANONICAL = '{"frame_id":3,"t_ms":99,"detections":[{"category":"car","bbox":{"x":80.0,"y":35.25,"w":40.0,"h":30.0},"confidence":0.875}]}'
+
+
+@pytest.mark.parametrize(
+    "old,new,text",
+    [
+        ('"x":80.0', '"x":NaN', "detection 0: x must be a finite number, got nan"),
+        ('"y":35.25', '"y":Infinity', "detection 0: y must be a finite number, got inf"),
+        ('"w":40.0', '"w":-Infinity', "detection 0: w must be a finite number, got -inf"),
+        ('"h":30.0', '"h":true', "detection 0: h must be a finite number, got True"),
+        ('"x":80.0', '"x":"80"', "detection 0: x must be a finite number, got '80'"),
+        ('"w":40.0', '"w":0', "detection 0: box needs w > 0 and h > 0, got w=0.0, h=30.0"),
+        ('"h":30.0', '"h":-30.0', "detection 0: box needs w > 0 and h > 0, got w=40.0, h=-30.0"),
+        ('"confidence":0.875', '"confidence":1.5', "detection 0: confidence must lie in [0, 1], got 1.5"),
+        ('"confidence":0.875', '"confidence":false', "detection 0: confidence must be a finite number, got False"),
+        ('"category":"car"', '"category":""', "detection 0: category must be a non-empty string, got ''"),
+        ('"category":"car"', '"category":["car"]', "detection 0: category must be a non-empty string, got ['car']"),
+        ('"category":"car"', '"category":7', "detection 0: category must be a non-empty string, got 7"),
+        ('"t_ms":99,', "", "detection frame: missing ['t_ms']"),
+        ('"confidence":0.875', '"confidence":0.875,"score":0.5', "detection 0: unexpected ['score']"),
+        ('"confidence":', '"conf":', "detection 0: missing ['confidence'], unexpected ['conf']"),
+        ('"w":', '"width":', "detection 0: bbox: missing ['w'], unexpected ['width']"),
+        ('{"x":80.0,"y":35.25,"w":40.0,"h":30.0}', "[80.0,35.25,40.0,30.0]", "detection 0: bbox must be an object, got [80.0, 35.25, 40.0, 30.0]"),
+        ('[{"category"', '[7,{"category"', "detection 0: must be an object"),
+        ('"frame_id":3', '"frame_id":3.0', "frame_id must be an integer >= 0, got 3.0"),
+    ],
+)
+def test_bad_detection_lines_name_what_is_wrong(old, new, text):
+    assert encode_detection_frame(sample_frame()) == CANONICAL
+    assert old in CANONICAL
+    with pytest.raises(ParseError) as info:
+        decode_detection_frame(CANONICAL.replace(old, new, 1))
+    assert str(info.value) == text
+
+
 def test_lines_are_compact_single_objects():
     line = encode_detection_frame(sample_frame())
     assert "\n" not in line

@@ -10,7 +10,7 @@ errors that cite the offending line.
 from __future__ import annotations
 
 import json
-import math
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, List, Optional, TypeVar, Union
 
@@ -18,7 +18,18 @@ from .alarm import AlarmEvent
 from .direction import DirectionLabel
 from .pipeline import TrackedObject
 from .simulator import TruthRecord
-from .types import KNOWN_CATEGORIES, BoundingBox, Category, Detection, DetectionFrame, key_mismatch
+from .types import (
+    KNOWN_CATEGORIES,
+    BoundingBox,
+    Category,
+    Detection,
+    DetectionFrame,
+    _box_error,
+    _checked_detection,
+    _confidence_error,
+    _is_finite_number,
+    key_mismatch,
+)
 
 T = TypeVar("T")
 PathLike = Union[str, Path]
@@ -28,17 +39,41 @@ class ParseError(ValueError):
     """A stream line failed to parse or validate."""
 
 
-# One encoder for every record: json.dumps with non-default options builds
-# a new JSONEncoder per call. Same bytes, and NaN/inf are still refused.
-_dumps = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+# One encoder for every record: JSONEncoder.encode builds a new C encoder
+# per call, so build it once here. Same bytes; NaN/inf still raise
+# ValueError and other objects TypeError. No circular-reference markers:
+# records never hold cycles, and a shared markers dict could keep the ids
+# a failed call left in it.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+if c_make_encoder is None:  # a Python without the _json accelerator
+    _dumps = _ENCODER.encode
+else:
+    _encode_chunks = c_make_encoder(
+        None, _ENCODER.default, encode_basestring_ascii, None, ":", ",", False, False, False
+    )
+
+    def _dumps(record: dict) -> str:
+        return "".join(_encode_chunks(record, 0))
+
 
 # A known label decodes to one shared frozen Category rather than a new,
 # re-checked one per record.
 _KNOWN_CATEGORY = {label: Category(label) for label in KNOWN_CATEGORIES}
 
+_FRAME_KEYS = frozenset(("frame_id", "t_ms", "detections"))
+_DETECTION_KEYS = frozenset(("category", "bbox", "confidence"))
+_BBOX_KEYS = frozenset(("x", "y", "w", "h"))
+_TRUTH_KEYS = frozenset(
+    ("frame_id", "actor_id", "true_depth_cm", "true_lateral_cm", "true_direction", "emitted", "true_category")
+)
+_TRACKED_KEYS = frozenset(("frame_id", "object_id", "category", "bbox", "distance_cm", "direction", "matched_from"))
+_EVENT_KEYS = frozenset(
+    ("t_ms", "object_id", "category", "stage", "vibration_s", "distance_cm", "direction", "message")
+)
 
-def _expect_keys(data: dict, expected: tuple, what: str) -> None:
-    if data.keys() != set(expected):
+
+def _expect_keys(data: dict, expected: frozenset, what: str) -> None:
+    if data.keys() != expected:
         raise ParseError(f"{what}: {key_mismatch(data, expected)}")
 
 
@@ -51,7 +86,7 @@ def _int_field(data: dict, key: str, minimum: int = 0) -> int:
 
 def _num_field(data: dict, key: str) -> float:
     v = data[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+    if not _is_finite_number(v):
         raise ParseError(f"{key} must be a finite number, got {v!r}")
     return float(v)
 
@@ -97,7 +132,7 @@ def _bbox_dict(box: BoundingBox) -> dict:
 def _bbox_from(data: dict) -> BoundingBox:
     if not isinstance(data, dict):
         raise ParseError(f"bbox must be an object, got {data!r}")
-    _expect_keys(data, ("x", "y", "w", "h"), "bbox")
+    _expect_keys(data, _BBOX_KEYS, "bbox")
     try:
         return BoundingBox(
             x=_num_field(data, "x"),
@@ -128,27 +163,47 @@ def encode_detection_frame(frame: DetectionFrame) -> str:
     )
 
 
+def _canonical_detection(item) -> Optional[Detection]:
+    """The detection of a record with the exact keys, a known label and float
+    fields, each value checked once; None for any other record."""
+    if type(item) is not dict or item.keys() != _DETECTION_KEYS:
+        return None
+    label, box, c = item["category"], item["bbox"], item["confidence"]
+    if type(label) is not str or type(box) is not dict or box.keys() != _BBOX_KEYS:
+        return None
+    category = _KNOWN_CATEGORY.get(label)
+    x, y, w, h = box["x"], box["y"], box["w"], box["h"]
+    if (
+        category is None
+        or type(x) is not float or type(y) is not float or type(w) is not float or type(h) is not float
+        or type(c) is not float or _box_error(x, y, w, h) or _confidence_error(c)
+    ):
+        return None
+    return _checked_detection(category, x, y, w, h, c)
+
+
+def _decode_detection(k: int, item) -> Detection:
+    """Any detection record, field by field: words every error and turns ints into floats."""
+    if not isinstance(item, dict):
+        raise ParseError(f"detection {k}: must be an object")
+    _expect_keys(item, _DETECTION_KEYS, f"detection {k}")
+    try:
+        return Detection(
+            category=_category_field(item, "category"),
+            bbox=_bbox_from(item["bbox"]),
+            confidence=_num_field(item, "confidence"),
+        )
+    except ValueError as exc:
+        raise ParseError(f"detection {k}: {exc}") from None
+
+
 def decode_detection_frame(line: str) -> DetectionFrame:
     data = _loads(line)
-    _expect_keys(data, ("frame_id", "t_ms", "detections"), "detection frame")
+    _expect_keys(data, _FRAME_KEYS, "detection frame")
     raw = data["detections"]
     if not isinstance(raw, list):
         raise ParseError(f"detections must be an array, got {raw!r}")
-    detections = []
-    for k, item in enumerate(raw):
-        if not isinstance(item, dict):
-            raise ParseError(f"detection {k}: must be an object")
-        _expect_keys(item, ("category", "bbox", "confidence"), f"detection {k}")
-        try:
-            detections.append(
-                Detection(
-                    category=_category_field(item, "category"),
-                    bbox=_bbox_from(item["bbox"]),
-                    confidence=_num_field(item, "confidence"),
-                )
-            )
-        except ValueError as exc:
-            raise ParseError(f"detection {k}: {exc}") from None
+    detections = [_canonical_detection(item) or _decode_detection(k, item) for k, item in enumerate(raw)]
     try:
         return DetectionFrame(
             frame_id=_int_field(data, "frame_id"),
@@ -177,11 +232,7 @@ def encode_truth_record(rec: TruthRecord) -> str:
 
 def decode_truth_record(line: str) -> TruthRecord:
     data = _loads(line)
-    _expect_keys(
-        data,
-        ("frame_id", "actor_id", "true_depth_cm", "true_lateral_cm", "true_direction", "emitted", "true_category"),
-        "truth record",
-    )
+    _expect_keys(data, _TRUTH_KEYS, "truth record")
     direction = _direction_field(data, "true_direction")
     if direction is None:
         raise ParseError("true_direction cannot be null")
@@ -220,11 +271,7 @@ def encode_tracked_object(obj: TrackedObject) -> str:
 
 def decode_tracked_object(line: str) -> TrackedObject:
     data = _loads(line)
-    _expect_keys(
-        data,
-        ("frame_id", "object_id", "category", "bbox", "distance_cm", "direction", "matched_from"),
-        "tracked object",
-    )
+    _expect_keys(data, _TRACKED_KEYS, "tracked object")
     distance = data["distance_cm"]
     if distance is not None:
         distance = _num_field(data, "distance_cm")
@@ -266,11 +313,7 @@ def encode_alarm_event(event: AlarmEvent) -> str:
 
 def decode_alarm_event(line: str) -> AlarmEvent:
     data = _loads(line)
-    _expect_keys(
-        data,
-        ("t_ms", "object_id", "category", "stage", "vibration_s", "distance_cm", "direction", "message"),
-        "alarm event",
-    )
+    _expect_keys(data, _EVENT_KEYS, "alarm event")
     vibration = _num_field(data, "vibration_s")
     if not vibration > 0:
         raise ParseError(f"vibration_s must be positive, got {vibration!r}")

@@ -23,15 +23,32 @@ KNOWN_CATEGORIES: Tuple[str, ...] = (
 ObjectId = int
 
 _INF = math.inf
+_new = object.__new__
 
 
 class FrameValidationError(ValueError):
     """A frame or one of its detections violates a type invariant."""
 
 
+def _is_finite_number(v) -> bool:
+    """A number that is not a bool and is finite; an int too large for a float is not."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 # Each invariant is checked in one place: these return the error text, or
 # "" when the value is valid. The constructors raise ValueError with it and
 # validate_frame raises FrameValidationError with it, so both say the same.
+
+def _stamp_error(name: str, v) -> str:
+    if isinstance(v, int) and not isinstance(v, bool) and v >= 0:
+        return ""
+    return f"{name} must be a non-negative integer, got {v!r}"
+
 
 def _label_error(label) -> str:
     if isinstance(label, str) and label:
@@ -46,7 +63,7 @@ def _box_error(x, y, w, h) -> str:
     ):
         return ""
     for name, v in (("x", x), ("y", y), ("w", w), ("h", h)):
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+        if not _is_finite_number(v):
             return f"box {name} must be a finite number, got {v!r}"
     if not w > 0 or not h > 0:
         return f"box needs w > 0 and h > 0, got w={w}, h={h}"
@@ -54,7 +71,7 @@ def _box_error(x, y, w, h) -> str:
 
 
 def _confidence_error(c) -> str:
-    if not isinstance(c, (int, float)) or isinstance(c, bool) or not math.isfinite(c):
+    if not _is_finite_number(c):
         return f"confidence must be a finite number, got {c!r}"
     if not 0.0 <= c <= 1.0:
         return f"confidence must lie in [0, 1], got {c}"
@@ -67,6 +84,18 @@ def _parts_error(category, bbox) -> str:
     if not isinstance(bbox, BoundingBox):
         return f"detection bbox must be a BoundingBox, got {bbox!r}"
     return ""
+
+
+def _checked_detection(category: Category, x: float, y: float, w: float, h: float, confidence: float) -> Detection:
+    """A Detection built without __post_init__, from values the caller has
+    already passed through _label_error, _box_error and _confidence_error."""
+    box = _new(BoundingBox)
+    fields = box.__dict__
+    fields["x"], fields["y"], fields["w"], fields["h"] = x, y, w, h
+    det = _new(Detection)
+    fields = det.__dict__
+    fields["category"], fields["bbox"], fields["confidence"] = category, box, confidence
+    return det
 
 
 @dataclass(frozen=True)
@@ -139,10 +168,9 @@ class DetectionFrame:
     detections: Tuple[Detection, ...]
 
     def __post_init__(self):
-        if not isinstance(self.frame_id, int) or isinstance(self.frame_id, bool) or self.frame_id < 0:
-            raise ValueError(f"frame_id must be a non-negative integer, got {self.frame_id!r}")
-        if not isinstance(self.t_ms, int) or isinstance(self.t_ms, bool) or self.t_ms < 0:
-            raise ValueError(f"t_ms must be a non-negative integer, got {self.t_ms!r}")
+        text = _stamp_error("frame_id", self.frame_id) or _stamp_error("t_ms", self.t_ms)
+        if text:
+            raise ValueError(text)
         if not isinstance(self.detections, tuple):
             object.__setattr__(self, "detections", tuple(self.detections))
 
@@ -172,10 +200,9 @@ def validate_frame(frame: DetectionFrame) -> None:
     nothing. Raises FrameValidationError naming the first offending
     detection index, with the text its constructor would have raised.
     """
-    if not isinstance(frame.frame_id, int) or frame.frame_id < 0:
-        raise FrameValidationError(f"frame_id must be a non-negative integer, got {frame.frame_id!r}")
-    if not isinstance(frame.t_ms, int) or frame.t_ms < 0:
-        raise FrameValidationError(f"t_ms must be a non-negative integer, got {frame.t_ms!r}")
+    text = _stamp_error("frame_id", frame.frame_id) or _stamp_error("t_ms", frame.t_ms)
+    if text:
+        raise FrameValidationError(text)
     for i, det in enumerate(frame.detections):
         if not isinstance(det, Detection):
             text = f"must be a Detection, got {det!r}"

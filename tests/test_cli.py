@@ -175,6 +175,24 @@ def test_replay_failure_mid_stream_leaves_no_outputs(tmp_path):
     assert not events.exists()
 
 
+@pytest.mark.parametrize("field", ["x", "confidence"])
+def test_replay_integer_too_large_for_a_float_is_a_parse_error(tmp_path, field):
+    det, _, _ = simulate(tmp_path)
+    lines = det.read_text(encoding="utf-8").splitlines()
+    data = json.loads(lines[0])
+    first = data["detections"][0]
+    (first["bbox"] if field == "x" else first)[field] = 10**400
+    lines[0] = json.dumps(data)
+    det.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tracked = tmp_path / "t.jsonl"
+    events = tmp_path / "e.jsonl"
+    proc = run_cli("replay", str(det), "--out-tracked", str(tracked), "--out-events", str(events))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: line 1: detection 0: {field} must be a finite number"), proc.stderr
+    assert not tracked.exists()
+    assert not events.exists()
+
+
 def test_replay_refuses_an_output_that_is_the_input(tmp_path):
     det, _, _ = simulate(tmp_path)
     before = det.read_bytes()

@@ -1,6 +1,8 @@
 """Wire formats: byte-exact round trips and strict decoding."""
+import dataclasses
 import json
 import math
+from json.encoder import c_make_encoder
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,7 +26,7 @@ from streetwatch.jsonl import (
 )
 from streetwatch.pipeline import TrackedObject
 from streetwatch.simulator import TruthRecord, generate, scenario_by_name
-from streetwatch.types import BoundingBox, Category, Detection, DetectionFrame
+from streetwatch.types import KNOWN_CATEGORIES, BoundingBox, Category, Detection, DetectionFrame
 
 from conftest import make_det, make_frame
 
@@ -108,15 +110,78 @@ def test_canonical_lines_are_fixed_points(x, y, w, h, confidence):
     assert encode_detection_frame(decode_detection_frame(line)) == line
 
 
+# Each field is valid, an int (decoded as a float), or a value of another
+# JSON kind; non-finite floats and ints too large for a float come often.
+special = st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400)])
+other = st.one_of(
+    st.floats(),
+    st.integers(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+corner = st.floats(min_value=-1e6, max_value=1e6) | st.integers(min_value=-(10**6), max_value=10**6)
+side = st.floats(min_value=1e-3, max_value=1e6) | st.integers(min_value=1, max_value=10**6)
+def field(valid):
+    # a third each: one_of would weigh the flattened branches alike
+    return st.sampled_from([valid, special, other]).flatmap(lambda strategy: strategy)
+
+
+valid_fields = (
+    st.sampled_from(KNOWN_CATEGORIES) | st.text(min_size=1),
+    corner,
+    corner,
+    side,
+    side,
+    st.floats(min_value=0.0, max_value=1.0) | st.sampled_from([0, 1]),
+)
+# half the detections valid, so whole frames often decode
+detection_fields = st.tuples(*valid_fields) | st.tuples(*map(field, valid_fields))
+
+
+def built_by_constructors(label, x, y, w, h, confidence):
+    """The Detection the public constructors make of these values after the
+    decoder's int -> float step, or None when they refuse them."""
+    try:
+        x, y, w, h, confidence = (float(v) if type(v) in (int, float) else v for v in (x, y, w, h, confidence))
+        return Detection(Category(label), BoundingBox(x, y, w, h), confidence)
+    except (ValueError, OverflowError):
+        return None
+
+
+@given(fields=st.lists(detection_fields, max_size=3))
+def test_decoder_accepts_exactly_what_the_constructors_accept(fields):
+    line = json.dumps(
+        {
+            "frame_id": 0,
+            "t_ms": 0,
+            "detections": [
+                {"category": label, "bbox": {"x": x, "y": y, "w": w, "h": h}, "confidence": c}
+                for label, x, y, w, h, c in fields
+            ],
+        }
+    )
+    built = [built_by_constructors(*f) for f in fields]
+    if None in built:
+        with pytest.raises(ParseError):
+            decode_detection_frame(line)
+    else:
+        assert decode_detection_frame(line) == DetectionFrame(0, 0, tuple(built))
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 count = st.integers(min_value=0, max_value=2**63)
 maybe_direction = st.sampled_from([None, "left", "right", "forward"])
+label_text = st.text(min_size=1) | st.text(st.characters(min_codepoint=128), min_size=1)
+box_field = finite | st.integers() | st.none()
 tracked_dicts = st.fixed_dictionaries(
     {
         "frame_id": count,
         "object_id": count,
-        "category": st.text(min_size=1),
-        "bbox": st.fixed_dictionaries({"x": finite, "y": finite, "w": finite, "h": finite}),
+        "category": label_text,
+        "bbox": st.fixed_dictionaries({"x": box_field, "y": box_field, "w": box_field, "h": box_field}),
         "distance_cm": st.none() | finite,
         "direction": maybe_direction,
         "matched_from": st.none() | count,
@@ -126,7 +191,7 @@ event_dicts = st.fixed_dictionaries(
     {
         "t_ms": count,
         "object_id": count,
-        "category": st.text(min_size=1),
+        "category": label_text,
         "stage": st.integers(min_value=1, max_value=3),
         "vibration_s": finite,
         "distance_cm": finite,
@@ -138,21 +203,78 @@ event_dicts = st.fixed_dictionaries(
 
 @given(record=tracked_dicts | event_dicts)
 def test_shared_encoder_writes_what_json_dumps_writes(record):
-    assert jsonl._dumps(record) == json.dumps(record, separators=(",", ":"), allow_nan=False)
+    line = jsonl._dumps(record)
+    assert line == json.dumps(record, separators=(",", ":"), allow_nan=False)
+    assert line.isascii()
 
 
-def test_shared_encoder_still_refuses_nan():
-    obj = TrackedObject(
-        object_id=0,
-        frame_id=0,
-        category=Category("car"),
-        bbox=BoundingBox(0.0, 0.0, 1.0, 1.0),
-        distance_cm=math.nan,
-        direction=None,
-        matched_from=None,
-    )
-    with pytest.raises(ValueError):
-        encode_tracked_object(obj)
+@pytest.mark.parametrize(
+    "encode,record",
+    [
+        (encode_tracked_object, sample_tracked()),
+        (encode_alarm_event, sample_event()),
+    ],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_shared_encoder_still_refuses_nan(encode, record, bad):
+    line = encode(record)
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        encode(dataclasses.replace(record, distance_cm=bad))
+    # a failed call leaves nothing behind in the shared encoder
+    assert encode(record) == line
+
+
+def test_shared_encoder_still_refuses_unknown_objects():
+    with pytest.raises(TypeError):
+        jsonl._dumps({"bbox": BoundingBox(0.0, 0.0, 1.0, 1.0)})
+
+
+@pytest.mark.skipif(c_make_encoder is None, reason="Python without the _json accelerator")
+def test_dumps_reuses_one_c_encoder(monkeypatch):
+    # JSONEncoder.encode would build a new C encoder per call
+    assert isinstance(jsonl._encode_chunks, c_make_encoder)
+
+    def per_call_setup(*args, **kwargs):
+        raise AssertionError("encoder built per record")
+
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", per_call_setup)
+    assert encode_tracked_object(sample_tracked()).startswith('{"frame_id":3,')
+
+
+def test_canonical_known_label_lines_skip_the_constructor_checks(monkeypatch):
+    calls = []
+
+    def counted(check):
+        def post_init(self):
+            calls.append(type(self).__name__)
+            check(self)
+
+        return post_init
+
+    for cls in (BoundingBox, Detection):
+        monkeypatch.setattr(cls, "__post_init__", counted(cls.__post_init__))
+    BoundingBox(0.0, 0.0, 1.0, 1.0)
+    assert len(calls) == 1  # the counter sees constructor calls
+    frames, _ = generate(scenario_by_name("crowded-midrange"))
+    lines = [encode_detection_frame(f) for f in frames]
+    del calls[:]
+    assert [decode_detection_frame(line) for line in lines] == frames
+    assert sum(len(f.detections) for f in frames) > 0
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "encode,decode,record,key",
+    [
+        (encode_tracked_object, decode_tracked_object, sample_tracked(), "distance_cm"),
+        (encode_truth_record, decode_truth_record, sample_truth(), "true_depth_cm"),
+    ],
+)
+def test_integer_too_large_for_a_float_is_a_parse_error(encode, decode, record, key):
+    data = json.loads(encode(record))
+    data[key] = 10**400
+    with pytest.raises(ParseError, match=f"^{key} must be a finite number, got 1000"):
+        decode(json.dumps(data))
 
 
 @pytest.mark.parametrize("category", [["car"], {"car": 1}, "", 7, None])

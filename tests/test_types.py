@@ -177,3 +177,18 @@ def test_validate_frame_rejects_what_is_not_a_detection(bad, intrinsics, heights
     pipeline = Pipeline(PipelineConfig(camera=intrinsics, camera_height_cm=140.0, heights=heights))
     with pytest.raises(FrameValidationError, match="^detection 1: "):
         pipeline.process_frame(frame)
+
+
+@pytest.mark.parametrize("field", ["frame_id", "t_ms"])
+@pytest.mark.parametrize("value", [True, False, -1, 3.0, "3"])
+def test_frame_constructor_and_validate_frame_agree_on_stamps(field, value, intrinsics, heights):
+    stamps = dict(frame_id=0, t_ms=0)
+    with pytest.raises(ValueError) as built:
+        DetectionFrame(detections=(), **dict(stamps, **{field: value}))
+    frame = smuggle(DetectionFrame, detections=(make_det(),), **dict(stamps, **{field: value}))
+    with pytest.raises(FrameValidationError) as validated:
+        validate_frame(frame)
+    assert str(validated.value) == str(built.value)
+    pipeline = Pipeline(PipelineConfig(camera=intrinsics, camera_height_cm=140.0, heights=heights))
+    with pytest.raises(FrameValidationError):
+        pipeline.process_frame(frame)

@@ -18,18 +18,8 @@ from .alarm import AlarmEvent
 from .direction import DirectionLabel
 from .pipeline import TrackedObject
 from .simulator import TruthRecord
-from .types import (
-    KNOWN_CATEGORIES,
-    BoundingBox,
-    Category,
-    Detection,
-    DetectionFrame,
-    _box_error,
-    _checked_detection,
-    _confidence_error,
-    _is_finite_number,
-    key_mismatch,
-)
+from .types import KNOWN_CATEGORIES, BoundingBox, Category, Detection, DetectionFrame, key_mismatch
+from .types import _box_error, _checked_detection, _confidence_error, _is_finite_number
 
 T = TypeVar("T")
 PathLike = Union[str, Path]
@@ -40,10 +30,9 @@ class ParseError(ValueError):
 
 
 # One encoder for every record: JSONEncoder.encode builds a new C encoder
-# per call, so build it once here. Same bytes; NaN/inf still raise
-# ValueError and other objects TypeError. No circular-reference markers:
-# records never hold cycles, and a shared markers dict could keep the ids
-# a failed call left in it.
+# per call. Same bytes; NaN/inf still raise ValueError, other objects
+# TypeError. No circular-reference markers: records hold no cycles, and a
+# shared markers dict could keep ids that a failed call left in it.
 _ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
 if c_make_encoder is None:  # a Python without the _json accelerator
     _dumps = _ENCODER.encode

@@ -24,6 +24,7 @@ ObjectId = int
 
 _INF = math.inf
 _new = object.__new__
+_set = object.__setattr__
 
 
 class FrameValidationError(ValueError):
@@ -88,13 +89,20 @@ def _parts_error(category, bbox) -> str:
 
 def _checked_detection(category: Category, x: float, y: float, w: float, h: float, confidence: float) -> Detection:
     """A Detection built without __post_init__, from values the caller has
-    already passed through _label_error, _box_error and _confidence_error."""
+    already passed through _label_error, _box_error and _confidence_error.
+
+    Fields are set one by one, as the generated __init__ does: writing
+    into __dict__ is faster here but slows every later attribute read.
+    """
     box = _new(BoundingBox)
-    fields = box.__dict__
-    fields["x"], fields["y"], fields["w"], fields["h"] = x, y, w, h
+    _set(box, "x", x)
+    _set(box, "y", y)
+    _set(box, "w", w)
+    _set(box, "h", h)
     det = _new(Detection)
-    fields = det.__dict__
-    fields["category"], fields["bbox"], fields["confidence"] = category, box, confidence
+    _set(det, "category", category)
+    _set(det, "bbox", box)
+    _set(det, "confidence", confidence)
     return det
 
 

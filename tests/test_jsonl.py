@@ -328,6 +328,37 @@ def test_bad_detection_lines_name_what_is_wrong(old, new, text):
     assert str(info.value) == text
 
 
+TRACKED = '{"frame_id":3,"object_id":4,"category":"person","bbox":{"x":10.0,"y":20.0,"w":30.0,"h":40.0},"distance_cm":412.5,"direction":"left","matched_from":4}'
+HUGE = "1" * 401  # an integer too large for a float
+
+
+@pytest.mark.parametrize(
+    "old,new,text",
+    [
+        ('"x":10.0', '"x":NaN', "x must be a finite number, got nan"),
+        ('"y":20.0', '"y":true', "y must be a finite number, got True"),
+        ('"w":30.0', '"w":"1"', "w must be a finite number, got '1'"),
+        ('"w":30.0', '"w":0', "box needs w > 0 and h > 0, got w=0.0, h=40.0"),
+        ('{"x":10.0,"y":20.0,"w":30.0,"h":40.0}', "[10.0,20.0,30.0,40.0]", "bbox must be an object, got [10.0, 20.0, 30.0, 40.0]"),
+        (',"h":40.0', "", "bbox: missing ['h']"),
+        ('"h":40.0', f'"h":{HUGE}', f"h must be a finite number, got {HUGE}"),
+    ],
+)
+def test_bad_tracked_boxes_name_what_is_wrong(old, new, text):
+    assert encode_tracked_object(sample_tracked()) == TRACKED
+    assert old in TRACKED
+    with pytest.raises(ParseError) as info:
+        decode_tracked_object(TRACKED.replace(old, new, 1))
+    assert str(info.value) == text
+
+
+def test_tracked_int_box_fields_re_encode_canonically():
+    loose = TRACKED.replace('"x":10.0', '"x":10', 1).replace('"h":40.0', '"h":40', 1)
+    obj = decode_tracked_object(loose)
+    assert type(obj.bbox.x) is float and type(obj.bbox.h) is float
+    assert encode_tracked_object(obj) == TRACKED
+
+
 def test_lines_are_compact_single_objects():
     line = encode_detection_frame(sample_frame())
     assert "\n" not in line

@@ -19,7 +19,7 @@ from .direction import DirectionLabel
 from .pipeline import TrackedObject
 from .simulator import TruthRecord
 from .types import KNOWN_CATEGORIES, BoundingBox, Category, Detection, DetectionFrame, key_mismatch
-from .types import _box_error, _checked_detection, _confidence_error, _is_finite_number
+from .types import _box_error, _checked_box, _checked_detection, _confidence_error, _is_finite_number
 
 T = TypeVar("T")
 PathLike = Union[str, Path]
@@ -118,19 +118,21 @@ def _bbox_dict(box: BoundingBox) -> dict:
     return {"x": box.x, "y": box.y, "w": box.w, "h": box.h}
 
 
-def _bbox_from(data: dict) -> BoundingBox:
-    if not isinstance(data, dict):
-        raise ParseError(f"bbox must be an object, got {data!r}")
-    _expect_keys(data, _BBOX_KEYS, "bbox")
-    try:
-        return BoundingBox(
-            x=_num_field(data, "x"),
-            y=_num_field(data, "y"),
-            w=_num_field(data, "w"),
-            h=_num_field(data, "h"),
-        )
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+def _bbox_field(data: dict, key: str) -> BoundingBox:
+    """The box under key, each number checked once: four floats that pass
+    _box_error are taken as they are. Anything else is read again through
+    _num_field, which words the error and turns ints into floats."""
+    box = data[key]
+    if type(box) is not dict:
+        raise ParseError(f"{key} must be an object, got {box!r}")
+    _expect_keys(box, _BBOX_KEYS, key)
+    x, y, w, h = box["x"], box["y"], box["w"], box["h"]
+    if type(x) is not float or type(y) is not float or type(w) is not float or type(h) is not float or _box_error(x, y, w, h):
+        x, y, w, h = _num_field(box, "x"), _num_field(box, "y"), _num_field(box, "w"), _num_field(box, "h")
+        text = _box_error(x, y, w, h)
+        if text:
+            raise ParseError(text)
+    return _checked_box(x, y, w, h)
 
 
 # --- detection stream ---------------------------------------------------
@@ -152,38 +154,24 @@ def encode_detection_frame(frame: DetectionFrame) -> str:
     )
 
 
-def _canonical_detection(item) -> Optional[Detection]:
-    """The detection of a record with the exact keys, a known label and float
-    fields, each value checked once; None for any other record."""
-    if type(item) is not dict or item.keys() != _DETECTION_KEYS:
-        return None
-    label, box, c = item["category"], item["bbox"], item["confidence"]
-    if type(label) is not str or type(box) is not dict or box.keys() != _BBOX_KEYS:
-        return None
-    category = _KNOWN_CATEGORY.get(label)
-    x, y, w, h = box["x"], box["y"], box["w"], box["h"]
-    if (
-        category is None
-        or type(x) is not float or type(y) is not float or type(w) is not float or type(h) is not float
-        or type(c) is not float or _box_error(x, y, w, h) or _confidence_error(c)
-    ):
-        return None
-    return _checked_detection(category, x, y, w, h, c)
-
-
 def _decode_detection(k: int, item) -> Detection:
-    """Any detection record, field by field: words every error and turns ints into floats."""
-    if not isinstance(item, dict):
-        raise ParseError(f"detection {k}: must be an object")
-    _expect_keys(item, _DETECTION_KEYS, f"detection {k}")
+    """Detection k of a frame, each value checked once."""
     try:
-        return Detection(
-            category=_category_field(item, "category"),
-            bbox=_bbox_from(item["bbox"]),
-            confidence=_num_field(item, "confidence"),
-        )
-    except ValueError as exc:
+        if type(item) is not dict:
+            raise ParseError("must be an object")
+        if item.keys() != _DETECTION_KEYS:
+            raise ParseError(key_mismatch(item, _DETECTION_KEYS))
+        category = _category_field(item, "category")
+        bbox = _bbox_field(item, "bbox")
+        confidence = item["confidence"]
+        if type(confidence) is not float:
+            confidence = _num_field(item, "confidence")
+        text = _confidence_error(confidence)
+        if text:
+            raise ParseError(text)
+    except ParseError as exc:
         raise ParseError(f"detection {k}: {exc}") from None
+    return _checked_detection(category, bbox, confidence)
 
 
 def decode_detection_frame(line: str) -> DetectionFrame:
@@ -192,15 +180,12 @@ def decode_detection_frame(line: str) -> DetectionFrame:
     raw = data["detections"]
     if not isinstance(raw, list):
         raise ParseError(f"detections must be an array, got {raw!r}")
-    detections = [_canonical_detection(item) or _decode_detection(k, item) for k, item in enumerate(raw)]
-    try:
-        return DetectionFrame(
-            frame_id=_int_field(data, "frame_id"),
-            t_ms=_int_field(data, "t_ms"),
-            detections=tuple(detections),
-        )
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    detections = [_decode_detection(k, item) for k, item in enumerate(raw)]
+    return DetectionFrame(
+        frame_id=_int_field(data, "frame_id"),
+        t_ms=_int_field(data, "t_ms"),
+        detections=tuple(detections),
+    )
 
 
 # --- truth stream -------------------------------------------------------
@@ -228,18 +213,15 @@ def decode_truth_record(line: str) -> TruthRecord:
     depth = _num_field(data, "true_depth_cm")
     if not depth > 0:
         raise ParseError(f"true_depth_cm must be positive, got {depth!r}")
-    try:
-        return TruthRecord(
-            frame_id=_int_field(data, "frame_id"),
-            actor_id=_int_field(data, "actor_id"),
-            true_depth_cm=depth,
-            true_lateral_cm=_num_field(data, "true_lateral_cm"),
-            true_direction=direction,
-            emitted=_bool_field(data, "emitted"),
-            true_category=_category_field(data, "true_category"),
-        )
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return TruthRecord(
+        frame_id=_int_field(data, "frame_id"),
+        actor_id=_int_field(data, "actor_id"),
+        true_depth_cm=depth,
+        true_lateral_cm=_num_field(data, "true_lateral_cm"),
+        true_direction=direction,
+        emitted=_bool_field(data, "emitted"),
+        true_category=_category_field(data, "true_category"),
+    )
 
 
 # --- tracked stream -----------------------------------------------------
@@ -274,7 +256,7 @@ def decode_tracked_object(line: str) -> TrackedObject:
             object_id=_int_field(data, "object_id"),
             frame_id=_int_field(data, "frame_id"),
             category=_category_field(data, "category"),
-            bbox=_bbox_from(data["bbox"]),
+            bbox=_bbox_field(data, "bbox"),
             distance_cm=distance,
             direction=_direction_field(data, "direction"),
             matched_from=matched_from,

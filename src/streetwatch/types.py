@@ -72,6 +72,8 @@ def _box_error(x, y, w, h) -> str:
 
 
 def _confidence_error(c) -> str:
+    if type(c) is float and 0.0 <= c <= 1.0:
+        return ""
     if not _is_finite_number(c):
         return f"confidence must be a finite number, got {c!r}"
     if not 0.0 <= c <= 1.0:
@@ -87,21 +89,27 @@ def _parts_error(category, bbox) -> str:
     return ""
 
 
-def _checked_detection(category: Category, x: float, y: float, w: float, h: float, confidence: float) -> Detection:
-    """A Detection built without __post_init__, from values the caller has
-    already passed through _label_error, _box_error and _confidence_error.
+# Builders for values the caller has already checked with the helpers
+# above; they skip __post_init__. Fields are set one by one, as the
+# generated __init__ does: writing into __dict__ is faster here but slows
+# every later attribute read.
 
-    Fields are set one by one, as the generated __init__ does: writing
-    into __dict__ is faster here but slows every later attribute read.
-    """
+def _checked_box(x: float, y: float, w: float, h: float) -> BoundingBox:
+    """A BoundingBox of four floats that pass _box_error."""
     box = _new(BoundingBox)
     _set(box, "x", x)
     _set(box, "y", y)
     _set(box, "w", w)
     _set(box, "h", h)
+    return box
+
+
+def _checked_detection(category: Category, bbox: BoundingBox, confidence: float) -> Detection:
+    """A Detection of a valid Category, a box from _checked_box and a float
+    that passes _confidence_error."""
     det = _new(Detection)
     _set(det, "category", category)
-    _set(det, "bbox", box)
+    _set(det, "bbox", bbox)
     _set(det, "confidence", confidence)
     return det
 

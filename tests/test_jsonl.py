@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from streetwatch.alarm import AlarmEvent
 from streetwatch.direction import DirectionLabel
+from streetwatch.evaluation import run_scenario
 from streetwatch import jsonl
 from streetwatch.jsonl import (
     ParseError,
@@ -244,23 +245,27 @@ def test_dumps_reuses_one_c_encoder(monkeypatch):
 def test_canonical_known_label_lines_skip_the_constructor_checks(monkeypatch):
     calls = []
 
-    def counted(check):
-        def post_init(self):
-            calls.append(type(self).__name__)
-            check(self)
+    def counted(check, name):
+        def counted_check(*args):
+            calls.append(name)
+            return check(*args)
 
-        return post_init
+        return counted_check
 
     for cls in (BoundingBox, Detection):
-        monkeypatch.setattr(cls, "__post_init__", counted(cls.__post_init__))
+        monkeypatch.setattr(cls, "__post_init__", counted(cls.__post_init__, cls.__name__))
+    monkeypatch.setattr(jsonl, "_box_error", counted(jsonl._box_error, "_box_error"))
     BoundingBox(0.0, 0.0, 1.0, 1.0)
-    assert len(calls) == 1  # the counter sees constructor calls
-    frames, _ = generate(scenario_by_name("crowded-midrange"))
-    lines = [encode_detection_frame(f) for f in frames]
+    assert calls == ["BoundingBox"]  # the counter sees constructor calls
+    run = run_scenario(scenario_by_name("crowded-midrange"))
+    frame_lines = [encode_detection_frame(f) for f in run.frames]
+    tracked_lines = [encode_tracked_object(obj) for obj in run.tracked]
+    assert sum(len(f.detections) for f in run.frames) > 0 and run.tracked
     del calls[:]
-    assert [decode_detection_frame(line) for line in lines] == frames
-    assert sum(len(f.detections) for f in frames) > 0
-    assert calls == []
+    assert [decode_detection_frame(line) for line in frame_lines] == run.frames
+    assert [decode_tracked_object(line) for line in tracked_lines] == run.tracked
+    # one box check per decoded box, no constructor check
+    assert calls == ["_box_error"] * (sum(len(f.detections) for f in run.frames) + len(run.tracked))
 
 
 @pytest.mark.parametrize(

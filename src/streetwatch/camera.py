@@ -6,11 +6,10 @@ relation runs both directions: estimation divides, projection multiplies.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
-from .types import BoundingBox, Category, Detection
+from .types import BoundingBox, Category, Detection, _is_finite_number
 
 
 @dataclass(frozen=True)
@@ -24,7 +23,7 @@ class CameraIntrinsics:
     def __post_init__(self):
         for name in ("focal_px", "image_w", "image_h"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if not (_is_finite_number(v) and v > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {v!r}")
 
 
@@ -44,7 +43,7 @@ class HeightTable:
         for label, height in dict(self.entries).items():
             if not isinstance(label, str) or not label:
                 raise ValueError(f"height table key must be a non-empty string, got {label!r}")
-            if not (isinstance(height, (int, float)) and math.isfinite(height) and height > 0):
+            if not (_is_finite_number(height) and height > 0):
                 raise ValueError(f"height for {label!r} must be a positive finite number, got {height!r}")
             copied[label] = float(height)
         object.__setattr__(self, "entries", copied)

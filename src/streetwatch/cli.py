@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from collections import Counter
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .alarm import stage_for_distance
 from .config import ConfigError, load_config
@@ -76,7 +76,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _same_file(a: str, b: str) -> bool:
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        # one of them does not exist yet
+        return False
+
+
+def _refuse_aliases(inputs: List[Tuple[str, str]], outputs: List[Tuple[str, str]]) -> None:
+    """Raise ValueError when an output names an input or an earlier output.
+
+    Opening an output truncates it, so an alias would destroy the input or
+    the other output before a record is read. Takes (name, path) pairs.
+    """
+    for k, (name_b, b) in enumerate(outputs):
+        for name_a, a in inputs + outputs[:k]:
+            if _same_file(a, b):
+                raise ValueError(f"{name_b} and {name_a} name the same file: {b}")
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    inputs = [] if args.suite else [("the scenario", args.scenario)]
+    _refuse_aliases(inputs, [("--out-detections", args.out_detections), ("--out-truth", args.out_truth)])
     if args.suite:
         spec = scenario_by_name(args.suite)
     else:
@@ -98,24 +122,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _same_file(a: str, b: str) -> bool:
-    if os.path.realpath(a) == os.path.realpath(b):
-        return True
-    try:
-        return os.path.samefile(a, b)
-    except OSError:
-        # one of them does not exist yet
-        return False
-
-
 def _cmd_replay(args: argparse.Namespace) -> int:
-    # opening an output truncates it, so an alias would destroy the input
-    # or the other output before a frame is read
-    paths = (("the input", args.detections), ("--out-tracked", args.out_tracked), ("--out-events", args.out_events))
-    for k, (name_a, a) in enumerate(paths):
-        for name_b, b in paths[k + 1:]:
-            if _same_file(a, b):
-                raise ValueError(f"{name_b} and {name_a} name the same file: {b}")
+    _refuse_aliases(
+        [("the input", args.detections)], [("--out-tracked", args.out_tracked), ("--out-events", args.out_events)]
+    )
     pipeline = Pipeline(load_config(args.config))
     stage_counts: Counter = Counter()
     frames = 0
@@ -146,6 +156,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    inputs = [("the tracked stream", args.tracked), ("the truth stream", args.truth)]
+    _refuse_aliases(inputs, [("--report", args.report)])
     tracked = read_tracked_objects(args.tracked)
     truth = read_truth_records(args.truth)
     bands = None

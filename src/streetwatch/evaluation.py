@@ -22,7 +22,7 @@ from .direction import DirectionConfig, DirectionLabel, default_dead_zone_px
 from .matcher import MatchConfig, greedy_assign
 from .pipeline import Pipeline, PipelineConfig, TrackedObject
 from .simulator import ScenarioSpec, TruthRecord, generate
-from .types import Category, DetectionFrame
+from .types import Category, DetectionFrame, _is_finite_number
 
 
 class AlignmentError(Exception):
@@ -52,7 +52,7 @@ class BandPartition:
             raise EvalError("at least one band boundary is required")
         previous = 0.0
         for b in self.boundaries_cm:
-            if not (isinstance(b, (int, float)) and math.isfinite(b) and b > previous):
+            if not (_is_finite_number(b) and b > previous):
                 raise EvalError(f"band boundaries must be positive and strictly ascending, got {self.boundaries_cm}")
             previous = b
 

@@ -12,13 +12,13 @@ perturbs anyone else's noise, and generation order cannot matter.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from .camera import CameraIntrinsics, project_ground_point
 from .direction import DirectionLabel
 from .types import BoundingBox, Category, Detection, DetectionFrame, KNOWN_CATEGORIES, key_mismatch
+from .types import _is_finite_number
 
 TRAJECTORY_KINDS = ("linear", "stationary")
 
@@ -47,11 +47,11 @@ class NoiseSpec:
     def __post_init__(self):
         for name in ("center_jitter_px", "height_jitter_frac"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
+            if not (_is_finite_number(v) and v >= 0):
                 raise ScenarioError(f"{name} must be non-negative and finite, got {v!r}")
         for name in ("drop_prob", "label_flip_prob"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and 0.0 <= v <= 1.0):
+            if not (_is_finite_number(v) and 0.0 <= v <= 1.0):
                 raise ScenarioError(f"{name} must lie in [0, 1], got {v!r}")
 
 
@@ -72,7 +72,7 @@ class Trajectory:
             raise ScenarioError("a stationary trajectory cannot carry a velocity")
         for name in ("x0_cm", "z0_cm", "vx_cm_s", "vz_cm_s"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            if not _is_finite_number(v):
                 raise ScenarioError(f"{name} must be a finite number, got {v!r}")
 
     def position(self, t_s: float) -> Tuple[float, float]:
@@ -94,10 +94,14 @@ class ActorSpec:
     def __post_init__(self):
         if not isinstance(self.actor_id, int) or isinstance(self.actor_id, bool) or self.actor_id < 0:
             raise ScenarioError(f"actor_id must be a non-negative integer, got {self.actor_id!r}")
-        if not self.real_height_cm > 0:
-            raise ScenarioError(f"actor {self.actor_id}: real_height_cm must be positive")
-        if not self.aspect_ratio > 0:
-            raise ScenarioError(f"actor {self.actor_id}: aspect_ratio must be positive")
+        for name in ("real_height_cm", "aspect_ratio"):
+            v = getattr(self, name)
+            if not (_is_finite_number(v) and v > 0):
+                raise ScenarioError(f"actor {self.actor_id}: {name} must be positive")
+        for name in ("enter_s", "exit_s"):
+            v = getattr(self, name)
+            if v is not None and not _is_finite_number(v):
+                raise ScenarioError(f"actor {self.actor_id}: {name} must be a finite number, got {v!r}")
 
     def span(self, duration_s: float) -> Tuple[float, float]:
         enter = 0.0 if self.enter_s is None else self.enter_s
@@ -121,12 +125,10 @@ class ScenarioSpec:
     def __post_init__(self):
         if not isinstance(self.actors, tuple):
             object.__setattr__(self, "actors", tuple(self.actors))
-        if not self.duration_s > 0:
-            raise ScenarioError(f"duration_s must be positive, got {self.duration_s!r}")
-        if not self.frame_rate_hz > 0:
-            raise ScenarioError(f"frame_rate_hz must be positive, got {self.frame_rate_hz!r}")
-        if not self.camera_height_cm > 0:
-            raise ScenarioError(f"camera_height_cm must be positive, got {self.camera_height_cm!r}")
+        for name in ("duration_s", "frame_rate_hz", "camera_height_cm"):
+            v = getattr(self, name)
+            if not (_is_finite_number(v) and v > 0):
+                raise ScenarioError(f"{name} must be positive, got {v!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed <= _MAX_SEED:
             raise ScenarioError(f"seed must be an integer in [0, 2**63), got {self.seed!r}")
         seen = set()

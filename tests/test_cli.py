@@ -91,9 +91,34 @@ def test_simulate_rejects_bad_scenario_json(tmp_path):
     assert "invalid JSON" in proc.stderr
 
 
-def test_simulate_rejects_invalid_scenario_values(tmp_path):
+HUGE = 10**400  # an integer too large for a float
+
+
+@pytest.mark.parametrize(
+    "path,value,text",
+    [
+        (("actors", 0, "trajectory", "z0_cm"), -50.0, "actor 0: depth becomes non-positive"),
+        (("actors", 0, "trajectory", "x0_cm"), HUGE, "x0_cm must be a finite number"),
+        (("actors", 0, "trajectory", "x0_cm"), True, "x0_cm must be a finite number, got True"),
+        (("camera", "focal_px"), HUGE, "focal_px must be a positive finite number"),
+        (("noise", "center_jitter_px"), HUGE, "center_jitter_px must be non-negative and finite"),
+        (("duration_s",), "4", "duration_s must be positive, got '4'"),
+        (("frame_rate_hz",), "4", "frame_rate_hz must be positive, got '4'"),
+        (("camera_height_cm",), "4", "camera_height_cm must be positive, got '4'"),
+        (("actors", 0, "real_height_cm"), "140", "actor 0: real_height_cm must be positive"),
+        (("actors", 0, "enter_s"), "1", "actor 0: enter_s must be a finite number, got '1'"),
+    ],
+    ids=[
+        "negative-z0_cm", "huge-x0_cm", "bool-x0_cm", "huge-focal_px", "huge-center_jitter_px", "str-duration_s",
+        "str-frame_rate_hz", "str-camera_height_cm", "str-real_height_cm", "str-enter_s",
+    ],
+)
+def test_simulate_rejects_invalid_scenario_values(tmp_path, path, value, text):
     spec = scenario_to_dict(scenario_by_name("single-crosser"))
-    spec["actors"][0]["trajectory"]["z0_cm"] = -50.0
+    node = spec
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(json.dumps(spec), encoding="utf-8")
     proc = run_cli(
@@ -101,7 +126,8 @@ def test_simulate_rejects_invalid_scenario_values(tmp_path):
         "--out-detections", str(tmp_path / "d.jsonl"), "--out-truth", str(tmp_path / "t.jsonl"),
     )
     assert proc.returncode == 1
-    assert "actor 0" in proc.stderr
+    assert proc.stderr.startswith("error: ") and text in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_replay_produces_tracks_and_events(tmp_path):
@@ -214,6 +240,35 @@ def test_replay_refuses_one_path_for_both_outputs(tmp_path):
     assert "--out-tracked" in proc.stderr and "--out-events" in proc.stderr
     assert det.read_bytes() == before
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["simulate-scenario", "simulate-outputs", "replay", "eval"])
+def test_writing_commands_refuse_aliased_paths(tmp_path, case):
+    det, truth, _ = simulate(tmp_path)
+    tracked = tmp_path / "tracked.jsonl"
+    proc = run_cli("replay", str(det), "--out-tracked", str(tracked), "--out-events", str(tmp_path / "events.jsonl"))
+    assert proc.returncode == 0, proc.stderr
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(scenario_to_dict(scenario_by_name("single-crosser"))), encoding="utf-8")
+    fresh = str(tmp_path / "fresh.jsonl")
+    args, text = {
+        "simulate-scenario": (
+            ("simulate", str(scenario), "--out-detections", str(scenario), "--out-truth", fresh),
+            "--out-detections and the scenario",
+        ),
+        "simulate-outputs": (
+            ("simulate", "--suite", "single-crosser", "--out-detections", str(det), "--out-truth", str(det)),
+            "--out-truth and --out-detections",
+        ),
+        "replay": (("replay", str(det), "--out-tracked", fresh, "--out-events", str(det)), "--out-events and the input"),
+        "eval": (("eval", str(tracked), str(truth), "--report", str(tracked)), "--report and the tracked stream"),
+    }[case]
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {text} name the same file: ")
+    # nothing overwritten, nothing written
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_replay_out_of_order_stream_exits_two(tmp_path):

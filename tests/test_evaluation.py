@@ -52,6 +52,13 @@ def test_band_partition_validation():
         BandPartition((100.0, 100.0))
 
 
+@pytest.mark.parametrize("boundary", [10**400, True, "300"])
+def test_band_boundary_that_is_not_a_finite_number_is_refused(boundary):
+    # an int too large for a float used to raise OverflowError, a string TypeError
+    with pytest.raises(EvalError, match="band boundaries must be positive and strictly ascending"):
+        BandPartition((boundary,))
+
+
 def test_single_crosser_scores_perfectly():
     run = run_scenario(scenario_by_name("single-crosser"))
     report = run.report

@@ -193,6 +193,31 @@ def test_scenario_validation_errors():
         NoiseSpec(center_jitter_px=-1.0)
 
 
+HUGE = 10**400  # an int too large for a float
+
+
+@pytest.mark.parametrize(
+    "build,text",
+    [
+        (lambda: HeightTable({"car": HUGE}), "height for 'car' must be a positive finite number"),
+        (lambda: Trajectory("linear", HUGE, 500.0), "x0_cm must be a finite number"),
+        (lambda: Trajectory("linear", True, 500.0), "x0_cm must be a finite number, got True"),
+        (lambda: NoiseSpec(center_jitter_px=HUGE), "center_jitter_px must be non-negative and finite"),
+        (lambda: NoiseSpec(drop_prob=True), "drop_prob must lie in \\[0, 1\\], got True"),
+        (lambda: small_scenario(duration_s="4"), "duration_s must be positive, got '4'"),
+        (lambda: ActorSpec(0, Category("car"), "140", 2.0, Trajectory("stationary", 0.0, 500.0)), "real_height_cm"),
+        (
+            lambda: ActorSpec(0, Category("car"), 140.0, 2.0, Trajectory("stationary", 0.0, 500.0), enter_s="1"),
+            "actor 0: enter_s must be a finite number, got '1'",
+        ),
+    ],
+)
+def test_spec_numbers_that_are_not_finite_numbers_are_refused(build, text):
+    # each used to raise OverflowError or TypeError, or (a bool) pass as 0 or 1
+    with pytest.raises(ValueError, match=text):
+        build()
+
+
 def test_seed_range_is_enforced():
     small_scenario(seed=0)
     small_scenario(seed=2**63 - 1)

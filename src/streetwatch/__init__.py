@@ -42,7 +42,7 @@ from .evaluation import (
     run_scenario,
     score,
 )
-from .matcher import MatchConfig, MatchResult, euclidean_cost, iou_cost, match_frames
+from .matcher import MatchConfig, MatchResult, match_frames
 from .pipeline import Pipeline, PipelineConfig, StreamOrderError, TrackedObject, WINDOW_DEPTH
 from .simulator import (
     ActorSpec,

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from .types import BoundingBox, Detection, DetectionFrame
+from .types import BoundingBox, DetectionFrame
 
 STRATEGIES = ("euclidean", "iou")
 
@@ -61,15 +61,6 @@ class MatchResult:
             raise ValueError("pairs must form a partial bijection")
 
 
-def euclidean_cost(a: Detection, b: Detection) -> Optional[float]:
-    """Center distance in pixels, or None when the categories differ."""
-    if a.category != b.category:
-        return None
-    ax, ay = a.bbox.center()
-    bx, by = b.bbox.center()
-    return math.hypot(ax - bx, ay - by)
-
-
 def _iou(a: BoundingBox, b: BoundingBox) -> float:
     ix = min(a.x + a.w, b.x + b.w) - max(a.x, b.x)
     iy = min(a.y + a.h, b.y + b.h) - max(a.y, b.y)
@@ -78,13 +69,6 @@ def _iou(a: BoundingBox, b: BoundingBox) -> float:
     inter = ix * iy
     union = a.w * a.h + b.w * b.h - inter
     return inter / union
-
-
-def iou_cost(a: Detection, b: Detection) -> Optional[float]:
-    """Intersection over union in [0, 1], or None when the categories differ."""
-    if a.category != b.category:
-        return None
-    return _iou(a.bbox, b.bbox)
 
 
 def greedy_assign(

@@ -1,10 +1,11 @@
 """Shared builders and a brute-force association oracle."""
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
 from streetwatch.camera import CameraIntrinsics, HeightTable
-from streetwatch.matcher import MatchConfig, euclidean_cost, iou_cost
+from streetwatch.matcher import MatchConfig
 from streetwatch.types import BoundingBox, Category, Detection, DetectionFrame
 
 
@@ -38,7 +39,28 @@ def heights() -> HeightTable:
 # --- association oracle ---------------------------------------------------
 #
 # Small instances only: enumerates every injective partial mapping per
-# category, so keep sides at <= 5 detections.
+# category, so keep sides at <= 5 detections. The costs are computed here,
+# not borrowed from the matcher under test.
+
+def euclidean_cost(a: Detection, b: Detection) -> Optional[float]:
+    """Center distance in pixels, or None when the categories differ."""
+    if a.category != b.category:
+        return None
+    ax, ay = a.bbox.center()
+    bx, by = b.bbox.center()
+    return math.hypot(ax - bx, ay - by)
+
+
+def iou_cost(a: Detection, b: Detection) -> Optional[float]:
+    """Intersection over union in [0, 1], or None when the categories differ."""
+    if a.category != b.category:
+        return None
+    p, q = a.bbox, b.bbox
+    overlap_w = max(0.0, min(p.x + p.w, q.x + q.w) - max(p.x, q.x))
+    overlap_h = max(0.0, min(p.y + p.h, q.y + q.h) - max(p.y, q.y))
+    inter = overlap_w * overlap_h
+    return inter / (p.w * p.h + q.w * q.h - inter)
+
 
 def gated_edges(
     current: DetectionFrame, reference: DetectionFrame, cfg: MatchConfig

@@ -5,12 +5,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streetwatch.matcher import MatchConfig, euclidean_cost, iou_cost, match_frames
+from streetwatch.matcher import MatchConfig, match_frames
 from streetwatch.types import BoundingBox, Category, Detection
 
 from conftest import (
     best_assignment_bruteforce,
+    euclidean_cost,
     gated_edges,
+    iou_cost,
     is_mutual_nn_instance,
     make_det,
     make_frame,

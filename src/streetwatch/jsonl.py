@@ -127,7 +127,10 @@ def _bbox_field(data: dict, key: str) -> BoundingBox:
         raise ParseError(f"{key} must be an object, got {box!r}")
     _expect_keys(box, _BBOX_KEYS, key)
     x, y, w, h = box["x"], box["y"], box["w"], box["h"]
-    if type(x) is not float or type(y) is not float or type(w) is not float or type(h) is not float or _box_error(x, y, w, h):
+    if (
+        type(x) is not float or type(y) is not float or type(w) is not float or type(h) is not float
+        or _box_error(x, y, w, h)
+    ):
         x, y, w, h = _num_field(box, "x"), _num_field(box, "y"), _num_field(box, "w"), _num_field(box, "h")
         text = _box_error(x, y, w, h)
         if text:

@@ -213,7 +213,6 @@ HUGE = 10**400  # an int too large for a float
     ],
 )
 def test_spec_numbers_that_are_not_finite_numbers_are_refused(build, text):
-    # each used to raise OverflowError or TypeError, or (a bool) pass as 0 or 1
     with pytest.raises(ValueError, match=text):
         build()
 

@@ -357,11 +357,15 @@ def test_bad_tracked_boxes_name_what_is_wrong(old, new, text):
     assert str(info.value) == text
 
 
-def test_tracked_int_box_fields_re_encode_canonically():
+def test_int_box_and_confidence_fields_re_encode_canonically():
     loose = TRACKED.replace('"x":10.0', '"x":10', 1).replace('"h":40.0', '"h":40', 1)
     obj = decode_tracked_object(loose)
     assert type(obj.bbox.x) is float and type(obj.bbox.h) is float
     assert encode_tracked_object(obj) == TRACKED
+    canonical = CANONICAL.replace('"confidence":0.875', '"confidence":1.0', 1)
+    frame = decode_detection_frame(canonical.replace('"confidence":1.0', '"confidence":1', 1))
+    assert type(frame.detections[0].confidence) is float
+    assert encode_detection_frame(frame) == canonical
 
 
 def test_lines_are_compact_single_objects():

@@ -89,10 +89,10 @@ def _parts_error(category, bbox) -> str:
     return ""
 
 
-# Builders for values the caller has already checked with the helpers
-# above; they skip __post_init__. Fields are set one by one, as the
-# generated __init__ does: writing into __dict__ is faster here but slows
-# every later attribute read.
+# The two constructors below take values the caller has already checked
+# with the helpers above, and skip __post_init__. Fields are set one by
+# one, as the generated __init__ does: writing into __dict__ is faster
+# here but slows every later attribute read.
 
 def _checked_box(x: float, y: float, w: float, h: float) -> BoundingBox:
     """A BoundingBox of four floats that pass _box_error."""

@@ -8,15 +8,18 @@ cooldown keeps a loiterer at a band edge quiet.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 from .direction import DirectionLabel
-from .types import Category, ObjectId
+from .types import Category, ObjectId, _is_finite_number
 
 if TYPE_CHECKING:  # pragma: no cover
     from .pipeline import TrackedObject
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -29,13 +32,13 @@ class AlarmStage:
     vibration_s: float
 
     def __post_init__(self):
-        if not isinstance(self.stage, int) or isinstance(self.stage, bool) or self.stage < 1:
+        if not _is_int(self.stage) or self.stage < 1:
             raise ValueError(f"stage must be an integer >= 1, got {self.stage!r}")
-        if not (math.isfinite(self.band_lo_cm) and self.band_lo_cm > 0):
+        if not (_is_finite_number(self.band_lo_cm) and self.band_lo_cm > 0):
             raise ValueError(f"band_lo_cm must be positive and finite, got {self.band_lo_cm!r}")
-        if not (math.isfinite(self.band_hi_cm) and self.band_hi_cm > self.band_lo_cm):
+        if not (_is_finite_number(self.band_hi_cm) and self.band_hi_cm > self.band_lo_cm):
             raise ValueError("band_hi_cm must exceed band_lo_cm")
-        if not self.vibration_s > 0:
+        if not (_is_finite_number(self.vibration_s) and self.vibration_s > 0):
             raise ValueError(f"vibration_s must be positive, got {self.vibration_s!r}")
 
     def contains(self, distance_cm: float) -> bool:
@@ -79,9 +82,9 @@ class AlarmPolicy:
                 raise ValueError("a higher stage must cover a strictly nearer band")
             if not nearer.vibration_s > earlier.vibration_s:
                 raise ValueError("a higher stage must vibrate strictly longer")
-        if not isinstance(self.cooldown_ms, int) or self.cooldown_ms < 0:
+        if not _is_int(self.cooldown_ms) or self.cooldown_ms < 0:
             raise ValueError(f"cooldown_ms must be a non-negative integer, got {self.cooldown_ms!r}")
-        if not isinstance(self.max_events_per_frame, int) or self.max_events_per_frame < 1:
+        if not _is_int(self.max_events_per_frame) or self.max_events_per_frame < 1:
             raise ValueError(f"max_events_per_frame must be an integer >= 1, got {self.max_events_per_frame!r}")
 
 
@@ -165,11 +168,16 @@ def emit_alarms(
     so a capped-out candidate may fire on the next frame.
     """
     ledger.prune(t_ms, policy.cooldown_ms)
+    # stage 1 is the farthest band in both modes, so nothing beyond its top
+    # edge can alarm; NaN and non-positive distances still reach the lookup
+    # and raise there
+    farthest_cm = policy.stages[0].band_hi_cm
     candidates: List[Tuple[int, float, int, AlarmEvent]] = []
     for obj in tracked:
-        if obj.distance_cm is None:
+        distance = obj.distance_cm
+        if distance is None or distance > farthest_cm:
             continue
-        st = stage_for_distance(obj.distance_cm, policy)
+        st = stage_for_distance(distance, policy)
         if st is None:
             continue
         if not ledger.expired(obj.object_id, st.stage, t_ms, policy.cooldown_ms):

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .types import _is_finite_number
+
 
 class DirectionLabel(str, Enum):
     LEFT = "left"
@@ -31,7 +33,7 @@ class DirectionConfig:
     def __post_init__(self):
         if not isinstance(self.gap, int) or isinstance(self.gap, bool) or self.gap < 1:
             raise ValueError(f"gap must be an integer >= 1, got {self.gap!r}")
-        if not self.dead_zone_px > 0:
+        if not (_is_finite_number(self.dead_zone_px) and self.dead_zone_px > 0):
             raise ValueError(f"dead_zone_px must be positive, got {self.dead_zone_px!r}")
 
 

@@ -10,7 +10,8 @@ errors that cite the offending line.
 from __future__ import annotations
 
 import json
-from json.encoder import c_make_encoder, encode_basestring_ascii
+import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, List, Optional, TypeVar, Union
 
@@ -29,20 +30,36 @@ class ParseError(ValueError):
     """A stream line failed to parse or validate."""
 
 
-# One encoder for every record: JSONEncoder.encode builds a new C encoder
-# per call. Same bytes; NaN/inf still raise ValueError, other objects
-# TypeError. No circular-reference markers: records hold no cycles, and a
-# shared markers dict could keep ids that a failed call left in it.
-_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
-if c_make_encoder is None:  # a Python without the _json accelerator
-    _dumps = _ENCODER.encode
-else:
-    _encode_chunks = c_make_encoder(
-        None, _ENCODER.default, encode_basestring_ascii, None, ":", ",", False, False, False
-    )
+# Each writer formats its record with one f-string in the canonical key
+# order, through _num for numbers and _str for strings, so its line is the
+# one json.dumps(..., separators=(",", ":"), allow_nan=False) writes.
+_INF = math.inf
 
-    def _dumps(record: dict) -> str:
-        return "".join(_encode_chunks(record, 0))
+
+def _num(v) -> str:
+    """A number as json.dumps writes it: a float by its shortest repr, an
+    int as is. NaN/inf raise ValueError; anything else, a bool included,
+    raises TypeError."""
+    t = type(v)
+    if t is int:
+        return repr(v)
+    if t is float:
+        if -_INF < v < _INF:
+            return repr(v)
+        raise ValueError("Out of range float values are not JSON compliant")
+    if isinstance(v, float):
+        # a float subclass, such as the numpy float64 the simulator's noise
+        # leaves in its boxes, is written as the float it holds
+        return _num(float(v))
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
+# Labels and messages: quoted, with every non-ASCII or control character
+# escaped, as json.dumps writes them.
+_str = encode_basestring_ascii
+
+_LABEL_JSON = {d: f'"{d.value}"' for d in DirectionLabel}
+_DIRECTION_JSON = {None: "null", **_LABEL_JSON}
 
 
 # A known label decodes to one shared frozen Category rather than a new,
@@ -114,10 +131,6 @@ def _direction_field(data: dict, key: str) -> Optional[DirectionLabel]:
         raise ParseError(f"{key} must be left/right/forward or null, got {v!r}") from None
 
 
-def _bbox_dict(box: BoundingBox) -> dict:
-    return {"x": box.x, "y": box.y, "w": box.w, "h": box.h}
-
-
 def _bbox_field(data: dict, key: str) -> BoundingBox:
     """The box under key, each number checked once: four floats that pass
     _box_error are taken as they are. Anything else is read again through
@@ -141,19 +154,17 @@ def _bbox_field(data: dict, key: str) -> BoundingBox:
 # --- detection stream ---------------------------------------------------
 
 def encode_detection_frame(frame: DetectionFrame) -> str:
-    return _dumps(
-        {
-            "frame_id": frame.frame_id,
-            "t_ms": frame.t_ms,
-            "detections": [
-                {
-                    "category": d.category.label,
-                    "bbox": _bbox_dict(d.bbox),
-                    "confidence": d.confidence,
-                }
-                for d in frame.detections
-            ],
-        }
+    detections = []
+    for d in frame.detections:
+        b = d.bbox
+        detections.append(
+            f'{{"category":{_str(d.category.label)},'
+            f'"bbox":{{"x":{_num(b.x)},"y":{_num(b.y)},"w":{_num(b.w)},"h":{_num(b.h)}}},'
+            f'"confidence":{_num(d.confidence)}}}'
+        )
+    return (
+        f'{{"frame_id":{_num(frame.frame_id)},"t_ms":{_num(frame.t_ms)},'
+        f'"detections":[{",".join(detections)}]}}'
     )
 
 
@@ -194,16 +205,14 @@ def decode_detection_frame(line: str) -> DetectionFrame:
 # --- truth stream -------------------------------------------------------
 
 def encode_truth_record(rec: TruthRecord) -> str:
-    return _dumps(
-        {
-            "frame_id": rec.frame_id,
-            "actor_id": rec.actor_id,
-            "true_depth_cm": rec.true_depth_cm,
-            "true_lateral_cm": rec.true_lateral_cm,
-            "true_direction": rec.true_direction.value,
-            "emitted": rec.emitted,
-            "true_category": rec.true_category.label,
-        }
+    emitted = rec.emitted
+    if type(emitted) is not bool:
+        raise TypeError(f"emitted must be a bool, got {emitted!r}")
+    return (
+        f'{{"frame_id":{_num(rec.frame_id)},"actor_id":{_num(rec.actor_id)},'
+        f'"true_depth_cm":{_num(rec.true_depth_cm)},"true_lateral_cm":{_num(rec.true_lateral_cm)},'
+        f'"true_direction":{_LABEL_JSON[rec.true_direction]},"emitted":{"true" if emitted else "false"},'
+        f'"true_category":{_str(rec.true_category.label)}}}'
     )
 
 
@@ -230,16 +239,16 @@ def decode_truth_record(line: str) -> TruthRecord:
 # --- tracked stream -----------------------------------------------------
 
 def encode_tracked_object(obj: TrackedObject) -> str:
-    return _dumps(
-        {
-            "frame_id": obj.frame_id,
-            "object_id": obj.object_id,
-            "category": obj.category.label,
-            "bbox": _bbox_dict(obj.bbox),
-            "distance_cm": obj.distance_cm,
-            "direction": None if obj.direction is None else obj.direction.value,
-            "matched_from": obj.matched_from,
-        }
+    b = obj.bbox
+    distance = obj.distance_cm
+    matched_from = obj.matched_from
+    return (
+        f'{{"frame_id":{_num(obj.frame_id)},"object_id":{_num(obj.object_id)},'
+        f'"category":{_str(obj.category.label)},'
+        f'"bbox":{{"x":{_num(b.x)},"y":{_num(b.y)},"w":{_num(b.w)},"h":{_num(b.h)}}},'
+        f'"distance_cm":{"null" if distance is None else _num(distance)},'
+        f'"direction":{_DIRECTION_JSON[obj.direction]},'
+        f'"matched_from":{"null" if matched_from is None else _num(matched_from)}}}'
     )
 
 
@@ -271,17 +280,11 @@ def decode_tracked_object(line: str) -> TrackedObject:
 # --- event stream -------------------------------------------------------
 
 def encode_alarm_event(event: AlarmEvent) -> str:
-    return _dumps(
-        {
-            "t_ms": event.t_ms,
-            "object_id": event.object_id,
-            "category": event.category.label,
-            "stage": event.stage,
-            "vibration_s": event.vibration_s,
-            "distance_cm": event.distance_cm,
-            "direction": None if event.direction is None else event.direction.value,
-            "message": event.message,
-        }
+    return (
+        f'{{"t_ms":{_num(event.t_ms)},"object_id":{_num(event.object_id)},'
+        f'"category":{_str(event.category.label)},"stage":{_num(event.stage)},'
+        f'"vibration_s":{_num(event.vibration_s)},"distance_cm":{_num(event.distance_cm)},'
+        f'"direction":{_DIRECTION_JSON[event.direction]},"message":{_str(event.message)}}}'
     )
 
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .types import BoundingBox, DetectionFrame
+from .types import BoundingBox, DetectionFrame, _is_finite_number
 
 STRATEGIES = ("euclidean", "iou")
 
@@ -36,9 +36,9 @@ class MatchConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        if not (isinstance(self.max_center_dist_px, (int, float)) and self.max_center_dist_px > 0):
+        if not (_is_finite_number(self.max_center_dist_px) and self.max_center_dist_px > 0):
             raise ValueError(f"max_center_dist_px must be positive, got {self.max_center_dist_px!r}")
-        if not 0.0 <= self.min_iou <= 1.0:
+        if not (_is_finite_number(self.min_iou) and 0.0 <= self.min_iou <= 1.0):
             raise ValueError(f"min_iou must lie in [0, 1], got {self.min_iou!r}")
 
 

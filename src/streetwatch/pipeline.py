@@ -18,7 +18,7 @@ from .alarm import AlarmEvent, AlarmPolicy, CooldownLedger, emit_alarms
 from .camera import CameraIntrinsics, HeightTable, estimate_distance
 from .direction import DirectionConfig, DirectionLabel, classify_direction
 from .matcher import MatchConfig, match_frames
-from .types import BoundingBox, Category, DetectionFrame, ObjectId, validate_frame
+from .types import BoundingBox, Category, DetectionFrame, ObjectId, _is_finite_number, _new, _set, validate_frame
 
 logger = logging.getLogger(__name__)
 
@@ -52,6 +52,28 @@ class TrackedObject:
             raise ValueError("direction requires a match; matched_from is None")
 
 
+def _checked_tracked(
+    object_id: ObjectId,
+    frame_id: int,
+    category: Category,
+    bbox: BoundingBox,
+    distance_cm: Optional[float],
+    direction: Optional[DirectionLabel],
+    matched_from: Optional[ObjectId],
+) -> TrackedObject:
+    """A TrackedObject without __post_init__, for a direction that is None
+    or set on a matched id, as process_frame sets it."""
+    obj = _new(TrackedObject)
+    _set(obj, "object_id", object_id)
+    _set(obj, "frame_id", frame_id)
+    _set(obj, "category", category)
+    _set(obj, "bbox", bbox)
+    _set(obj, "distance_cm", distance_cm)
+    _set(obj, "direction", direction)
+    _set(obj, "matched_from", matched_from)
+    return obj
+
+
 @dataclass
 class PipelineConfig:
     """Everything one stream needs: camera, heights, association, alarms."""
@@ -64,7 +86,7 @@ class PipelineConfig:
     alarm: AlarmPolicy = field(default_factory=AlarmPolicy)
 
     def __post_init__(self):
-        if not self.camera_height_cm >= 0:
+        if not (_is_finite_number(self.camera_height_cm) and self.camera_height_cm >= 0):
             raise ValueError(f"camera_height_cm must be non-negative, got {self.camera_height_cm!r}")
         if self.direction.gap > WINDOW_DEPTH:
             raise ValueError(f"gap {self.direction.gap} exceeds the {WINDOW_DEPTH}-frame window")
@@ -74,6 +96,7 @@ class PipelineConfig:
 class _WindowEntry:
     frame: DetectionFrame
     ids: Tuple[ObjectId, ...]
+    center_xs: List[float]
 
 
 class Pipeline:
@@ -110,6 +133,8 @@ class Pipeline:
         dets = frame.detections
         n = len(dets)
         distances = [estimate_distance(cfg.camera, cfg.heights, d) for d in dets]
+        # the x of BoundingBox.center(), once per detection
+        center_xs = [d.bbox.x + d.bbox.w / 2.0 for d in dets]
         skipped = sum(1 for d in distances if d is None)
         if skipped:
             logger.debug("frame %d: %d detection(s) without a height entry", frame.frame_id, skipped)
@@ -129,9 +154,7 @@ class Pipeline:
                 matched_from[i] = rid
                 claimed.add(rid)
                 if directed:
-                    cx, _ = dets[i].bbox.center()
-                    rx, _ = ref.frame.detections[j].bbox.center()
-                    directions[i] = classify_direction(cx, rx, cfg.direction)
+                    directions[i] = classify_direction(center_xs[i], ref.center_xs[j], cfg.direction)
 
         gap = cfg.direction.gap
         primary = self._window[-gap] if len(self._window) >= gap else None
@@ -150,22 +173,15 @@ class Pipeline:
                 self._next_id += 1
             ids.append(rid)
 
+        frame_id = frame.frame_id
         tracked = [
-            TrackedObject(
-                object_id=ids[i],
-                frame_id=frame.frame_id,
-                category=dets[i].category,
-                bbox=dets[i].bbox,
-                distance_cm=distances[i],
-                direction=directions[i],
-                matched_from=matched_from[i],
-            )
-            for i in range(n)
+            _checked_tracked(oid, frame_id, det.category, det.bbox, distance, direction, rid)
+            for oid, det, distance, direction, rid in zip(ids, dets, distances, directions, matched_from)
         ]
 
         events = emit_alarms(tracked, frame.t_ms, cfg.alarm, self._ledger)
 
-        self._window.append(_WindowEntry(frame=frame, ids=tuple(ids)))
+        self._window.append(_WindowEntry(frame=frame, ids=tuple(ids), center_xs=center_xs))
         if len(self._window) > WINDOW_DEPTH:
             del self._window[0]
 

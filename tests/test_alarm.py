@@ -1,8 +1,10 @@
 """Staged alarms: bands, cooldown, per-frame budget, message wording."""
 import pytest
+from hypothesis import given, strategies as st
 
 from streetwatch.alarm import (
     DEFAULT_STAGES,
+    AlarmEvent,
     AlarmPolicy,
     AlarmStage,
     CooldownLedger,
@@ -212,3 +214,56 @@ def test_zero_cooldown_fires_every_frame():
     ledger = CooldownLedger()
     for t in (0, 33, 66):
         assert len(emit_alarms([tracked(0, 585.0)], t, policy, ledger)) == 1
+
+
+def emit_alarms_oracle(objects, t_ms, policy, ledger):
+    """emit_alarms as documented, with a stage lookup for every object that
+    has a distance."""
+    ledger.prune(t_ms, policy.cooldown_ms)
+    candidates = []
+    for obj in objects:
+        if obj.distance_cm is None:
+            continue
+        stage = stage_for_distance(obj.distance_cm, policy)
+        if stage is None or not ledger.expired(obj.object_id, stage.stage, t_ms, policy.cooldown_ms):
+            continue
+        message = render_message(obj.category, obj.direction)
+        event = AlarmEvent(
+            t_ms, obj.object_id, obj.category, stage.stage, stage.vibration_s, obj.distance_cm, obj.direction, message
+        )
+        candidates.append(((-stage.stage, obj.distance_cm, obj.object_id), event))
+    candidates.sort(key=lambda c: c[0])
+    emitted = [event for _key, event in candidates[: policy.max_events_per_frame]]
+    for event in emitted:
+        ledger.record(event.object_id, event.stage, t_ms)
+    return emitted
+
+
+band_edges = sorted({edge for s in DEFAULT_STAGES for edge in (s.band_lo_cm, s.band_hi_cm)} | {600.0000001})
+distances = st.none() | st.sampled_from(band_edges) | st.floats(min_value=1e-3, max_value=2000.0)
+
+
+@given(
+    cumulative=st.booleans(),
+    cap=st.integers(min_value=1, max_value=3),
+    frames=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=2000), st.lists(distances, max_size=6)), min_size=1, max_size=6
+    ),
+)
+def test_emit_alarms_matches_a_lookup_for_every_object(cumulative, cap, frames):
+    policy = AlarmPolicy(max_events_per_frame=cap, cumulative_bands=cumulative)
+    ledger, oracle_ledger = CooldownLedger(), CooldownLedger()
+    t_ms = 0
+    for frame_id, (step_ms, frame_distances) in enumerate(frames):
+        t_ms += step_ms
+        objects = [tracked(k, d, frame_id=frame_id) for k, d in enumerate(frame_distances)]
+        assert emit_alarms(objects, t_ms, policy, ledger) == emit_alarms_oracle(objects, t_ms, policy, oracle_ledger)
+        assert ledger.last_emitted == oracle_ledger.last_emitted
+
+
+@pytest.mark.parametrize("cumulative", [False, True])
+@pytest.mark.parametrize("distance", [float("nan"), 0.0, -5.0])
+def test_emit_alarms_refuses_what_the_stage_lookup_refuses(distance, cumulative):
+    policy = AlarmPolicy(cumulative_bands=cumulative)
+    with pytest.raises(ValueError, match="distance_cm must be positive"):
+        emit_alarms([tracked(0, distance)], 0, policy, CooldownLedger())

@@ -1,8 +1,14 @@
 """Config files: defaults, overlay, strict key checking, derived values."""
+import math
+import re
+
 import pytest
 
-from streetwatch.alarm import DEFAULT_STAGES
+from streetwatch.alarm import DEFAULT_STAGES, AlarmPolicy, AlarmStage
 from streetwatch.config import ConfigError, default_config_text, load_config
+from streetwatch.direction import DirectionConfig
+from streetwatch.matcher import MatchConfig
+from streetwatch.pipeline import PipelineConfig
 
 
 def write_config(tmp_path, text):
@@ -183,3 +189,37 @@ def test_malformed_ini_is_a_config_error(tmp_path):
     path = write_config(tmp_path, "not an ini file at all\n")
     with pytest.raises(ConfigError, match="cannot parse"):
         load_config(path)
+
+
+def pipeline_config(camera_height_cm):
+    defaults = load_config()
+    return PipelineConfig(camera=defaults.camera, camera_height_cm=camera_height_cm, heights=defaults.heights)
+
+
+# Bools, NaN/inf, ints too large for a float and strings are refused with
+# the text each constructor gives any other bad value.
+REFUSALS = {
+    "stage-vibration-inf": (lambda: AlarmStage(1, 570.0, 600.0, math.inf), "vibration_s must be positive, got inf"),
+    "stage-vibration-str": (lambda: AlarmStage(1, 570.0, 600.0, "0.8"), "vibration_s must be positive, got '0.8'"),
+    "stage-band-lo-bool": (lambda: AlarmStage(1, True, 600.0, 0.8), "band_lo_cm must be positive and finite, got True"),
+    "stage-band-lo-str": (lambda: AlarmStage(1, "570", 600.0, 0.8), "band_lo_cm must be positive and finite, got '570'"),
+    "stage-band-lo-huge": (lambda: AlarmStage(1, 10**400, 10**401, 0.8), "band_lo_cm must be positive and finite, got 1000"),
+    "stage-band-hi-huge": (lambda: AlarmStage(1, 570.0, 10**400, 0.8), "band_hi_cm must exceed band_lo_cm"),
+    "policy-cooldown-bool": (lambda: AlarmPolicy(cooldown_ms=True), "cooldown_ms must be a non-negative integer, got True"),
+    "policy-cap-bool": (lambda: AlarmPolicy(max_events_per_frame=True), "max_events_per_frame must be an integer >= 1, got True"),
+    "match-iou-bool": (lambda: MatchConfig(min_iou=True), "min_iou must lie in [0, 1], got True"),
+    "match-iou-str": (lambda: MatchConfig(min_iou="0.5"), "min_iou must lie in [0, 1], got '0.5'"),
+    "match-dist-bool": (lambda: MatchConfig(max_center_dist_px=True), "max_center_dist_px must be positive, got True"),
+    "match-dist-inf": (lambda: MatchConfig(max_center_dist_px=math.inf), "max_center_dist_px must be positive, got inf"),
+    "direction-dead-zone-inf": (lambda: DirectionConfig(dead_zone_px=math.inf), "dead_zone_px must be positive, got inf"),
+    "direction-dead-zone-str": (lambda: DirectionConfig(dead_zone_px="8"), "dead_zone_px must be positive, got '8'"),
+    "pipeline-height-inf": (lambda: pipeline_config(math.inf), "camera_height_cm must be non-negative, got inf"),
+    "pipeline-height-str": (lambda: pipeline_config("140"), "camera_height_cm must be non-negative, got '140'"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_config_types_refuse_what_is_not_a_finite_number(case):
+    build, text = REFUSALS[case]
+    with pytest.raises(ValueError, match=re.escape(text)):
+        build()

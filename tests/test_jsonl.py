@@ -2,7 +2,6 @@
 import dataclasses
 import json
 import math
-from json.encoder import c_make_encoder
 
 import pytest
 from hypothesis import given, strategies as st
@@ -172,74 +171,159 @@ def test_decoder_accepts_exactly_what_the_constructors_accept(fields):
         assert decode_detection_frame(line) == DetectionFrame(0, 0, tuple(built))
 
 
-finite = st.floats(allow_nan=False, allow_infinity=False)
+# Records for the writers, built through the public constructors. Floats
+# include the corners of shortest-repr formatting; strings include
+# non-ASCII text and the characters JSON must escape.
+finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e16, 1e-7])
 count = st.integers(min_value=0, max_value=2**63)
-maybe_direction = st.sampled_from([None, "left", "right", "forward"])
-label_text = st.text(min_size=1) | st.text(st.characters(min_codepoint=128), min_size=1)
-box_field = finite | st.integers() | st.none()
-tracked_dicts = st.fixed_dictionaries(
-    {
-        "frame_id": count,
-        "object_id": count,
-        "category": label_text,
-        "bbox": st.fixed_dictionaries({"x": box_field, "y": box_field, "w": box_field, "h": box_field}),
-        "distance_cm": st.none() | finite,
-        "direction": maybe_direction,
-        "matched_from": st.none() | count,
-    }
+direction = st.sampled_from(list(DirectionLabel))
+text = (
+    st.text()
+    | st.text(st.characters(min_codepoint=128))
+    | st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é€😀a'))
 )
-event_dicts = st.fixed_dictionaries(
-    {
-        "t_ms": count,
-        "object_id": count,
-        "category": label_text,
-        "stage": st.integers(min_value=1, max_value=3),
-        "vibration_s": finite,
-        "distance_cm": finite,
-        "direction": maybe_direction,
-        "message": st.text(),
-    }
+category = st.builds(Category, text.filter(bool) | st.sampled_from(KNOWN_CATEGORIES))
+corner_value = finite | st.integers(min_value=-(10**6), max_value=10**6)
+side_value = st.floats(min_value=5e-324, max_value=1e300) | st.integers(min_value=1, max_value=10**6)
+box = st.builds(BoundingBox, corner_value, corner_value, side_value, side_value)
+detection_frames = st.builds(
+    DetectionFrame,
+    count,
+    count,
+    st.lists(
+        st.builds(Detection, category, box, st.floats(min_value=0.0, max_value=1.0) | st.sampled_from([0, 1])),
+        max_size=3,
+    ).map(tuple),
+)
+truth_records = st.builds(TruthRecord, count, count, finite, finite, direction, st.booleans(), category)
+
+
+@st.composite
+def tracked_objects(draw):
+    matched_from = draw(st.none() | count)
+    return TrackedObject(
+        object_id=draw(count),
+        frame_id=draw(count),
+        category=draw(category),
+        bbox=draw(box),
+        distance_cm=draw(st.none() | finite),
+        direction=None if matched_from is None else draw(st.none() | direction),
+        matched_from=matched_from,
+    )
+
+
+alarm_events = st.builds(
+    AlarmEvent, count, count, category, st.integers(min_value=1, max_value=3), finite, finite, st.none() | direction, text
 )
 
 
-@given(record=tracked_dicts | event_dicts)
+def _box_dict(b):
+    return {"x": b.x, "y": b.y, "w": b.w, "h": b.h}
+
+
+def _label(d):
+    return None if d is None else d.value
+
+
+# Each record type: its writer, and the record as the dict whose
+# json.dumps the writer's line must equal.
+WRITERS = {
+    DetectionFrame: (
+        encode_detection_frame,
+        lambda f: {
+            "frame_id": f.frame_id,
+            "t_ms": f.t_ms,
+            "detections": [
+                {"category": d.category.label, "bbox": _box_dict(d.bbox), "confidence": d.confidence}
+                for d in f.detections
+            ],
+        },
+    ),
+    TruthRecord: (
+        encode_truth_record,
+        lambda r: {
+            "frame_id": r.frame_id,
+            "actor_id": r.actor_id,
+            "true_depth_cm": r.true_depth_cm,
+            "true_lateral_cm": r.true_lateral_cm,
+            "true_direction": r.true_direction.value,
+            "emitted": r.emitted,
+            "true_category": r.true_category.label,
+        },
+    ),
+    TrackedObject: (
+        encode_tracked_object,
+        lambda o: {
+            "frame_id": o.frame_id,
+            "object_id": o.object_id,
+            "category": o.category.label,
+            "bbox": _box_dict(o.bbox),
+            "distance_cm": o.distance_cm,
+            "direction": _label(o.direction),
+            "matched_from": o.matched_from,
+        },
+    ),
+    AlarmEvent: (
+        encode_alarm_event,
+        lambda e: {
+            "t_ms": e.t_ms,
+            "object_id": e.object_id,
+            "category": e.category.label,
+            "stage": e.stage,
+            "vibration_s": e.vibration_s,
+            "distance_cm": e.distance_cm,
+            "direction": _label(e.direction),
+            "message": e.message,
+        },
+    ),
+}
+
+
+@given(record=detection_frames | truth_records | tracked_objects() | alarm_events)
 def test_shared_encoder_writes_what_json_dumps_writes(record):
-    line = jsonl._dumps(record)
-    assert line == json.dumps(record, separators=(",", ":"), allow_nan=False)
+    encode, as_dict = WRITERS[type(record)]
+    line = encode(record)
+    assert line == json.dumps(as_dict(record), separators=(",", ":"), allow_nan=False)
     assert line.isascii()
 
 
+def smuggled(record, name, value):
+    """A copy of record with value in field name, past the constructor's checks."""
+    copy = dataclasses.replace(record)
+    object.__setattr__(copy, name, value)
+    return copy
+
+
+def records_with(v):
+    """(writer, record) for every float field of every writer, with v in that field."""
+    frame, tracked = sample_frame(), sample_tracked()
+    det = frame.detections[0]
+    cases = [(encode_detection_frame, dataclasses.replace(frame, detections=(smuggled(det, "confidence", v),)))]
+    for name in "xywh":
+        det_v = dataclasses.replace(det, bbox=smuggled(det.bbox, name, v))
+        cases.append((encode_detection_frame, dataclasses.replace(frame, detections=(det_v,))))
+        cases.append((encode_tracked_object, dataclasses.replace(tracked, bbox=smuggled(tracked.bbox, name, v))))
+    cases.append((encode_tracked_object, smuggled(tracked, "distance_cm", v)))
+    cases += [(encode_truth_record, smuggled(sample_truth(), name, v)) for name in ("true_depth_cm", "true_lateral_cm")]
+    cases += [(encode_alarm_event, smuggled(sample_event(), name, v)) for name in ("vibration_s", "distance_cm")]
+    return cases
+
+
 def test_shared_encoder_still_refuses_nan():
-    for encode, record in ((encode_tracked_object, sample_tracked()), (encode_alarm_event, sample_event())):
-        for bad in (math.nan, math.inf):
+    for encode, record in records_with(1.5):
+        assert ":1.5" in encode(record)
+    for bad in (math.nan, math.inf, -math.inf):
+        for encode, record in records_with(bad):
             with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
-                encode(dataclasses.replace(record, distance_cm=bad))
-
-
-def test_a_failed_record_leaves_the_shared_encoder_clean():
-    record = {"bbox": {"x": math.nan}}
-    with pytest.raises(ValueError):
-        jsonl._dumps(record)
-    # a circular-reference marker left by the failed call would refuse the same dicts now
-    record["bbox"]["x"] = 1.0
-    assert jsonl._dumps(record) == '{"bbox":{"x":1.0}}'
+                encode(record)
 
 
 def test_shared_encoder_still_refuses_unknown_objects():
-    with pytest.raises(TypeError):
-        jsonl._dumps({"bbox": BoundingBox(0.0, 0.0, 1.0, 1.0)})
-
-
-@pytest.mark.skipif(c_make_encoder is None, reason="Python without the _json accelerator")
-def test_dumps_reuses_one_c_encoder(monkeypatch):
-    # JSONEncoder.encode would build a new C encoder per call
-    assert isinstance(jsonl._encode_chunks, c_make_encoder)
-
-    def per_call_setup(*args, **kwargs):
-        raise AssertionError("encoder built per record")
-
-    monkeypatch.setattr(json.JSONEncoder, "iterencode", per_call_setup)
-    assert encode_tracked_object(sample_tracked()).startswith('{"frame_id":3,')
+    for value in (BoundingBox(0.0, 0.0, 1.0, 1.0), "1.5", None, True, [1.0]):
+        with pytest.raises(TypeError):
+            encode_tracked_object(smuggled(sample_tracked(), "object_id", value))
+        with pytest.raises(TypeError):
+            encode_alarm_event(smuggled(sample_event(), "vibration_s", value))
 
 
 def test_canonical_known_label_lines_skip_the_constructor_checks(monkeypatch):

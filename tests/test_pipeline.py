@@ -1,9 +1,12 @@
 """End-to-end per-frame behavior: ids, direction, alarms, stream order."""
+import dataclasses
+
 import pytest
 
 from streetwatch.alarm import AlarmPolicy
 from streetwatch.camera import CameraIntrinsics, HeightTable
 from streetwatch.direction import DirectionConfig, DirectionLabel
+from streetwatch.evaluation import run_scenario
 from streetwatch.pipeline import (
     WINDOW_DEPTH,
     Pipeline,
@@ -11,6 +14,7 @@ from streetwatch.pipeline import (
     StreamOrderError,
     TrackedObject,
 )
+from streetwatch.simulator import scenario_by_name
 from streetwatch.types import BoundingBox, Category
 
 from conftest import make_det, make_frame
@@ -221,3 +225,11 @@ def test_replaying_a_stream_is_deterministic():
             out.append((tuple(tracked), tuple(events)))
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("name", ["crowded-midrange", "approach-head-on"])
+def test_pipeline_built_objects_pass_the_constructor_checks(name):
+    # process_frame builds its objects without __post_init__; replace runs it
+    run = run_scenario(scenario_by_name(name))
+    assert any(o.direction is not None for o in run.tracked)
+    assert [dataclasses.replace(o) for o in run.tracked] == run.tracked

@@ -54,7 +54,7 @@ class HeightTable:
 
 def focal_px_from_mm(focal_mm: float, sensor_height_mm: float, image_h_px: float) -> float:
     """Convert a metric focal length to pixel units for a given sensor."""
-    if focal_mm <= 0 or sensor_height_mm <= 0 or image_h_px <= 0:
+    if not all(_is_finite_number(v) and v > 0 for v in (focal_mm, sensor_height_mm, image_h_px)):
         raise ValueError("focal_mm, sensor_height_mm and image_h_px must all be positive")
     return focal_mm * image_h_px / sensor_height_mm
 

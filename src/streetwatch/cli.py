@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from collections import Counter
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, TextIO, Tuple
 
 from .alarm import stage_for_distance
 from .config import ConfigError, load_config
@@ -30,7 +30,6 @@ from .jsonl import (
     read_records,
     read_tracked_objects,
     read_truth_records,
-    write_lines,
 )
 from .pipeline import Pipeline, StreamOrderError
 from .simulator import ScenarioError, generate, scenario_by_name, scenario_from_dict, with_seed
@@ -98,6 +97,28 @@ def _refuse_aliases(inputs: List[Tuple[str, str]], outputs: List[Tuple[str, str]
                 raise ValueError(f"{name_b} and {name_a} name the same file: {b}")
 
 
+@contextlib.contextmanager
+def _open_outputs(*paths: str) -> Iterator[List[TextIO]]:
+    """Open each path for writing and yield the handles.
+
+    If an open or the block fails, every file opened here is removed:
+    cut-off streams would look complete.
+    """
+    created: List[str] = []
+    try:
+        with contextlib.ExitStack() as stack:
+            handles = []
+            for path in paths:
+                handles.append(stack.enter_context(open(path, "w", encoding="utf-8", newline="")))
+                created.append(path)
+            yield handles
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     inputs = [] if args.suite else [("the scenario", args.scenario)]
     _refuse_aliases(inputs, [("--out-detections", args.out_detections), ("--out-truth", args.out_truth)])
@@ -113,8 +134,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.seed is not None:
         spec = with_seed(spec, args.seed)
     frames, truth = generate(spec)
-    write_lines(args.out_detections, (encode_detection_frame(f) for f in frames))
-    write_lines(args.out_truth, (encode_truth_record(r) for r in truth))
+    with _open_outputs(args.out_detections, args.out_truth) as (detections_out, truth_out):
+        for frame in frames:
+            detections_out.write(encode_detection_frame(frame) + "\n")
+        for record in truth:
+            truth_out.write(encode_truth_record(record) + "\n")
     print(f"scenario: {spec.name}")
     print(f"frames: {len(frames)}")
     print(f"actors: {len(spec.actors)}")
@@ -129,25 +153,14 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     pipeline = Pipeline(load_config(args.config))
     stage_counts: Counter = Counter()
     frames = 0
-    created: List[str] = []
-    try:
-        with open(args.out_tracked, "w", encoding="utf-8", newline="") as tracked_out:
-            created.append(args.out_tracked)
-            with open(args.out_events, "w", encoding="utf-8", newline="") as events_out:
-                created.append(args.out_events)
-                for tracked, events in pipeline.run(read_records(args.detections, decode_detection_frame)):
-                    frames += 1
-                    for obj in tracked:
-                        tracked_out.write(encode_tracked_object(obj) + "\n")
-                    for event in events:
-                        events_out.write(encode_alarm_event(event) + "\n")
-                        stage_counts[event.stage] += 1
-    except BaseException:
-        # cut-off streams would look complete; leave none behind
-        for path in created:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-        raise
+    with _open_outputs(args.out_tracked, args.out_events) as (tracked_out, events_out):
+        for tracked, events in pipeline.run(read_records(args.detections, decode_detection_frame)):
+            frames += 1
+            for obj in tracked:
+                tracked_out.write(encode_tracked_object(obj) + "\n")
+            for event in events:
+                events_out.write(encode_alarm_event(event) + "\n")
+                stage_counts[event.stage] += 1
     print(f"frames: {frames}")
     for stage in (1, 2, 3):
         print(f"stage {stage} events: {stage_counts.get(stage, 0)}")

@@ -48,8 +48,8 @@ def _num(v) -> str:
             return repr(v)
         raise ValueError("Out of range float values are not JSON compliant")
     if isinstance(v, float):
-        # a float subclass, such as the numpy float64 the simulator's noise
-        # leaves in its boxes, is written as the float it holds
+        # a float subclass, which the constructors accept, is written as
+        # the float it holds
         return _num(float(v))
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 

@@ -51,14 +51,6 @@ class MatchResult:
     """
 
     pairs: Tuple[Tuple[int, int, float], ...]
-    unmatched_current: Tuple[int, ...]
-    unmatched_reference: Tuple[int, ...]
-
-    def __post_init__(self):
-        cur = [p[0] for p in self.pairs]
-        ref = [p[1] for p in self.pairs]
-        if len(set(cur)) != len(cur) or len(set(ref)) != len(ref):
-            raise ValueError("pairs must form a partial bijection")
 
 
 def _iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -131,10 +123,4 @@ def match_frames(current: DetectionFrame, reference: DetectionFrame, cfg: MatchC
     accepted = greedy_assign(candidates, len(cur), len(ref))
     iou = cfg.strategy == "iou"
     pairs = sorted((i, j, -key if iou else key) for key, i, j in accepted)
-    matched_cur = {i for i, _, _ in pairs}
-    matched_ref = {j for _, j, _ in pairs}
-    return MatchResult(
-        pairs=tuple(pairs),
-        unmatched_current=tuple(i for i in range(len(cur)) if i not in matched_cur),
-        unmatched_reference=tuple(j for j in range(len(ref)) if j not in matched_ref),
-    )
+    return MatchResult(pairs=tuple(pairs))

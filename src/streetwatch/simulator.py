@@ -5,13 +5,15 @@ positive to the camera's right; Z depth in cm) and are projected through
 the pinhole model into detection boxes. Noise is applied per detection in
 a fixed order: center jitter, height jitter, label flip, drop.
 
-Randomness comes from a counter-based generator (Philox) keyed by
-(seed, actor_id) with the frame_id as counter, so every (frame, actor)
-cell owns an independent stream: adding or removing an actor never
-perturbs anyone else's noise, and generation order cannot matter.
+Every (seed, actor, frame) cell seeds its own random.Random, so adding
+or removing an actor never perturbs anyone else's noise, and generation
+order cannot matter. Draws go only through random(), whose sequence for
+a given seed Python keeps the same across versions.
 """
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -175,6 +177,18 @@ def true_direction_of(trajectory: Trajectory) -> DirectionLabel:
     return DirectionLabel.FORWARD
 
 
+def _three_normals(rng: random.Random) -> Tuple[float, float, float]:
+    """Three standard normals by Box-Muller from four random() draws.
+
+    1 - random() lies in (0, 1], so the log is always finite.
+    """
+    r1 = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
+    a1 = 2.0 * math.pi * rng.random()
+    r2 = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
+    a2 = 2.0 * math.pi * rng.random()
+    return r1 * math.cos(a1), r1 * math.sin(a1), r2 * math.cos(a2)
+
+
 def generate(spec: ScenarioSpec) -> Tuple[List[DetectionFrame], List[TruthRecord]]:
     """Render a scenario into a detection stream and its truth stream.
 
@@ -183,10 +197,6 @@ def generate(spec: ScenarioSpec) -> Tuple[List[DetectionFrame], List[TruthRecord
     detections and truth records follow the actor order of the spec, so
     the k-th detection corresponds to the k-th emitted truth record.
     """
-    # numpy is imported here, not at module level, so that only the
-    # simulator pays for it; replay, eval and stage never load it
-    import numpy as np
-
     frames: List[DetectionFrame] = []
     truth: List[TruthRecord] = []
     noise = spec.noise
@@ -207,27 +217,28 @@ def generate(spec: ScenarioSpec) -> Tuple[List[DetectionFrame], List[TruthRecord
                 aspect_ratio=actor.aspect_ratio,
                 camera_height_cm=spec.camera_height_cm,
             )
-            # one independent Philox stream per (seed, actor, frame) cell
-            rng = np.random.Generator(np.random.Philox(key=[spec.seed, actor.actor_id], counter=[i, 0, 0, 0]))
+            # the "/" separators make the key injective
+            rng = random.Random(f"{spec.seed}/{actor.actor_id}/{i}")
             # fixed draw order keeps streams diffable when toggling one knob
-            normals = rng.standard_normal(3)
-            uniforms = rng.random(2)
+            n0, n1, n2 = _three_normals(rng)
+            flip_u = rng.random()
+            drop_u = rng.random()
 
             cx, cy = box.center()
-            cx += noise.center_jitter_px * normals[0]
-            cy += noise.center_jitter_px * normals[1]
+            cx += noise.center_jitter_px * n0
+            cy += noise.center_jitter_px * n1
             # clamp so extreme jitter cannot produce a non-positive box
-            factor = max(1.0 + noise.height_jitter_frac * normals[2], 0.01)
+            factor = max(1.0 + noise.height_jitter_frac * n2, 0.01)
             h = box.h * factor
             w = actor.aspect_ratio * h
             jittered = BoundingBox(x=cx - w / 2.0, y=cy - h / 2.0, w=w, h=h)
 
             label = actor.category.label
-            if uniforms[0] < noise.label_flip_prob:
+            if flip_u < noise.label_flip_prob:
                 others = [c for c in KNOWN_CATEGORIES if c != label]
-                label = others[int(rng.integers(0, len(others)))]
+                label = others[int(rng.random() * len(others))]
 
-            emitted = not uniforms[1] < noise.drop_prob
+            emitted = not drop_u < noise.drop_prob
             if emitted:
                 detections.append(Detection(category=Category(label), bbox=jittered, confidence=1.0))
             truth.append(

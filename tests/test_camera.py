@@ -100,6 +100,12 @@ def test_focal_px_from_mm():
         focal_px_from_mm(0.0, 4.8, 480.0)
     with pytest.raises(ValueError):
         focal_px_from_mm(4.0, -1.0, 480.0)
+    for bad in (math.nan, math.inf, True):
+        for pos in range(3):
+            args = [4.0, 4.8, 480.0]
+            args[pos] = bad
+            with pytest.raises(ValueError):
+                focal_px_from_mm(*args)
 
 
 def test_ground_projection_centering(intrinsics):

@@ -57,6 +57,22 @@ def test_simulate_unknown_suite_name(tmp_path):
     assert "wat" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["simulate", "replay"])
+def test_failed_second_output_leaves_neither_file(tmp_path, command):
+    first = tmp_path / "first.jsonl"
+    second = tmp_path / "no-such-dir" / "second.jsonl"
+    if command == "simulate":
+        args = ("simulate", "--suite", "single-crosser", "--out-detections", str(first), "--out-truth", str(second))
+    else:
+        det, _, _ = simulate(tmp_path)
+        args = ("replay", str(det), "--out-tracked", str(first), "--out-events", str(second))
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr
+    assert not first.exists()
+    assert not second.exists()
+
+
 def test_simulate_scenario_file_with_seed_override(tmp_path):
     spec = scenario_by_name("single-crosser")
     data = scenario_to_dict(spec)
@@ -426,12 +442,15 @@ def test_usage_errors_exit_one():
 
 
 def test_cli_import_and_config_load_leave_numpy_unloaded():
-    # only simulate needs numpy; replay, eval and stage must not pay for it
+    # the package is pure stdlib: not even a noisy simulation loads numpy
     code = (
         "import sys\n"
         "import streetwatch.cli\n"
         "from streetwatch.config import load_config\n"
+        "from streetwatch.simulator import NoiseSpec, generate, scenario_by_name, with_noise\n"
         "load_config()\n"
+        "noise = NoiseSpec(center_jitter_px=2.0, height_jitter_frac=0.05, drop_prob=0.1, label_flip_prob=0.1)\n"
+        "generate(with_noise(scenario_by_name('crowded-midrange'), noise))\n"
         "print('numpy' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)

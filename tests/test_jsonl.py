@@ -326,6 +326,18 @@ def test_shared_encoder_still_refuses_unknown_objects():
             encode_alarm_event(smuggled(sample_event(), "vibration_s", value))
 
 
+def test_float_subclass_is_written_as_the_float_it_holds():
+    class Sub(float):
+        def __repr__(self):
+            return "Sub()"
+
+    def line(x):
+        det = Detection(Category("car"), BoundingBox(x, 2.0, 3.0, 4.0), 0.5)
+        return encode_detection_frame(make_frame(3, 99, [det]))
+
+    assert line(Sub(1.5)) == line(1.5)
+
+
 def test_canonical_known_label_lines_skip_the_constructor_checks(monkeypatch):
     calls = []
 

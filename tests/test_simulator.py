@@ -1,4 +1,5 @@
 """Synthetic scenario generation: determinism, noise knobs, bundled suite."""
+import hashlib
 import math
 
 import pytest
@@ -65,6 +66,36 @@ def test_same_seed_same_bytes():
     a = encode_run(*generate(spec))
     b = encode_run(*generate(spec))
     assert a == b
+
+
+ALL_NOISE = NoiseSpec(center_jitter_px=2.0, height_jitter_frac=0.05, drop_prob=0.2, label_flip_prob=0.2)
+
+
+def two_actor_scenario(noise):
+    a0 = ActorSpec(0, Category("car"), 140.0, 2.0, Trajectory("linear", -200.0, 580.0, vx_cm_s=150.0))
+    a1 = ActorSpec(7, Category("person"), 165.0, 0.4, Trajectory("linear", 100.0, 400.0, vz_cm_s=-50.0))
+    return small_scenario(noise=noise, actors=(a0, a1))
+
+
+def test_noisy_generate_leaves_plain_floats():
+    frames, truth = generate(two_actor_scenario(ALL_NOISE))
+    for frame in frames:
+        for det in frame.detections:
+            for v in (det.bbox.x, det.bbox.y, det.bbox.w, det.bbox.h, det.confidence):
+                assert type(v) is float, (frame.frame_id, v)
+    for rec in truth:
+        assert type(rec.true_depth_cm) is float and type(rec.true_lateral_cm) is float
+
+
+def test_noisy_draw_recipe_is_pinned():
+    # per cell: four random() calls for three Box-Muller normals, then the
+    # flip and drop uniforms, then, on a flip only, the replacement label
+    frames, truth = generate(two_actor_scenario(ALL_NOISE))
+    assert 0 < sum(len(f.detections) for f in frames) < len(truth)
+    assert any(d.category.label not in ("car", "person") for f in frames for d in f.detections)
+    detections, truth_lines = encode_run(frames, truth)
+    digest = hashlib.sha256((detections + "\n" + truth_lines).encode("ascii")).hexdigest()
+    assert digest == "14ddb2169d88c98cd29ff30b3b83660fdc82ac9c58b7edbcfbb14bf6a1e398bf"
 
 
 def test_different_seed_different_jitter():

@@ -26,7 +26,7 @@ class ConfigError(ValueError):
 _KNOWN_KEYS = {
     "camera": {"focal_px", "image_w", "image_h", "camera_height_cm"},
     "heights": None,  # any category label is a legal key
-    "matcher": {"strategy", "max_center_dist_px", "min_iou"},
+    "matcher": {"max_center_dist_px"},
     "direction": {"gap", "dead_zone_px"},
     "alarm": {
         "stage1_lo_cm", "stage1_hi_cm", "stage1_vibration_s",
@@ -42,7 +42,11 @@ def default_config_text() -> str:
 
 
 def _new_parser() -> configparser.ConfigParser:
-    return configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    # keys are case-sensitive, as section names are: height keys are
+    # category labels, which compare by exact string
+    parser.optionxform = str
+    return parser
 
 
 def _check_known(parser: configparser.ConfigParser, source: str) -> None:
@@ -57,12 +61,12 @@ def _check_known(parser: configparser.ConfigParser, source: str) -> None:
                 raise ConfigError(f"{source}: unknown key {key!r} in [{section}]")
 
 
-def _get_float(parser, section: str, key: str, *, positive: bool = True) -> float:
+def _get_float(parser, section: str, key: str) -> float:
     try:
         value = parser.getfloat(section, key)
     except (configparser.Error, ValueError) as exc:
         raise ConfigError(f"[{section}] {key}: not a number ({exc})") from None
-    if positive and not value > 0:
+    if not value > 0:
         raise ConfigError(f"[{section}] {key}: must be positive, got {value}")
     return value
 
@@ -95,6 +99,8 @@ def load_config(path: Optional[Union[str, Path]] = None) -> PipelineConfig:
                 user.read_file(fh, source=str(path))
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"cannot read config {path}: not UTF-8 ({exc})") from None
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse config {path}: {exc}") from None
         _check_known(user, str(path))
@@ -115,12 +121,7 @@ def load_config(path: Optional[Union[str, Path]] = None) -> PipelineConfig:
 
         heights = HeightTable({label: _get_float(parser, "heights", label) for label in parser["heights"]})
 
-        strategy = parser.get("matcher", "strategy").strip()
-        matcher = MatchConfig(
-            strategy=strategy,
-            max_center_dist_px=_get_float(parser, "matcher", "max_center_dist_px"),
-            min_iou=_get_float(parser, "matcher", "min_iou", positive=False),
-        )
+        matcher = MatchConfig(max_center_dist_px=_get_float(parser, "matcher", "max_center_dist_px"))
 
         gap = _get_int(parser, "direction", "gap", minimum=1)
         if parser.has_option("direction", "dead_zone_px"):

@@ -123,10 +123,10 @@ class EvalReport:
         return "\n".join(f"{name:<{width}}{value}" for name, value in rows)
 
 
-def _group_by_frame(records: Iterable, key=lambda r: r.frame_id) -> Dict[int, List]:
+def _group_by_frame(records: Iterable) -> Dict[int, List]:
     grouped: Dict[int, List] = {}
     for rec in records:
-        grouped.setdefault(key(rec), []).append(rec)
+        grouped.setdefault(rec.frame_id, []).append(rec)
     return grouped
 
 
@@ -302,7 +302,6 @@ def run_scenario(
     spec: ScenarioSpec,
     *,
     config: Optional[PipelineConfig] = None,
-    bands: Optional[BandPartition] = None,
     strict: bool = False,
 ) -> ScenarioRun:
     """Simulate, replay through the pipeline, and score in one call.
@@ -317,7 +316,7 @@ def run_scenario(
     for t, e in Pipeline(cfg).run(frames):
         tracked.extend(t)
         events.extend(e)
-    report = score(tracked, truth, bands, excuse=None if strict else cfg)
+    report = score(tracked, truth, excuse=None if strict else cfg)
     return ScenarioRun(spec=spec, frames=frames, truth=truth, tracked=tracked, events=events, report=report)
 
 

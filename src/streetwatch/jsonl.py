@@ -324,14 +324,33 @@ def _loads(line: str) -> dict:
 def read_records(path: PathLike, decoder: Callable[[str], T]) -> Iterator[T]:
     """Decode a JSON-Lines file, citing the line number on any failure."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    yield decoder(line)
+                except ParseError as exc:
+                    raise ParseError(f"line {lineno}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(_undecodable_line(path) or f"not UTF-8 ({exc})") from None
+
+
+def _undecodable_line(path: PathLike) -> Optional[str]:
+    """The error text for the first line of path that is not UTF-8.
+
+    The text reader decodes in blocks, so its error position does not give
+    the line; the bytes are scanned again, split into lines the way the
+    text reader splits them.
+    """
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
             try:
-                yield decoder(line)
-            except ParseError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return f"line {lineno}: not UTF-8 ({exc.reason}, byte {exc.start + 1} of the line)"
+    return None
 
 
 def write_lines(path: PathLike, lines: Iterable[str]) -> int:

@@ -5,10 +5,9 @@ same-category constraint. Deterministic and O(n^2 log n); at street-scene
 cardinalities that beats dragging in an appearance-feature tracker, and
 the pipeline tolerates the occasional identity switch anyway.
 
-Two cost strategies: Euclidean center distance (default) and IoU. At a
-capture rate of tens of frames per second boxes barely move between
-frames, which makes IoU overlap nearly binary; center distance keeps its
-resolution, hence the default.
+The cost is Euclidean center distance, because at tens of frames per
+second boxes barely move between frames, which makes IoU overlap nearly
+binary while center distance keeps its resolution.
 """
 from __future__ import annotations
 
@@ -16,30 +15,21 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .types import BoundingBox, DetectionFrame, _is_finite_number
-
-STRATEGIES = ("euclidean", "iou")
+from .types import DetectionFrame, _is_finite_number
 
 
 @dataclass(frozen=True)
 class MatchConfig:
-    """Association strategy and acceptance gates.
+    """Association gate: the largest center distance a pair may have.
 
-    max_center_dist_px gates the euclidean strategy (default 25% of a
-    640 px image width); min_iou gates the iou strategy.
+    The default is 25% of a 640 px image width.
     """
 
-    strategy: str = "euclidean"
     max_center_dist_px: float = 160.0
-    min_iou: float = 0.1
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if not (_is_finite_number(self.max_center_dist_px) and self.max_center_dist_px > 0):
             raise ValueError(f"max_center_dist_px must be positive, got {self.max_center_dist_px!r}")
-        if not (_is_finite_number(self.min_iou) and 0.0 <= self.min_iou <= 1.0):
-            raise ValueError(f"min_iou must lie in [0, 1], got {self.min_iou!r}")
 
 
 @dataclass(frozen=True)
@@ -47,20 +37,10 @@ class MatchResult:
     """Partial bijection between current and reference detection indices.
 
     pairs holds (current_index, reference_index, cost) where cost is center
-    distance in px for the euclidean strategy and IoU for the iou strategy.
+    distance in px.
     """
 
     pairs: Tuple[Tuple[int, int, float], ...]
-
-
-def _iou(a: BoundingBox, b: BoundingBox) -> float:
-    ix = min(a.x + a.w, b.x + b.w) - max(a.x, b.x)
-    iy = min(a.y + a.h, b.y + b.h) - max(a.y, b.y)
-    if ix <= 0 or iy <= 0:
-        return 0.0
-    inter = ix * iy
-    union = a.w * a.h + b.w * b.h - inter
-    return inter / union
 
 
 def greedy_assign(
@@ -89,9 +69,8 @@ def greedy_assign(
 def match_frames(current: DetectionFrame, reference: DetectionFrame, cfg: MatchConfig) -> MatchResult:
     """Associate the current frame's detections with the reference frame's.
 
-    Candidate pairs share a category and pass the strategy gate. They are
-    assigned by greedy_assign, best first: ascending center distance, or
-    descending IoU.
+    Candidate pairs share a category and lie within the distance gate.
+    They are assigned by greedy_assign, nearest first.
     """
     cur = current.detections
     ref = reference.detections
@@ -101,26 +80,16 @@ def match_frames(current: DetectionFrame, reference: DetectionFrame, cfg: MatchC
         ref_by_cat.setdefault(det.category.label, []).append(j)
 
     candidates: List[Tuple[float, int, int]] = []
-    if cfg.strategy == "euclidean":
-        ref_centers = [d.bbox.center() for d in ref]
-        gate = cfg.max_center_dist_px
-        for i, det in enumerate(cur):
-            cx, cy = det.bbox.center()
-            for j in ref_by_cat.get(det.category.label, ()):
-                rx, ry = ref_centers[j]
-                cost = math.hypot(cx - rx, cy - ry)
-                if cost <= gate:
-                    candidates.append((cost, i, j))
-    else:
-        gate = cfg.min_iou
-        for i, det in enumerate(cur):
-            for j in ref_by_cat.get(det.category.label, ()):
-                overlap = _iou(det.bbox, ref[j].bbox)
-                if overlap >= gate:
-                    # negate so one ascending sort serves both strategies
-                    candidates.append((-overlap, i, j))
+    ref_centers = [d.bbox.center() for d in ref]
+    gate = cfg.max_center_dist_px
+    for i, det in enumerate(cur):
+        cx, cy = det.bbox.center()
+        for j in ref_by_cat.get(det.category.label, ()):
+            rx, ry = ref_centers[j]
+            cost = math.hypot(cx - rx, cy - ry)
+            if cost <= gate:
+                candidates.append((cost, i, j))
 
     accepted = greedy_assign(candidates, len(cur), len(ref))
-    iou = cfg.strategy == "iou"
-    pairs = sorted((i, j, -key if iou else key) for key, i, j in accepted)
+    pairs = sorted((i, j, cost) for cost, i, j in accepted)
     return MatchResult(pairs=tuple(pairs))

@@ -51,17 +51,6 @@ def euclidean_cost(a: Detection, b: Detection) -> Optional[float]:
     return math.hypot(ax - bx, ay - by)
 
 
-def iou_cost(a: Detection, b: Detection) -> Optional[float]:
-    """Intersection over union in [0, 1], or None when the categories differ."""
-    if a.category != b.category:
-        return None
-    p, q = a.bbox, b.bbox
-    overlap_w = max(0.0, min(p.x + p.w, q.x + q.w) - max(p.x, q.x))
-    overlap_h = max(0.0, min(p.y + p.h, q.y + q.h) - max(p.y, q.y))
-    inter = overlap_w * overlap_h
-    return inter / (p.w * p.h + q.w * q.h - inter)
-
-
 def gated_edges(
     current: DetectionFrame, reference: DetectionFrame, cfg: MatchConfig
 ) -> List[Tuple[int, int, float]]:
@@ -69,14 +58,9 @@ def gated_edges(
     edges = []
     for i, a in enumerate(current.detections):
         for j, b in enumerate(reference.detections):
-            if cfg.strategy == "euclidean":
-                cost = euclidean_cost(a, b)
-                if cost is not None and cost <= cfg.max_center_dist_px:
-                    edges.append((i, j, cost))
-            else:
-                overlap = iou_cost(a, b)
-                if overlap is not None and overlap >= cfg.min_iou:
-                    edges.append((i, j, overlap))
+            cost = euclidean_cost(a, b)
+            if cost is not None and cost <= cfg.max_center_dist_px:
+                edges.append((i, j, cost))
     return edges
 
 
@@ -84,7 +68,6 @@ def _best_for_group(
     cur_indices: List[int],
     edge_cost: Dict[Tuple[int, int], float],
     ref_indices: List[int],
-    maximize: bool,
 ) -> Tuple[int, float]:
     """(count, total) of the best assignment inside one category group."""
     best = (0, 0.0)
@@ -92,7 +75,7 @@ def _best_for_group(
     def better(a: Tuple[int, float], b: Tuple[int, float]) -> bool:
         if a[0] != b[0]:
             return a[0] > b[0]
-        return a[1] > b[1] if maximize else a[1] < b[1]
+        return a[1] < b[1]
 
     def rec(k: int, used: set, count: int, total: float) -> None:
         nonlocal best
@@ -119,14 +102,13 @@ def _best_for_group(
 def best_assignment_bruteforce(
     current: DetectionFrame, reference: DetectionFrame, cfg: MatchConfig
 ) -> Tuple[int, float]:
-    """Exhaustive optimum: most pairs, then min total distance (or max IoU).
+    """Exhaustive optimum: most pairs, then min total distance.
 
     Categories never mix, so each category group is solved independently
     and the results summed.
     """
     edges = gated_edges(current, reference, cfg)
     edge_cost = {(i, j): c for i, j, c in edges}
-    maximize = cfg.strategy == "iou"
 
     by_label: Dict[str, Tuple[List[int], List[int]]] = {}
     for i, d in enumerate(current.detections):
@@ -136,7 +118,7 @@ def best_assignment_bruteforce(
 
     count, total = 0, 0.0
     for cur_indices, ref_indices in by_label.values():
-        c, t = _best_for_group(cur_indices, edge_cost, ref_indices, maximize)
+        c, t = _best_for_group(cur_indices, edge_cost, ref_indices)
         count += c
         total += t
     return count, total
@@ -157,19 +139,17 @@ def is_mutual_nn_instance(
     edges = gated_edges(current, reference, cfg)
     if not edges:
         return False
-    sign = -1.0 if cfg.strategy == "iou" else 1.0
     best_for_cur: Dict[int, Tuple[float, int]] = {}
     best_for_ref: Dict[int, Tuple[float, int]] = {}
     cur_costs: Dict[int, List[float]] = {}
     ref_costs: Dict[int, List[float]] = {}
     for i, j, c in edges:
-        key = sign * c
-        cur_costs.setdefault(i, []).append(key)
-        ref_costs.setdefault(j, []).append(key)
-        if i not in best_for_cur or key < best_for_cur[i][0]:
-            best_for_cur[i] = (key, j)
-        if j not in best_for_ref or key < best_for_ref[j][0]:
-            best_for_ref[j] = (key, i)
+        cur_costs.setdefault(i, []).append(c)
+        ref_costs.setdefault(j, []).append(c)
+        if i not in best_for_cur or c < best_for_cur[i][0]:
+            best_for_cur[i] = (c, j)
+        if j not in best_for_ref or c < best_for_ref[j][0]:
+            best_for_ref[j] = (c, i)
     for costs in list(cur_costs.values()) + list(ref_costs.values()):
         ordered = sorted(costs)
         for a, b in zip(ordered, ordered[1:]):

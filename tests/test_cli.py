@@ -217,6 +217,20 @@ def test_replay_failure_mid_stream_leaves_no_outputs(tmp_path):
     assert not events.exists()
 
 
+def test_replay_non_utf8_byte_cites_the_line(tmp_path):
+    det, _, _ = simulate(tmp_path)
+    lines = det.read_bytes().splitlines()
+    lines[4] = lines[4].replace(b'"car"', b'"c\xe9r"', 1)
+    det.write_bytes(b"\n".join(lines) + b"\n")
+    tracked = tmp_path / "t.jsonl"
+    events = tmp_path / "e.jsonl"
+    proc = run_cli("replay", str(det), "--out-tracked", str(tracked), "--out-events", str(events))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: line 5: not UTF-8"), proc.stderr
+    assert not tracked.exists()
+    assert not events.exists()
+
+
 @pytest.mark.parametrize("field", ["x", "confidence"])
 def test_replay_integer_too_large_for_a_float_is_a_parse_error(tmp_path, field):
     det, _, _ = simulate(tmp_path)

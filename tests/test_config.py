@@ -1,14 +1,21 @@
 """Config files: defaults, overlay, strict key checking, derived values."""
+import dataclasses
 import math
 import re
+import subprocess
+import sys
 
 import pytest
 
 from streetwatch.alarm import DEFAULT_STAGES, AlarmPolicy, AlarmStage
-from streetwatch.config import ConfigError, default_config_text, load_config
+from streetwatch.camera import estimate_distance
+from streetwatch.config import _KNOWN_KEYS, ConfigError, _new_parser, default_config_text, load_config
 from streetwatch.direction import DirectionConfig
+from streetwatch.jsonl import encode_detection_frame, write_lines
 from streetwatch.matcher import MatchConfig
 from streetwatch.pipeline import PipelineConfig
+
+from conftest import make_det, make_frame
 
 
 def write_config(tmp_path, text):
@@ -25,9 +32,7 @@ def test_defaults_load_without_a_file():
     assert cfg.camera_height_cm == 140.0
     assert cfg.heights.entries["car"] == 140.0
     assert cfg.heights.entries["person"] == 165.0
-    assert cfg.matcher.strategy == "euclidean"
     assert cfg.matcher.max_center_dist_px == 160.0
-    assert cfg.matcher.min_iou == 0.1
     assert cfg.direction.gap == 2
     assert cfg.direction.dead_zone_px == 8.0
     assert cfg.alarm.stages == DEFAULT_STAGES
@@ -36,9 +41,26 @@ def test_defaults_load_without_a_file():
     assert cfg.alarm.cumulative_bands is False
 
 
-def test_default_text_parses_to_the_same_config():
+def config_fields(cfg):
+    """The field values of a PipelineConfig; HeightTable compares by identity."""
+    fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    fields["heights"] = cfg.heights.entries
+    return fields
+
+
+def test_default_text_parses_to_the_same_config(tmp_path):
     # the shipped file and the no-file path must agree
-    assert default_config_text().startswith("#")
+    text = default_config_text()
+    parser = _new_parser()
+    parser.read_string(text)
+    assert set(parser.sections()) == set(_KNOWN_KEYS)
+    for section, allowed in _KNOWN_KEYS.items():
+        if allowed is None:
+            continue
+        # dead_zone_px is left out on purpose: it then scales with image_w
+        missing = {"dead_zone_px"} if section == "direction" else set()
+        assert set(parser[section]) == allowed - missing, section
+    assert config_fields(load_config(write_config(tmp_path, text))) == config_fields(load_config())
 
 
 def test_overlay_replaces_only_named_keys(tmp_path):
@@ -130,7 +152,6 @@ dog = 50.0
     [
         ("camera", "focal_px", "-5.0", "focal_px"),
         ("camera", "image_w", "abc", "image_w"),
-        ("matcher", "strategy", "sideways", "strategy"),
         ("matcher", "max_center_dist_px", "0", "max_center_dist_px"),
         ("direction", "gap", "0", "gap"),
         ("direction", "gap", "4", "gap"),
@@ -143,6 +164,46 @@ dog = 50.0
 def test_out_of_range_values_are_fatal(tmp_path, section, key, value, hint):
     path = write_config(tmp_path, f"[{section}]\n{key} = {value}\n")
     with pytest.raises(ConfigError, match=hint):
+        load_config(path)
+
+
+@pytest.mark.parametrize("key,value", [("strategy", "euclidean"), ("min_iou", "0.1")])
+def test_removed_matcher_keys_are_unknown(tmp_path, key, value):
+    # center distance is the only association cost; its former knobs are typos now
+    path = write_config(tmp_path, f"[matcher]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"unknown key '{key}' in \\[matcher\\]"):
+        load_config(path)
+    det = tmp_path / "detections.jsonl"
+    write_lines(det, [encode_detection_frame(make_frame(0, 0, [make_det("car")]))])
+    tracked = tmp_path / "t.jsonl"
+    events = tmp_path / "e.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-m", "streetwatch", "replay", str(det), "--config", str(path),
+         "--out-tracked", str(tracked), "--out-events", str(events)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert f"unknown key '{key}'" in proc.stderr
+    assert not tracked.exists()
+    assert not events.exists()
+
+
+def test_keys_are_case_sensitive(tmp_path):
+    path = write_config(tmp_path, "[camera]\nFOCAL_PX = 1400.0\n")
+    with pytest.raises(ConfigError, match="unknown key 'FOCAL_PX'"):
+        load_config(path)
+    # a height key is a category label, spelled as the detections spell it
+    cfg = load_config(write_config(tmp_path, "[heights]\nTrafficCone = 70.0\n"))
+    assert cfg.heights.entries["TrafficCone"] == 70.0
+    assert "trafficcone" not in cfg.heights.entries
+    cone = make_det("TrafficCone", h=50.0)
+    assert estimate_distance(cfg.camera, cfg.heights, cone) == pytest.approx(1000.0 * 70.0 / 50.0)
+
+
+def test_non_utf8_config_is_a_config_error(tmp_path):
+    path = tmp_path / "config.ini"
+    path.write_bytes(b"[heights]\nc\xe9r = 140.0\n")
+    with pytest.raises(ConfigError, match=re.escape(f"cannot read config {path}: not UTF-8")):
         load_config(path)
 
 
@@ -207,8 +268,6 @@ REFUSALS = {
     "stage-band-hi-huge": (lambda: AlarmStage(1, 570.0, 10**400, 0.8), "band_hi_cm must exceed band_lo_cm"),
     "policy-cooldown-bool": (lambda: AlarmPolicy(cooldown_ms=True), "cooldown_ms must be a non-negative integer, got True"),
     "policy-cap-bool": (lambda: AlarmPolicy(max_events_per_frame=True), "max_events_per_frame must be an integer >= 1, got True"),
-    "match-iou-bool": (lambda: MatchConfig(min_iou=True), "min_iou must lie in [0, 1], got True"),
-    "match-iou-str": (lambda: MatchConfig(min_iou="0.5"), "min_iou must lie in [0, 1], got '0.5'"),
     "match-dist-bool": (lambda: MatchConfig(max_center_dist_px=True), "max_center_dist_px must be positive, got True"),
     "match-dist-inf": (lambda: MatchConfig(max_center_dist_px=math.inf), "max_center_dist_px must be positive, got inf"),
     "direction-dead-zone-inf": (lambda: DirectionConfig(dead_zone_px=math.inf), "dead_zone_px must be positive, got inf"),

@@ -551,6 +551,19 @@ def test_read_records_cites_the_line_number(tmp_path):
         list(read_records(path, decode_detection_frame))
 
 
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_read_records_line_endings_and_non_utf8_lines(tmp_path, newline):
+    frames, _ = generate(scenario_by_name("single-crosser"))
+    lines = [encode_detection_frame(f).encode("ascii") for f in frames[:5]]
+    path = tmp_path / "stream.jsonl"
+    path.write_bytes(newline.join(lines) + newline)
+    assert read_detection_frames(path) == frames[:5]
+    lines[2] = lines[2].replace(b'"car"', b'"c\xe9r"', 1)
+    path.write_bytes(newline.join(lines) + newline)
+    with pytest.raises(ParseError, match=r"^line 3: not UTF-8 \(invalid continuation byte, byte \d+ of the line\)$"):
+        read_detection_frames(path)
+
+
 def test_write_then_read_lists(tmp_path):
     frames, _ = generate(scenario_by_name("single-crosser"))
     path = tmp_path / "frames.jsonl"

@@ -12,7 +12,6 @@ from conftest import (
     best_assignment_bruteforce,
     euclidean_cost,
     gated_edges,
-    iou_cost,
     is_mutual_nn_instance,
     make_det,
     make_frame,
@@ -34,17 +33,6 @@ def test_euclidean_cost_values():
 
 def test_cost_is_none_across_categories():
     assert euclidean_cost(make_det("car"), make_det("truck")) is None
-    assert iou_cost(make_det("car"), make_det("person")) is None
-
-
-def test_iou_values():
-    a = make_det("car", cx=5.0, cy=5.0, w=10.0, h=10.0)
-    assert iou_cost(a, make_det("car", cx=5.0, cy=5.0, w=10.0, h=10.0)) == pytest.approx(1.0)
-    # shifted by half a width: overlap 50, union 150
-    b = make_det("car", cx=10.0, cy=5.0, w=10.0, h=10.0)
-    assert iou_cost(a, b) == pytest.approx(1.0 / 3.0)
-    disjoint = make_det("car", cx=100.0, cy=100.0, w=10.0, h=10.0)
-    assert iou_cost(a, disjoint) == 0.0
 
 
 def test_single_pair_within_gate():
@@ -94,35 +82,9 @@ def test_tie_breaks_on_current_then_reference_index():
     assert {(i, j) for i, j, _ in result.pairs} == {(0, 0), (1, 1)}
 
 
-def test_iou_strategy_matches_by_overlap():
-    cfg = MatchConfig(strategy="iou", min_iou=0.1)
-    cur = make_frame(1, 33, [make_det("car", cx=100.0, w=40.0, h=40.0)])
-    ref = make_frame(
-        0, 0,
-        [
-            make_det("car", cx=104.0, w=40.0, h=40.0),
-            make_det("car", cx=130.0, w=40.0, h=40.0),
-        ],
-    )
-    result = match_frames(cur, ref, cfg)
-    assert [(i, j) for i, j, _ in result.pairs] == [(0, 0)]
-    assert result.pairs[0][2] > 0.5
-
-
-def test_iou_gate_excludes_weak_overlap():
-    cfg = MatchConfig(strategy="iou", min_iou=0.5)
-    cur = make_frame(1, 33, [make_det("car", cx=100.0, w=40.0, h=40.0)])
-    ref = make_frame(0, 0, [make_det("car", cx=130.0, w=40.0, h=40.0)])
-    assert match_frames(cur, ref, cfg).pairs == ()
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
-        MatchConfig(strategy="hungarian")
-    with pytest.raises(ValueError):
         MatchConfig(max_center_dist_px=0.0)
-    with pytest.raises(ValueError):
-        MatchConfig(min_iou=1.5)
 
 
 def test_empty_frames():

@@ -22,6 +22,7 @@ from .config import ConfigError, load_config
 from .evaluation import AlignmentError, BandPartition, EvalError, score
 from .jsonl import (
     ParseError,
+    _undecodable_line,
     decode_detection_frame,
     encode_alarm_event,
     encode_detection_frame,
@@ -130,6 +131,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{args.scenario}: invalid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            where = _undecodable_line(args.scenario) or f"not UTF-8 ({exc})"
+            raise ScenarioError(f"{args.scenario}: {where}") from None
         spec = scenario_from_dict(data)
     if args.seed is not None:
         spec = with_seed(spec, args.seed)

@@ -42,7 +42,13 @@ def default_config_text() -> str:
 
 
 def _new_parser() -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    # configparser copies the keys of its default section into every other
+    # section and leaves it out of sections(). No header can spell a name
+    # holding a newline, so a [DEFAULT] in a file stays an ordinary section,
+    # which _check_known refuses.
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#", ";"), interpolation=None, default_section="\n"
+    )
     # keys are case-sensitive, as section names are: height keys are
     # category labels, which compare by exact string
     parser.optionxform = str

@@ -8,7 +8,9 @@ a fixed order: center jitter, height jitter, label flip, drop.
 Every (seed, actor, frame) cell seeds its own random.Random, so adding
 or removing an actor never perturbs anyone else's noise, and generation
 order cannot matter. Draws go only through random(), whose sequence for
-a given seed Python keeps the same across versions.
+a given seed Python keeps the same across versions. A scenario whose
+noise numbers are all zero draws nothing: the draws could not change a
+byte of its output.
 """
 from __future__ import annotations
 
@@ -19,8 +21,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .camera import CameraIntrinsics, project_ground_point
 from .direction import DirectionLabel
-from .types import BoundingBox, Category, Detection, DetectionFrame, KNOWN_CATEGORIES, key_mismatch
-from .types import _is_finite_number
+from .types import Category, Detection, DetectionFrame, KNOWN_CATEGORIES, key_mismatch
+from .types import _box_error, _checked_box, _checked_detection, _is_finite_number
 
 TRAJECTORY_KINDS = ("linear", "stationary")
 
@@ -96,6 +98,8 @@ class ActorSpec:
     def __post_init__(self):
         if not isinstance(self.actor_id, int) or isinstance(self.actor_id, bool) or self.actor_id < 0:
             raise ScenarioError(f"actor_id must be a non-negative integer, got {self.actor_id!r}")
+        if not isinstance(self.category, Category):
+            raise ScenarioError(f"actor {self.actor_id}: category must be a Category, got {self.category!r}")
         for name in ("real_height_cm", "aspect_ratio"):
             v = getattr(self, name)
             if not (_is_finite_number(v) and v > 0):
@@ -200,12 +204,16 @@ def generate(spec: ScenarioSpec) -> Tuple[List[DetectionFrame], List[TruthRecord
     frames: List[DetectionFrame] = []
     truth: List[TruthRecord] = []
     noise = spec.noise
+    # With every noise number zero the draws cannot change a value: a center
+    # plus 0 * n is the center (it is never -0.0), the height factor is
+    # exactly 1.0 and no uniform is below 0.0. So nothing is drawn.
+    drawing = noise != NoiseSpec()
+    cast = [(actor, *actor.span(spec.duration_s), true_direction_of(actor.trajectory)) for actor in spec.actors]
     for i in range(spec.frame_count()):
         t_s = i / spec.frame_rate_hz
         t_ms = int(round(i * 1000.0 / spec.frame_rate_hz))
         detections: List[Detection] = []
-        for actor in spec.actors:
-            enter, exit_ = actor.span(spec.duration_s)
+        for actor, enter, exit_, direction in cast:
             if not enter <= t_s <= exit_:
                 continue
             x_cm, z_cm = actor.trajectory.position(t_s)
@@ -217,37 +225,40 @@ def generate(spec: ScenarioSpec) -> Tuple[List[DetectionFrame], List[TruthRecord
                 aspect_ratio=actor.aspect_ratio,
                 camera_height_cm=spec.camera_height_cm,
             )
-            # the "/" separators make the key injective
-            rng = random.Random(f"{spec.seed}/{actor.actor_id}/{i}")
-            # fixed draw order keeps streams diffable when toggling one knob
-            n0, n1, n2 = _three_normals(rng)
-            flip_u = rng.random()
-            drop_u = rng.random()
-
             cx, cy = box.center()
-            cx += noise.center_jitter_px * n0
-            cy += noise.center_jitter_px * n1
-            # clamp so extreme jitter cannot produce a non-positive box
-            factor = max(1.0 + noise.height_jitter_frac * n2, 0.01)
-            h = box.h * factor
+            h = box.h
+            category = actor.category
+            emitted = True
+            if drawing:
+                # the "/" separators make the key injective
+                rng = random.Random(f"{spec.seed}/{actor.actor_id}/{i}")
+                # fixed draw order keeps streams diffable when toggling one knob
+                n0, n1, n2 = _three_normals(rng)
+                flip_u = rng.random()
+                drop_u = rng.random()
+                cx += noise.center_jitter_px * n0
+                cy += noise.center_jitter_px * n1
+                # clamp so extreme jitter cannot produce a non-positive box
+                h *= max(1.0 + noise.height_jitter_frac * n2, 0.01)
+                if flip_u < noise.label_flip_prob:
+                    others = [c for c in KNOWN_CATEGORIES if c != category.label]
+                    category = Category(others[int(rng.random() * len(others))])
+                emitted = not drop_u < noise.drop_prob
             w = actor.aspect_ratio * h
-            jittered = BoundingBox(x=cx - w / 2.0, y=cy - h / 2.0, w=w, h=h)
-
-            label = actor.category.label
-            if flip_u < noise.label_flip_prob:
-                others = [c for c in KNOWN_CATEGORIES if c != label]
-                label = others[int(rng.random() * len(others))]
-
-            emitted = not drop_u < noise.drop_prob
+            x = cx - w / 2.0
+            y = cy - h / 2.0
+            text = _box_error(x, y, w, h)
+            if text:
+                raise ValueError(text)
             if emitted:
-                detections.append(Detection(category=Category(label), bbox=jittered, confidence=1.0))
+                detections.append(_checked_detection(category, _checked_box(x, y, w, h), 1.0))
             truth.append(
                 TruthRecord(
                     frame_id=i,
                     actor_id=actor.actor_id,
                     true_depth_cm=z_cm,
                     true_lateral_cm=x_cm,
-                    true_direction=true_direction_of(actor.trajectory),
+                    true_direction=direction,
                     emitted=emitted,
                     true_category=actor.category,
                 )

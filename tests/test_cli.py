@@ -107,6 +107,19 @@ def test_simulate_rejects_bad_scenario_json(tmp_path):
     assert "invalid JSON" in proc.stderr
 
 
+def test_simulate_non_utf8_scenario_names_the_file_and_line(tmp_path):
+    scenario_path = tmp_path / "scenario.json"
+    text = json.dumps(scenario_to_dict(scenario_by_name("single-crosser")), indent=1)
+    scenario_path.write_bytes(text.encode("ascii").replace(b'"single-crosser"', b'"caf\xe9"', 1))
+    det = tmp_path / "d.jsonl"
+    truth = tmp_path / "t.jsonl"
+    proc = run_cli("simulate", str(scenario_path), "--out-detections", str(det), "--out-truth", str(truth))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {scenario_path}: line 2: not UTF-8"), proc.stderr
+    assert not det.exists()
+    assert not truth.exists()
+
+
 HUGE = 10**400  # an integer too large for a float
 
 

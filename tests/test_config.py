@@ -207,6 +207,19 @@ def test_non_utf8_config_is_a_config_error(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[DEFAULT]\ncar = 5.0\n", "[DEFAULT]\ncar = 5.0\n[heights]\nbus = 300.0\n", "[DEFAULT]\n"],
+    ids=["default-only", "default-and-heights", "empty-default"],
+)
+def test_default_section_is_refused(tmp_path, text):
+    # configparser would copy [DEFAULT] keys into every section: car = 5.0
+    # either vanished or became a height
+    with pytest.raises(ConfigError, match=re.escape("unknown section [DEFAULT]")):
+        load_config(write_config(tmp_path, text))
+    assert load_config().heights.entries["car"] == 140.0
+
+
 def test_band_overlap_is_fatal(tmp_path):
     path = write_config(
         tmp_path,

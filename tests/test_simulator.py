@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from streetwatch import simulator
 from streetwatch.camera import estimate_distance
 from streetwatch.direction import DirectionLabel
 from streetwatch.jsonl import encode_detection_frame, encode_truth_record
@@ -96,6 +97,65 @@ def test_noisy_draw_recipe_is_pinned():
     detections, truth_lines = encode_run(frames, truth)
     digest = hashlib.sha256((detections + "\n" + truth_lines).encode("ascii")).hexdigest()
     assert digest == "14ddb2169d88c98cd29ff30b3b83660fdc82ac9c58b7edbcfbb14bf6a1e398bf"
+
+
+def run_digest(spec):
+    detections, truth_lines = encode_run(*generate(spec))
+    return hashlib.sha256((detections + "\n" + truth_lines).encode("ascii")).hexdigest()
+
+
+# Bytes of the bundled scenarios, which are noise-free and so take the path
+# that draws nothing; the goldens pin only two of them.
+SUITE_DIGESTS = {
+    "single-crosser": "7e8d9f9a38671ded48433ed1f12985d50fdff05fe030e400a0f76ad04bd98611",
+    "approach-head-on": "1bd72d57e5c9b639c266177ff550fb79dbeddff76016ea1b8641361e7efcd86d",
+    "two-crossers-opposite": "395ed19be4c9df898519536ad6eabc972dd60d2e9ee468fe412d2fdd6ecef2ed",
+    "crowded-midrange": "9947b5a5125ff3b238d5ffc4f7f668aa25251b56138327af6f93826ced0fcb9e",
+    "stationary-clutter": "d941c2cfc3d2a90f3ee13d42fcdde2dba09190bf07db69627fb5bbde40d8e346",
+    "enter-exit-churn": "54d9a9151dd441bb7caa8bf8e5d35755a7a908435afe04fe0bac05bb46a3f5c3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_DIGESTS))
+def test_suite_bytes_are_pinned(name):
+    assert run_digest(scenario_by_name(name)) == SUITE_DIGESTS[name]
+
+
+# One non-zero noise number each: every one of them keeps the draw recipe.
+SINGLE_KNOB_DIGESTS = {
+    "center_jitter_px": (2.0, "da666c5c221688f35f1599cc6dd3deae858e80b833ab9bf362635f221ed100aa"),
+    "height_jitter_frac": (0.05, "c399592716157bebc91474befe841035a04cc741b620e9afe95a587e05d1f31e"),
+    "drop_prob": (0.2, "1fa04783e5c1ec290352615841216f20acb1d3ba8f3695d8c799559210df8e28"),
+    "label_flip_prob": (0.2, "47ccb0328771ab52e0222aada50cf5baf01ba4e817d40416e6f75bf82928405c"),
+}
+
+
+@pytest.mark.parametrize("knob", sorted(SINGLE_KNOB_DIGESTS))
+def test_single_knob_bytes_are_pinned(knob):
+    value, digest = SINGLE_KNOB_DIGESTS[knob]
+    assert run_digest(two_actor_scenario(NoiseSpec(**{knob: value}))) == digest
+
+
+def test_noise_free_spec_draws_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a noise-free scenario seeded a random.Random")
+
+    monkeypatch.setattr(simulator.random, "Random", refuse)
+    frames, truth = generate(two_actor_scenario(NoiseSpec()))
+    assert len(truth) == sum(len(f.detections) for f in frames) == 40
+
+
+def test_any_noise_number_keeps_the_draws(monkeypatch):
+    seeded = []
+    real = simulator.random.Random
+
+    def counting(key):
+        seeded.append(key)
+        return real(key)
+
+    monkeypatch.setattr(simulator.random, "Random", counting)
+    _, truth = generate(two_actor_scenario(NoiseSpec(drop_prob=0.2)))
+    assert len(seeded) == len(truth) == 40
 
 
 def test_different_seed_different_jitter():
@@ -237,6 +297,10 @@ HUGE = 10**400  # an int too large for a float
         (lambda: NoiseSpec(drop_prob=True), "drop_prob must lie in \\[0, 1\\], got True"),
         (lambda: small_scenario(duration_s="4"), "duration_s must be positive, got '4'"),
         (lambda: ActorSpec(0, Category("car"), "140", 2.0, Trajectory("stationary", 0.0, 500.0)), "real_height_cm"),
+        (
+            lambda: ActorSpec(0, "car", 140.0, 2.0, Trajectory("stationary", 0.0, 500.0)),
+            "actor 0: category must be a Category, got 'car'",
+        ),
         (
             lambda: ActorSpec(0, Category("car"), 140.0, 2.0, Trajectory("stationary", 0.0, 500.0), enter_s="1"),
             "actor 0: enter_s must be a finite number, got '1'",

@@ -63,6 +63,71 @@ def test_default_text_parses_to_the_same_config(tmp_path):
     assert config_fields(load_config(write_config(tmp_path, text))) == config_fields(load_config())
 
 
+def config_leaves(value, path=()):
+    """Every scalar of a config, keyed by its attribute/index path."""
+    if dataclasses.is_dataclass(value):
+        items = ((f.name, getattr(value, f.name)) for f in dataclasses.fields(value))
+    elif isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, tuple):
+        items = enumerate(value)
+    else:
+        return {path: value}
+    leaves = {}
+    for name, child in items:
+        leaves.update(config_leaves(child, path + (name,)))
+    return leaves
+
+
+def changed_leaves(cfg, base):
+    new, old = config_leaves(cfg), config_leaves(base)
+    return {path: new.get(path) for path in new.keys() | old.keys() if new.get(path) != old.get(path)}
+
+
+# A valid value for every key that differs from the shipped default.
+OVERLAY_VALUES = {
+    ("camera", "focal_px"): 1200.0,
+    ("camera", "image_w"): 1280.0,
+    ("camera", "image_h"): 720.0,
+    ("camera", "camera_height_cm"): 120.0,
+    ("matcher", "max_center_dist_px"): 200.0,
+    ("direction", "gap"): 1,
+    ("direction", "dead_zone_px"): 5.0,
+    ("alarm", "stage1_lo_cm"): 560.0,
+    ("alarm", "stage1_hi_cm"): 610.0,
+    ("alarm", "stage1_vibration_s"): 0.9,
+    ("alarm", "stage2_lo_cm"): 260.0,
+    ("alarm", "stage2_hi_cm"): 310.0,
+    ("alarm", "stage2_vibration_s"): 1.3,
+    ("alarm", "stage3_lo_cm"): 110.0,
+    ("alarm", "stage3_hi_cm"): 160.0,
+    ("alarm", "stage3_vibration_s"): 1.7,
+    ("alarm", "cooldown_ms"): 500,
+    ("alarm", "max_events_per_frame"): 3,
+    ("alarm", "cumulative_bands"): True,
+}
+
+
+def test_every_key_is_read(tmp_path):
+    base = load_config()
+    keys = {(section, key) for section, allowed in _KNOWN_KEYS.items() if allowed for key in allowed}
+    assert set(OVERLAY_VALUES) == keys
+    cases = dict(OVERLAY_VALUES)
+    for label, height in base.heights.entries.items():
+        cases[("heights", label)] = height + 10.0
+    for (section, key), value in cases.items():
+        text = str(value).lower() if isinstance(value, bool) else str(value)
+        changed = changed_leaves(load_config(write_config(tmp_path, f"[{section}]\n{key} = {text}\n")), base)
+        if key == "image_w":
+            # dead_zone_px is left out, so it scales with the width
+            assert changed.pop(("direction", "dead_zone_px")) == 2 * base.direction.dead_zone_px
+        assert [(v, type(v)) for v in changed.values()] == [(value, type(value))], (section, key, changed)
+
+    # a new label joins the table; the shipped ones stay as they are
+    cfg = load_config(write_config(tmp_path, "[heights]\nTrafficCone = 70.0\n"))
+    assert changed_leaves(cfg, base) == {("heights", "entries", "TrafficCone"): 70.0}
+
+
 def test_overlay_replaces_only_named_keys(tmp_path):
     path = write_config(
         tmp_path,

@@ -86,6 +86,8 @@ class AlarmPolicy:
             raise ValueError(f"cooldown_ms must be a non-negative integer, got {self.cooldown_ms!r}")
         if not _is_int(self.max_events_per_frame) or self.max_events_per_frame < 1:
             raise ValueError(f"max_events_per_frame must be an integer >= 1, got {self.max_events_per_frame!r}")
+        if not isinstance(self.cumulative_bands, bool):
+            raise ValueError(f"cumulative_bands must be a bool, got {self.cumulative_bands!r}")
 
 
 @dataclass(frozen=True)

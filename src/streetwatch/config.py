@@ -1,14 +1,15 @@
 """Pipeline configuration files.
 
-Flat INI-style sections. A user file overlays the shipped defaults key by
-key; unknown sections or keys are fatal so typos cannot silently fall back
-to defaults. dead_zone_px may be omitted, in which case it scales with the
-configured image width.
+The shipped defaults are the bundled scenarios' camera, camera height and
+height table (simulator.SUITE_*) plus the config types' own field
+defaults; nothing else restates them. A user file of flat INI-style
+sections overlays them key by key; unknown sections or keys are fatal so
+typos cannot silently fall back to defaults. dead_zone_px may be omitted,
+in which case it scales with the configured image width.
 """
 from __future__ import annotations
 
 import configparser
-from importlib import resources
 from pathlib import Path
 from typing import Optional, Union
 
@@ -17,6 +18,7 @@ from .camera import CameraIntrinsics, HeightTable
 from .direction import DirectionConfig, default_dead_zone_px
 from .matcher import MatchConfig
 from .pipeline import PipelineConfig
+from .simulator import SUITE_CAMERA, SUITE_CAMERA_HEIGHT_CM, SUITE_HEIGHTS_CM
 
 
 class ConfigError(ValueError):
@@ -35,10 +37,6 @@ _KNOWN_KEYS = {
         "cooldown_ms", "max_events_per_frame", "cumulative_bands",
     },
 }
-
-
-def default_config_text() -> str:
-    return resources.files("streetwatch").joinpath("data/default_config.ini").read_text(encoding="utf-8")
 
 
 def _new_parser() -> configparser.ConfigParser:
@@ -67,9 +65,9 @@ def _check_known(parser: configparser.ConfigParser, source: str) -> None:
                 raise ConfigError(f"{source}: unknown key {key!r} in [{section}]")
 
 
-def _get_float(parser, section: str, key: str) -> float:
+def _get_float(parser, section: str, key: str, default: float) -> float:
     try:
-        value = parser.getfloat(section, key)
+        value = parser.getfloat(section, key, fallback=default)
     except (configparser.Error, ValueError) as exc:
         raise ConfigError(f"[{section}] {key}: not a number ({exc})") from None
     if not value > 0:
@@ -77,9 +75,9 @@ def _get_float(parser, section: str, key: str) -> float:
     return value
 
 
-def _get_int(parser, section: str, key: str, *, minimum: int) -> int:
+def _get_int(parser, section: str, key: str, default: int, *, minimum: int) -> int:
     try:
-        value = parser.getint(section, key)
+        value = parser.getint(section, key, fallback=default)
     except (configparser.Error, ValueError) as exc:
         raise ConfigError(f"[{section}] {key}: not an integer ({exc})") from None
     if value < minimum:
@@ -87,9 +85,9 @@ def _get_int(parser, section: str, key: str, *, minimum: int) -> int:
     return value
 
 
-def _get_bool(parser, section: str, key: str) -> bool:
+def _get_bool(parser, section: str, key: str, default: bool) -> bool:
     try:
-        return parser.getboolean(section, key)
+        return parser.getboolean(section, key, fallback=default)
     except (configparser.Error, ValueError) as exc:
         raise ConfigError(f"[{section}] {key}: not a boolean ({exc})") from None
 
@@ -97,59 +95,63 @@ def _get_bool(parser, section: str, key: str) -> bool:
 def load_config(path: Optional[Union[str, Path]] = None) -> PipelineConfig:
     """Load a pipeline config, overlaying the user file on the defaults."""
     parser = _new_parser()
-    parser.read_string(default_config_text(), source="defaults")
     if path is not None:
-        user = _new_parser()
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                user.read_file(fh, source=str(path))
+                parser.read_file(fh, source=str(path))
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise ConfigError(f"cannot read config {path}: not UTF-8 ({exc})") from None
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse config {path}: {exc}") from None
-        _check_known(user, str(path))
-        # overlay key by key on top of the defaults
-        for section in user.sections():
-            if not parser.has_section(section):
-                parser.add_section(section)
-            for key, value in user[section].items():
-                parser.set(section, key, value)
+        _check_known(parser, str(path))
+    # what a file leaves out: the bundled scenarios' camera and heights, and
+    # every other field at its type's default
+    base = PipelineConfig(
+        camera=SUITE_CAMERA, camera_height_cm=SUITE_CAMERA_HEIGHT_CM, heights=HeightTable(SUITE_HEIGHTS_CM)
+    )
 
     try:
         camera = CameraIntrinsics(
-            focal_px=_get_float(parser, "camera", "focal_px"),
-            image_w=_get_float(parser, "camera", "image_w"),
-            image_h=_get_float(parser, "camera", "image_h"),
+            focal_px=_get_float(parser, "camera", "focal_px", base.camera.focal_px),
+            image_w=_get_float(parser, "camera", "image_w", base.camera.image_w),
+            image_h=_get_float(parser, "camera", "image_h", base.camera.image_h),
         )
-        camera_height_cm = _get_float(parser, "camera", "camera_height_cm")
+        camera_height_cm = _get_float(parser, "camera", "camera_height_cm", base.camera_height_cm)
 
-        heights = HeightTable({label: _get_float(parser, "heights", label) for label in parser["heights"]})
+        # the shipped labels in their order, then the file's new ones
+        shipped = base.heights.entries
+        named = parser["heights"] if parser.has_section("heights") else {}
+        heights = HeightTable(
+            {label: _get_float(parser, "heights", label, shipped.get(label)) for label in {**shipped, **named}}
+        )
 
-        matcher = MatchConfig(max_center_dist_px=_get_float(parser, "matcher", "max_center_dist_px"))
+        matcher = MatchConfig(
+            max_center_dist_px=_get_float(parser, "matcher", "max_center_dist_px", base.matcher.max_center_dist_px)
+        )
 
-        gap = _get_int(parser, "direction", "gap", minimum=1)
-        if parser.has_option("direction", "dead_zone_px"):
-            dead_zone = _get_float(parser, "direction", "dead_zone_px")
-        else:
-            dead_zone = default_dead_zone_px(camera.image_w)
-        direction = DirectionConfig(gap=gap, dead_zone_px=dead_zone)
+        direction = DirectionConfig(
+            gap=_get_int(parser, "direction", "gap", base.direction.gap, minimum=1),
+            dead_zone_px=_get_float(parser, "direction", "dead_zone_px", default_dead_zone_px(camera.image_w)),
+        )
 
         stages = tuple(
             AlarmStage(
-                stage=n,
-                band_lo_cm=_get_float(parser, "alarm", f"stage{n}_lo_cm"),
-                band_hi_cm=_get_float(parser, "alarm", f"stage{n}_hi_cm"),
-                vibration_s=_get_float(parser, "alarm", f"stage{n}_vibration_s"),
+                stage=s.stage,
+                band_lo_cm=_get_float(parser, "alarm", f"stage{s.stage}_lo_cm", s.band_lo_cm),
+                band_hi_cm=_get_float(parser, "alarm", f"stage{s.stage}_hi_cm", s.band_hi_cm),
+                vibration_s=_get_float(parser, "alarm", f"stage{s.stage}_vibration_s", s.vibration_s),
             )
-            for n in (1, 2, 3)
+            for s in base.alarm.stages
         )
         alarm = AlarmPolicy(
             stages=stages,
-            cooldown_ms=_get_int(parser, "alarm", "cooldown_ms", minimum=0),
-            max_events_per_frame=_get_int(parser, "alarm", "max_events_per_frame", minimum=1),
-            cumulative_bands=_get_bool(parser, "alarm", "cumulative_bands"),
+            cooldown_ms=_get_int(parser, "alarm", "cooldown_ms", base.alarm.cooldown_ms, minimum=0),
+            max_events_per_frame=_get_int(
+                parser, "alarm", "max_events_per_frame", base.alarm.max_events_per_frame, minimum=1
+            ),
+            cumulative_bands=_get_bool(parser, "alarm", "cumulative_bands", base.alarm.cumulative_bands),
         )
         # PipelineConfig checks gap against the window depth
         return PipelineConfig(

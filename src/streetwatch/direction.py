@@ -41,7 +41,7 @@ def default_dead_zone_px(image_w: float) -> float:
     """Dead zone scaled to the image width: 8 px per 640 px."""
     if not image_w > 0:
         raise ValueError(f"image_w must be positive, got {image_w!r}")
-    return 8.0 * image_w / 640.0
+    return DirectionConfig.dead_zone_px * image_w / 640.0
 
 
 def classify_direction(x_current: float, x_reference: float, cfg: DirectionConfig) -> DirectionLabel:

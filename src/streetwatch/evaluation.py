@@ -266,7 +266,7 @@ def score(
 def config_for_scenario(
     spec: ScenarioSpec,
     *,
-    gap: int = 2,
+    gap: int = DirectionConfig.gap,
     dead_zone_px: Optional[float] = None,
 ) -> PipelineConfig:
     """A pipeline config that mirrors a scenario: same camera, same heights."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from .camera import CameraIntrinsics, project_ground_point
-from .direction import DirectionLabel
+from .direction import DirectionConfig, DirectionLabel
 from .types import Category, Detection, DetectionFrame, KNOWN_CATEGORIES, key_mismatch
 from .types import _box_error, _checked_box, _checked_detection, _is_finite_number
 
@@ -273,8 +273,10 @@ SUITE_CAMERA = CameraIntrinsics(focal_px=1000.0, image_w=640.0, image_h=480.0)
 SUITE_CAMERA_HEIGHT_CM = 140.0
 SUITE_FRAME_RATE_HZ = 10.0
 
-# Real heights used by the bundled scenarios; chosen to agree with the
-# shipped default height table so noise-free estimates are exact.
+# Real heights used by the bundled scenarios. These, SUITE_CAMERA and
+# SUITE_CAMERA_HEIGHT_CM are also the shipped pipeline defaults
+# (config.load_config starts from them), so noise-free estimates of the
+# bundled scenarios are exact under the default config.
 SUITE_HEIGHTS_CM: Dict[str, float] = {
     "car": 140.0,
     "bus": 320.0,
@@ -404,7 +406,7 @@ def scenario_by_name(name: str) -> ScenarioSpec:
     raise ScenarioError(f"unknown scenario {name!r}; bundled scenarios: {known}")
 
 
-def slow_crosser(dead_zone_px: float = 8.0) -> ScenarioSpec:
+def slow_crosser(dead_zone_px: float = DirectionConfig.dead_zone_px) -> ScenarioSpec:
     """A crosser tuned so its per-frame displacement hides inside the dead zone.
 
     Per frame the projected center moves 0.75 * dead_zone_px, so a
@@ -519,24 +521,9 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
             optional=("vx_cm_s", "vz_cm_s"),
             what=f"{what} trajectory",
         )
-        trajectory = Trajectory(
-            kind=traj_raw["kind"],
-            x0_cm=traj_raw["x0_cm"],
-            z0_cm=traj_raw["z0_cm"],
-            vx_cm_s=traj_raw.get("vx_cm_s", 0.0),
-            vz_cm_s=traj_raw.get("vz_cm_s", 0.0),
-        )
-        actors.append(
-            ActorSpec(
-                actor_id=raw["actor_id"],
-                category=Category(raw["category"]),
-                real_height_cm=raw["real_height_cm"],
-                aspect_ratio=raw["aspect_ratio"],
-                trajectory=trajectory,
-                enter_s=raw.get("enter_s"),
-                exit_s=raw.get("exit_s"),
-            )
-        )
+        # the key checks leave only field names; a key left out takes its default
+        trajectory = Trajectory(**traj_raw)
+        actors.append(ActorSpec(**dict(raw, category=Category(raw["category"]), trajectory=trajectory)))
 
     noise_raw = data.get("noise", {})
     if not isinstance(noise_raw, dict):
@@ -547,19 +534,6 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
         optional=("center_jitter_px", "height_jitter_frac", "drop_prob", "label_flip_prob"),
         what="noise",
     )
-    noise = NoiseSpec(
-        center_jitter_px=noise_raw.get("center_jitter_px", 0.0),
-        height_jitter_frac=noise_raw.get("height_jitter_frac", 0.0),
-        drop_prob=noise_raw.get("drop_prob", 0.0),
-        label_flip_prob=noise_raw.get("label_flip_prob", 0.0),
-    )
-    return ScenarioSpec(
-        name=data.get("name", "scenario"),
-        duration_s=data["duration_s"],
-        frame_rate_hz=data["frame_rate_hz"],
-        camera=CameraIntrinsics(focal_px=cam["focal_px"], image_w=cam["image_w"], image_h=cam["image_h"]),
-        camera_height_cm=data["camera_height_cm"],
-        actors=tuple(actors),
-        noise=noise,
-        seed=data.get("seed", 0),
-    )
+    noise = NoiseSpec(**noise_raw)
+    camera = CameraIntrinsics(**cam)
+    return ScenarioSpec(**dict(data, name=data.get("name", "scenario"), camera=camera, actors=tuple(actors), noise=noise))

@@ -4,12 +4,13 @@ import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from streetwatch.alarm import DEFAULT_STAGES, AlarmPolicy, AlarmStage
 from streetwatch.camera import estimate_distance
-from streetwatch.config import _KNOWN_KEYS, ConfigError, _new_parser, default_config_text, load_config
+from streetwatch.config import _KNOWN_KEYS, ConfigError, load_config
 from streetwatch.direction import DirectionConfig
 from streetwatch.jsonl import encode_detection_frame, write_lines
 from streetwatch.matcher import MatchConfig
@@ -41,28 +42,6 @@ def test_defaults_load_without_a_file():
     assert cfg.alarm.cumulative_bands is False
 
 
-def config_fields(cfg):
-    """The field values of a PipelineConfig; HeightTable compares by identity."""
-    fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
-    fields["heights"] = cfg.heights.entries
-    return fields
-
-
-def test_default_text_parses_to_the_same_config(tmp_path):
-    # the shipped file and the no-file path must agree
-    text = default_config_text()
-    parser = _new_parser()
-    parser.read_string(text)
-    assert set(parser.sections()) == set(_KNOWN_KEYS)
-    for section, allowed in _KNOWN_KEYS.items():
-        if allowed is None:
-            continue
-        # dead_zone_px is left out on purpose: it then scales with image_w
-        missing = {"dead_zone_px"} if section == "direction" else set()
-        assert set(parser[section]) == allowed - missing, section
-    assert config_fields(load_config(write_config(tmp_path, text))) == config_fields(load_config())
-
-
 def config_leaves(value, path=()):
     """Every scalar of a config, keyed by its attribute/index path."""
     if dataclasses.is_dataclass(value):
@@ -83,6 +62,8 @@ def changed_leaves(cfg, base):
     new, old = config_leaves(cfg), config_leaves(base)
     return {path: new.get(path) for path in new.keys() | old.keys() if new.get(path) != old.get(path)}
 
+
+KNOWN_PAIRS = {(section, key) for section, allowed in _KNOWN_KEYS.items() if allowed for key in allowed}
 
 # A valid value for every key that differs from the shipped default.
 OVERLAY_VALUES = {
@@ -110,8 +91,7 @@ OVERLAY_VALUES = {
 
 def test_every_key_is_read(tmp_path):
     base = load_config()
-    keys = {(section, key) for section, allowed in _KNOWN_KEYS.items() if allowed for key in allowed}
-    assert set(OVERLAY_VALUES) == keys
+    assert set(OVERLAY_VALUES) == KNOWN_PAIRS
     cases = dict(OVERLAY_VALUES)
     for label, height in base.heights.entries.items():
         cases[("heights", label)] = height + 10.0
@@ -126,6 +106,19 @@ def test_every_key_is_read(tmp_path):
     # a new label joins the table; the shipped ones stay as they are
     cfg = load_config(write_config(tmp_path, "[heights]\nTrafficCone = 70.0\n"))
     assert changed_leaves(cfg, base) == {("heights", "entries", "TrafficCone"): 70.0}
+
+
+def test_readme_lists_every_key_with_its_default(tmp_path):
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    text = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \| `([^`]+)` \|", text, flags=re.M)
+    base = load_config()
+    listed = {(section, key) for section, key, _ in rows}
+    assert KNOWN_PAIRS | {("heights", label) for label in base.heights.entries} <= listed
+    for section, key, value in rows:
+        # the listed default, written into a file, changes nothing
+        cfg = load_config(write_config(tmp_path, f"[{section}]\n{key} = {value}\n"))
+        assert changed_leaves(cfg, base) == {}, (section, key, value)
 
 
 def test_overlay_replaces_only_named_keys(tmp_path):
@@ -346,6 +339,9 @@ REFUSALS = {
     "stage-band-hi-huge": (lambda: AlarmStage(1, 570.0, 10**400, 0.8), "band_hi_cm must exceed band_lo_cm"),
     "policy-cooldown-bool": (lambda: AlarmPolicy(cooldown_ms=True), "cooldown_ms must be a non-negative integer, got True"),
     "policy-cap-bool": (lambda: AlarmPolicy(max_events_per_frame=True), "max_events_per_frame must be an integer >= 1, got True"),
+    "policy-cumulative-str": (lambda: AlarmPolicy(cumulative_bands="no"), "cumulative_bands must be a bool, got 'no'"),
+    "policy-cumulative-int": (lambda: AlarmPolicy(cumulative_bands=1), "cumulative_bands must be a bool, got 1"),
+    "policy-cumulative-none": (lambda: AlarmPolicy(cumulative_bands=None), "cumulative_bands must be a bool, got None"),
     "match-dist-bool": (lambda: MatchConfig(max_center_dist_px=True), "max_center_dist_px must be positive, got True"),
     "match-dist-inf": (lambda: MatchConfig(max_center_dist_px=math.inf), "max_center_dist_px must be positive, got inf"),
     "direction-dead-zone-inf": (lambda: DirectionConfig(dead_zone_px=math.inf), "dead_zone_px must be positive, got inf"),

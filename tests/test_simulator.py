@@ -413,7 +413,13 @@ def test_scenario_from_dict_defaults():
     spec = scenario_from_dict(data)
     assert spec.noise == NoiseSpec()
     assert spec.seed == 0
-    assert spec.actors[0].trajectory.vx_cm_s == 0.0
+    assert spec.actors == (ActorSpec(0, Category("car"), 140.0, 2.0, Trajectory("stationary", 0.0, 500.0)),)
+    # the trajectory is built before the category, so its error is the one reported
+    actor = data["actors"][0]
+    actor["category"] = ""
+    actor["trajectory"]["kind"] = "flying"
+    with pytest.raises(ScenarioError, match="trajectory kind must be one of"):
+        scenario_from_dict(data)
 
 
 def test_with_helpers_replace_one_field():

@@ -24,12 +24,7 @@ from .camera import (
     project_height,
 )
 from .config import ConfigError, load_config
-from .direction import (
-    DirectionConfig,
-    DirectionLabel,
-    classify_direction,
-    default_dead_zone_px,
-)
+from .direction import DirectionConfig, DirectionLabel, classify_direction
 from .evaluation import (
     AlignmentError,
     BandPartition,
@@ -43,7 +38,7 @@ from .evaluation import (
     score,
 )
 from .matcher import MatchConfig, MatchResult, match_frames
-from .pipeline import Pipeline, PipelineConfig, StreamOrderError, TrackedObject, WINDOW_DEPTH
+from .pipeline import Pipeline, PipelineConfig, StreamOrderError, TrackedObject, WINDOW_DEPTH, config_for_camera
 from .simulator import (
     ActorSpec,
     NoiseSpec,

@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--config",
         metavar="PATH",
-        help="pipeline config INI; enables projected-center alignment and the excusable-forward rule",
+        help="pipeline config INI; enables the excusable-forward rule with its focal length, gap and dead zone",
     )
     p.add_argument("--report", required=True, metavar="PATH", help="write the report as JSON here")
 
@@ -185,7 +185,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             raise EvalError(f"--bands must be comma-separated numbers, got {args.bands!r}") from None
         bands = BandPartition(boundaries)
     cfg = load_config(args.config) if args.config else None
-    report = score(tracked, truth, bands, excuse=cfg, projector=cfg)
+    report = score(tracked, truth, bands, excuse=cfg)
     with open(args.report, "w", encoding="utf-8", newline="") as fh:
         fh.write(json.dumps(report.to_dict(), indent=2) + "\n")
     print(report.render_text())

@@ -1,11 +1,12 @@
 """Pipeline configuration files.
 
-The shipped defaults are the bundled scenarios' camera, camera height and
-height table (simulator.SUITE_*) plus the config types' own field
-defaults; nothing else restates them. A user file of flat INI-style
-sections overlays them key by key; unknown sections or keys are fatal so
-typos cannot silently fall back to defaults. dead_zone_px may be omitted,
-in which case it scales with the configured image width.
+The shipped defaults are the bundled scenarios' camera and height table
+(simulator.SUITE_*) and what pipeline.config_for_camera builds on them;
+nothing else restates them. A user file of flat INI-style sections
+overlays them key by key; unknown sections or keys are fatal so typos
+cannot silently fall back to defaults. dead_zone_px and
+max_center_dist_px may be omitted, in which case they scale with the
+configured image width.
 """
 from __future__ import annotations
 
@@ -15,10 +16,10 @@ from typing import Optional, Union
 
 from .alarm import AlarmPolicy, AlarmStage
 from .camera import CameraIntrinsics, HeightTable
-from .direction import DirectionConfig, default_dead_zone_px
+from .direction import DirectionConfig
 from .matcher import MatchConfig
-from .pipeline import PipelineConfig
-from .simulator import SUITE_CAMERA, SUITE_CAMERA_HEIGHT_CM, SUITE_HEIGHTS_CM
+from .pipeline import PipelineConfig, config_for_camera
+from .simulator import SUITE_CAMERA, SUITE_HEIGHTS_CM
 
 
 class ConfigError(ValueError):
@@ -26,7 +27,7 @@ class ConfigError(ValueError):
 
 
 _KNOWN_KEYS = {
-    "camera": {"focal_px", "image_w", "image_h", "camera_height_cm"},
+    "camera": {"focal_px", "image_w", "image_h"},
     "heights": None,  # any category label is a legal key
     "matcher": {"max_center_dist_px"},
     "direction": {"gap", "dead_zone_px"},
@@ -106,34 +107,29 @@ def load_config(path: Optional[Union[str, Path]] = None) -> PipelineConfig:
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse config {path}: {exc}") from None
         _check_known(parser, str(path))
-    # what a file leaves out: the bundled scenarios' camera and heights, and
-    # every other field at its type's default
-    base = PipelineConfig(
-        camera=SUITE_CAMERA, camera_height_cm=SUITE_CAMERA_HEIGHT_CM, heights=HeightTable(SUITE_HEIGHTS_CM)
-    )
-
     try:
         camera = CameraIntrinsics(
-            focal_px=_get_float(parser, "camera", "focal_px", base.camera.focal_px),
-            image_w=_get_float(parser, "camera", "image_w", base.camera.image_w),
-            image_h=_get_float(parser, "camera", "image_h", base.camera.image_h),
+            focal_px=_get_float(parser, "camera", "focal_px", SUITE_CAMERA.focal_px),
+            image_w=_get_float(parser, "camera", "image_w", SUITE_CAMERA.image_w),
+            image_h=_get_float(parser, "camera", "image_h", SUITE_CAMERA.image_h),
         )
-        camera_height_cm = _get_float(parser, "camera", "camera_height_cm", base.camera_height_cm)
 
         # the shipped labels in their order, then the file's new ones
-        shipped = base.heights.entries
+        shipped = SUITE_HEIGHTS_CM
         named = parser["heights"] if parser.has_section("heights") else {}
         heights = HeightTable(
             {label: _get_float(parser, "heights", label, shipped.get(label)) for label in {**shipped, **named}}
         )
 
+        # what the file leaves out below comes from this camera's config
+        base = config_for_camera(camera, heights)
         matcher = MatchConfig(
             max_center_dist_px=_get_float(parser, "matcher", "max_center_dist_px", base.matcher.max_center_dist_px)
         )
 
         direction = DirectionConfig(
             gap=_get_int(parser, "direction", "gap", base.direction.gap, minimum=1),
-            dead_zone_px=_get_float(parser, "direction", "dead_zone_px", default_dead_zone_px(camera.image_w)),
+            dead_zone_px=_get_float(parser, "direction", "dead_zone_px", base.direction.dead_zone_px),
         )
 
         stages = tuple(
@@ -156,7 +152,6 @@ def load_config(path: Optional[Union[str, Path]] = None) -> PipelineConfig:
         # PipelineConfig checks gap against the window depth
         return PipelineConfig(
             camera=camera,
-            camera_height_cm=camera_height_cm,
             heights=heights,
             matcher=matcher,
             direction=direction,

@@ -23,8 +23,8 @@ class DirectionLabel(str, Enum):
 class DirectionConfig:
     """Lookback gap in frames and the jitter dead zone in pixels.
 
-    The default dead zone of 8 px is sized for a 640 px wide image; scale
-    it proportionally for other widths (see default_dead_zone_px).
+    The default dead zone of 8 px is sized for a 640 px wide image;
+    pipeline.config_for_camera scales it for other widths.
     """
 
     gap: int = 2
@@ -35,13 +35,6 @@ class DirectionConfig:
             raise ValueError(f"gap must be an integer >= 1, got {self.gap!r}")
         if not (_is_finite_number(self.dead_zone_px) and self.dead_zone_px > 0):
             raise ValueError(f"dead_zone_px must be positive, got {self.dead_zone_px!r}")
-
-
-def default_dead_zone_px(image_w: float) -> float:
-    """Dead zone scaled to the image width: 8 px per 640 px."""
-    if not image_w > 0:
-        raise ValueError(f"image_w must be positive, got {image_w!r}")
-    return DirectionConfig.dead_zone_px * image_w / 640.0
 
 
 def classify_direction(x_current: float, x_reference: float, cfg: DirectionConfig) -> DirectionLabel:

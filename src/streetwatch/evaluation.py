@@ -1,28 +1,23 @@
 """Scoring tracked streams against simulator ground truth.
 
-Alignment is per frame_id. Within a frame the default is positional:
-the simulator documents that the k-th detection is the k-th emitted
-truth record, and the pipeline preserves detection order, so the k-th
-tracked object pairs with the k-th emitted record. When a projector is
-supplied (camera known), greedy nearest-center assignment between
-tracked boxes and projected truth positions is used instead, which also
-covers streams whose within-frame order is not trustworthy.
+Alignment is per frame_id and, within a frame, positional: the
+simulator documents that the k-th detection is the k-th emitted truth
+record, and the pipeline preserves detection order, so the k-th tracked
+object pairs with the k-th emitted record.
 
 Fractions with an empty denominator are reported as None ("n/a"),
 never as 0.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .camera import HeightTable, project_ground_point
-from .direction import DirectionConfig, DirectionLabel, default_dead_zone_px
-from .matcher import MatchConfig, greedy_assign
-from .pipeline import Pipeline, PipelineConfig, TrackedObject
+from .camera import HeightTable
+from .direction import DirectionConfig, DirectionLabel
+from .pipeline import Pipeline, PipelineConfig, TrackedObject, config_for_camera
 from .simulator import ScenarioSpec, TruthRecord, generate
-from .types import Category, DetectionFrame, _is_finite_number
+from .types import DetectionFrame, _is_finite_number
 
 
 class AlignmentError(Exception):
@@ -130,42 +125,12 @@ def _group_by_frame(records: Iterable) -> Dict[int, List]:
     return grouped
 
 
-def _truth_center(rec: TruthRecord, cfg: PipelineConfig) -> Tuple[float, float]:
-    real_height = cfg.heights.lookup(rec.true_category)
-    if real_height is None:
-        raise EvalError(f"no height entry for category {rec.true_category.label!r}; cannot project truth")
-    # the box width does not move its center, so any aspect ratio will do
-    box = project_ground_point(
-        cfg.camera, rec.true_lateral_cm, rec.true_depth_cm, real_height, 1.0, cfg.camera_height_cm
-    )
-    return box.center()
-
-
-def _align_frame(
-    tracked: List[TrackedObject],
-    emitted: List[TruthRecord],
-    projector: Optional[PipelineConfig],
-) -> List[Tuple[TrackedObject, TruthRecord]]:
-    if projector is None:
-        return list(zip(tracked, emitted))
-    # greedy nearest-center assignment; counts are equal, so everything pairs
-    centers = [_truth_center(r, projector) for r in emitted]
-    candidates = []
-    for ti, obj in enumerate(tracked):
-        cx, cy = obj.bbox.center()
-        for rj, (rx, ry) in enumerate(centers):
-            candidates.append((math.hypot(cx - rx, cy - ry), ti, rj))
-    accepted = greedy_assign(candidates, len(tracked), len(emitted))
-    return [(tracked[ti], emitted[rj]) for _cost, ti, rj in accepted]
-
-
 def score(
     tracked: Sequence[TrackedObject],
     truth: Sequence[TruthRecord],
     bands: Optional[BandPartition] = None,
     *,
     excuse: Optional[PipelineConfig] = None,
-    projector: Optional[PipelineConfig] = None,
 ) -> EvalReport:
     """Score a tracked stream against the truth stream of the same run.
 
@@ -174,10 +139,10 @@ def score(
     matched fraction reports how many that is). With an excuse config, a
     'forward' label on a moving actor is accepted when the actor's true
     displacement over its gap, projected with its focal length, stays
-    inside its dead zone; without one, scoring is strict. With a projector
-    config, records align by projected truth center instead of position.
-    Raises AlignmentError when per-frame counts of tracked objects and
-    emitted truth records disagree.
+    inside its dead zone; without one, scoring is strict. Tracked objects
+    pair with emitted truth records by position within each frame. Raises
+    AlignmentError when per-frame counts of tracked objects and emitted
+    truth records disagree.
     """
     bands = bands or BandPartition()
     labels = bands.labels()
@@ -203,7 +168,7 @@ def score(
                 f"frame {frame_id}: {len(tracked_here)} tracked objects vs "
                 f"{len(emitted_here)} emitted truth records"
             )
-        for obj, rec in _align_frame(tracked_here, emitted_here, projector):
+        for obj, rec in zip(tracked_here, emitted_here):
             aligned += 1
             if obj.category == rec.true_category:
                 category_correct += 1
@@ -250,7 +215,7 @@ def score(
     assumptions = {
         "band_boundaries_cm": list(bands.boundaries_cm),
         "direction_scoring": "strict" if excuse is None else "excusable-forward",
-        "alignment": "positional" if projector is None else "projected-center",
+        "alignment": "positional",
     }
     return EvalReport(
         category_accuracy=ratio(category_correct, aligned),
@@ -266,24 +231,27 @@ def score(
 def config_for_scenario(
     spec: ScenarioSpec,
     *,
-    gap: int = DirectionConfig.gap,
+    gap: Optional[int] = None,
     dead_zone_px: Optional[float] = None,
 ) -> PipelineConfig:
-    """A pipeline config that mirrors a scenario: same camera, same heights."""
+    """A pipeline config that mirrors a scenario: same camera, same heights.
+
+    gap and dead_zone_px, when given, replace the camera's direction defaults.
+    """
     heights: Dict[str, float] = {}
     for actor in spec.actors:
         label = actor.category.label
         if label in heights and heights[label] != actor.real_height_cm:
             raise EvalError(f"actors disagree on the height of {label!r}; cannot derive a height table")
         heights[label] = actor.real_height_cm
-    dz = default_dead_zone_px(spec.camera.image_w) if dead_zone_px is None else dead_zone_px
-    return PipelineConfig(
-        camera=spec.camera,
-        camera_height_cm=spec.camera_height_cm,
-        heights=HeightTable(heights),
-        matcher=MatchConfig(max_center_dist_px=0.25 * spec.camera.image_w),
-        direction=DirectionConfig(gap=gap, dead_zone_px=dz),
+    cfg = config_for_camera(spec.camera, HeightTable(heights))
+    if gap is None and dead_zone_px is None:
+        return cfg
+    direction = DirectionConfig(
+        gap=cfg.direction.gap if gap is None else gap,
+        dead_zone_px=cfg.direction.dead_zone_px if dead_zone_px is None else dead_zone_px,
     )
+    return replace(cfg, direction=direction)
 
 
 @dataclass(frozen=True)

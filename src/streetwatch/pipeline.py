@@ -18,7 +18,7 @@ from .alarm import AlarmEvent, AlarmPolicy, CooldownLedger, emit_alarms
 from .camera import CameraIntrinsics, HeightTable, estimate_distance
 from .direction import DirectionConfig, DirectionLabel, classify_direction
 from .matcher import MatchConfig, match_frames
-from .types import BoundingBox, Category, DetectionFrame, ObjectId, _is_finite_number, _new, _set, validate_frame
+from .types import BoundingBox, Category, DetectionFrame, ObjectId, _new, _set, validate_frame
 
 logger = logging.getLogger(__name__)
 
@@ -79,17 +79,27 @@ class PipelineConfig:
     """Everything one stream needs: camera, heights, association, alarms."""
 
     camera: CameraIntrinsics
-    camera_height_cm: float
     heights: HeightTable
     matcher: MatchConfig = field(default_factory=MatchConfig)
     direction: DirectionConfig = field(default_factory=DirectionConfig)
     alarm: AlarmPolicy = field(default_factory=AlarmPolicy)
 
     def __post_init__(self):
-        if not (_is_finite_number(self.camera_height_cm) and self.camera_height_cm >= 0):
-            raise ValueError(f"camera_height_cm must be non-negative, got {self.camera_height_cm!r}")
         if self.direction.gap > WINDOW_DEPTH:
             raise ValueError(f"gap {self.direction.gap} exceeds the {WINDOW_DEPTH}-frame window")
+
+
+def config_for_camera(camera: CameraIntrinsics, heights: HeightTable) -> PipelineConfig:
+    """The config for one camera: every field at its type's default, except
+    the dead zone and the match gate, whose defaults are sized for a 640 px
+    wide image and scale with the camera's width."""
+    scale = camera.image_w / 640.0
+    return PipelineConfig(
+        camera=camera,
+        heights=heights,
+        matcher=MatchConfig(max_center_dist_px=MatchConfig.max_center_dist_px * scale),
+        direction=DirectionConfig(dead_zone_px=DirectionConfig.dead_zone_px * scale),
+    )
 
 
 @dataclass

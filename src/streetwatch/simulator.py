@@ -273,10 +273,10 @@ SUITE_CAMERA = CameraIntrinsics(focal_px=1000.0, image_w=640.0, image_h=480.0)
 SUITE_CAMERA_HEIGHT_CM = 140.0
 SUITE_FRAME_RATE_HZ = 10.0
 
-# Real heights used by the bundled scenarios. These, SUITE_CAMERA and
-# SUITE_CAMERA_HEIGHT_CM are also the shipped pipeline defaults
-# (config.load_config starts from them), so noise-free estimates of the
-# bundled scenarios are exact under the default config.
+# Real heights used by the bundled scenarios. These and SUITE_CAMERA are
+# also the shipped pipeline defaults (config.load_config starts from them),
+# so noise-free estimates of the bundled scenarios are exact under the
+# default config.
 SUITE_HEIGHTS_CM: Dict[str, float] = {
     "car": 140.0,
     "bus": 320.0,

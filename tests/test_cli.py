@@ -376,7 +376,7 @@ def test_eval_writes_a_report(tmp_path):
     assert report["assumptions"]["alignment"] == "positional"
 
 
-def test_eval_with_config_enables_excuse_and_projection(tmp_path):
+def test_eval_with_config_enables_only_the_excuse(tmp_path):
     det, truth, _ = simulate(tmp_path)
     tracked = tmp_path / "tracked.jsonl"
     proc = run_cli("replay", str(det), "--out-tracked", str(tracked), "--out-events", str(tmp_path / "e.jsonl"))
@@ -388,7 +388,7 @@ def test_eval_with_config_enables_excuse_and_projection(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(report_path.read_text(encoding="utf-8"))
     assert report["assumptions"]["direction_scoring"] == "excusable-forward"
-    assert report["assumptions"]["alignment"] == "projected-center"
+    assert report["assumptions"]["alignment"] == "positional"
     assert report["direction_accuracy_overall"] == 1.0
 
 

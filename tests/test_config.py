@@ -12,9 +12,10 @@ from streetwatch.alarm import DEFAULT_STAGES, AlarmPolicy, AlarmStage
 from streetwatch.camera import estimate_distance
 from streetwatch.config import _KNOWN_KEYS, ConfigError, load_config
 from streetwatch.direction import DirectionConfig
+from streetwatch.evaluation import config_for_scenario
 from streetwatch.jsonl import encode_detection_frame, write_lines
 from streetwatch.matcher import MatchConfig
-from streetwatch.pipeline import PipelineConfig
+from streetwatch.simulator import scenario_by_name
 
 from conftest import make_det, make_frame
 
@@ -30,7 +31,6 @@ def test_defaults_load_without_a_file():
     assert cfg.camera.focal_px == 1000.0
     assert cfg.camera.image_w == 640.0
     assert cfg.camera.image_h == 480.0
-    assert cfg.camera_height_cm == 140.0
     assert cfg.heights.entries["car"] == 140.0
     assert cfg.heights.entries["person"] == 165.0
     assert cfg.matcher.max_center_dist_px == 160.0
@@ -70,7 +70,6 @@ OVERLAY_VALUES = {
     ("camera", "focal_px"): 1200.0,
     ("camera", "image_w"): 1280.0,
     ("camera", "image_h"): 720.0,
-    ("camera", "camera_height_cm"): 120.0,
     ("matcher", "max_center_dist_px"): 200.0,
     ("direction", "gap"): 1,
     ("direction", "dead_zone_px"): 5.0,
@@ -99,8 +98,9 @@ def test_every_key_is_read(tmp_path):
         text = str(value).lower() if isinstance(value, bool) else str(value)
         changed = changed_leaves(load_config(write_config(tmp_path, f"[{section}]\n{key} = {text}\n")), base)
         if key == "image_w":
-            # dead_zone_px is left out, so it scales with the width
+            # dead_zone_px and max_center_dist_px are left out, so they scale with the width
             assert changed.pop(("direction", "dead_zone_px")) == 2 * base.direction.dead_zone_px
+            assert changed.pop(("matcher", "max_center_dist_px")) == 2 * base.matcher.max_center_dist_px
         assert [(v, type(v)) for v in changed.values()] == [(value, type(value))], (section, key, changed)
 
     # a new label joins the table; the shipped ones stay as they are
@@ -150,6 +150,15 @@ image_w = 1280.0
 """,
     )
     cfg = load_config(path)
+    assert cfg.direction.dead_zone_px == 16.0
+
+
+def test_config_file_and_scenario_agree_on_a_wider_camera(tmp_path):
+    cfg = load_config(write_config(tmp_path, "[camera]\nimage_w = 1280\n"))
+    spec = dataclasses.replace(scenario_by_name("single-crosser"), camera=cfg.camera)
+    mirrored = config_for_scenario(spec)
+    assert (cfg.matcher, cfg.direction) == (mirrored.matcher, mirrored.direction)
+    assert cfg.matcher.max_center_dist_px == 320.0
     assert cfg.direction.dead_zone_px == 16.0
 
 
@@ -225,11 +234,16 @@ def test_out_of_range_values_are_fatal(tmp_path, section, key, value, hint):
         load_config(path)
 
 
-@pytest.mark.parametrize("key,value", [("strategy", "euclidean"), ("min_iou", "0.1")])
-def test_removed_matcher_keys_are_unknown(tmp_path, key, value):
-    # center distance is the only association cost; its former knobs are typos now
-    path = write_config(tmp_path, f"[matcher]\n{key} = {value}\n")
-    with pytest.raises(ConfigError, match=f"unknown key '{key}' in \\[matcher\\]"):
+@pytest.mark.parametrize(
+    "section,key,value",
+    [("matcher", "strategy", "euclidean"), ("matcher", "min_iou", "0.1"), ("camera", "camera_height_cm", "140")],
+    ids=["strategy-euclidean", "min_iou-0.1", "camera_height_cm-140"],
+)
+def test_removed_matcher_keys_are_unknown(tmp_path, section, key, value):
+    # center distance is the only association cost, and no estimate uses the
+    # lens height: the keys that set them are typos now
+    path = write_config(tmp_path, f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"unknown key '{key}' in \\[{section}\\]"):
         load_config(path)
     det = tmp_path / "detections.jsonl"
     write_lines(det, [encode_detection_frame(make_frame(0, 0, [make_det("car")]))])
@@ -323,11 +337,6 @@ def test_malformed_ini_is_a_config_error(tmp_path):
         load_config(path)
 
 
-def pipeline_config(camera_height_cm):
-    defaults = load_config()
-    return PipelineConfig(camera=defaults.camera, camera_height_cm=camera_height_cm, heights=defaults.heights)
-
-
 # Bools, NaN/inf, ints too large for a float and strings are refused with
 # the text each constructor gives any other bad value.
 REFUSALS = {
@@ -346,8 +355,6 @@ REFUSALS = {
     "match-dist-inf": (lambda: MatchConfig(max_center_dist_px=math.inf), "max_center_dist_px must be positive, got inf"),
     "direction-dead-zone-inf": (lambda: DirectionConfig(dead_zone_px=math.inf), "dead_zone_px must be positive, got inf"),
     "direction-dead-zone-str": (lambda: DirectionConfig(dead_zone_px="8"), "dead_zone_px must be positive, got '8'"),
-    "pipeline-height-inf": (lambda: pipeline_config(math.inf), "camera_height_cm must be non-negative, got inf"),
-    "pipeline-height-str": (lambda: pipeline_config("140"), "camera_height_cm must be non-negative, got '140'"),
 }
 
 

@@ -2,12 +2,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from streetwatch.direction import (
-    DirectionConfig,
-    DirectionLabel,
-    classify_direction,
-    default_dead_zone_px,
-)
+from streetwatch.direction import DirectionConfig, DirectionLabel, classify_direction
 
 CFG = DirectionConfig(gap=2, dead_zone_px=8.0)
 
@@ -51,13 +46,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DirectionConfig(gap=1.5)  # type: ignore[arg-type]
 
-
-def test_default_dead_zone_scales_with_width():
-    assert default_dead_zone_px(640.0) == 8.0
-    assert default_dead_zone_px(1280.0) == 16.0
-    assert default_dead_zone_px(320.0) == 4.0
-    with pytest.raises(ValueError):
-        default_dead_zone_px(0.0)
 
 
 def test_labels_serialize_to_their_names():

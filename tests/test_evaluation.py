@@ -107,33 +107,6 @@ def test_frame_order_of_the_streams_does_not_matter():
     assert shuffled == base
 
 
-def test_projected_center_alignment_agrees_with_positional():
-    spec = scenario_by_name("crowded-midrange")
-    cfg = config_for_scenario(spec)
-    run = run_scenario(spec, config=cfg)
-    positional = score(run.tracked, run.truth)
-    projected = score(run.tracked, run.truth, projector=cfg)
-    assert projected.category_accuracy == positional.category_accuracy
-    assert projected.direction_accuracy_overall == positional.direction_accuracy_overall
-    assert projected.id_switches == positional.id_switches
-    assert projected.assumptions["alignment"] == "projected-center"
-    assert positional.assumptions["alignment"] == "positional"
-
-
-def test_projected_alignment_survives_within_frame_shuffle():
-    spec = scenario_by_name("crowded-midrange")
-    cfg = config_for_scenario(spec)
-    run = run_scenario(spec, config=cfg)
-    reordered = []
-    for frame_id in sorted({t.frame_id for t in run.tracked}):
-        group = [t for t in run.tracked if t.frame_id == frame_id]
-        reordered.extend(reversed(group))
-    base = score(run.tracked, run.truth, projector=cfg)
-    shuffled = score(reordered, run.truth, projector=cfg)
-    assert shuffled.category_accuracy == base.category_accuracy
-    assert shuffled.direction_accuracy_overall == base.direction_accuracy_overall
-
-
 def _flat_track(object_id, frame_id, label="car"):
     return TrackedObject(
         object_id=object_id,

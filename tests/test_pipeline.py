@@ -1,5 +1,6 @@
 """End-to-end per-frame behavior: ids, direction, alarms, stream order."""
 import dataclasses
+import types
 
 import pytest
 
@@ -7,12 +8,14 @@ from streetwatch.alarm import AlarmPolicy
 from streetwatch.camera import CameraIntrinsics, HeightTable
 from streetwatch.direction import DirectionConfig, DirectionLabel
 from streetwatch.evaluation import run_scenario
+from streetwatch.matcher import MatchConfig
 from streetwatch.pipeline import (
     WINDOW_DEPTH,
     Pipeline,
     PipelineConfig,
     StreamOrderError,
     TrackedObject,
+    config_for_camera,
 )
 from streetwatch.simulator import scenario_by_name
 from streetwatch.types import BoundingBox, Category
@@ -23,7 +26,6 @@ from conftest import make_det, make_frame
 def make_config(**overrides) -> PipelineConfig:
     defaults = dict(
         camera=CameraIntrinsics(focal_px=1000.0, image_w=640.0, image_h=480.0),
-        camera_height_cm=140.0,
         heights=HeightTable({"car": 140.0, "person": 165.0}),
         direction=DirectionConfig(gap=2, dead_zone_px=8.0),
     )
@@ -209,6 +211,21 @@ def test_direction_requires_a_match_invariant():
 def test_gap_cannot_exceed_the_window():
     with pytest.raises(ValueError):
         make_config(direction=DirectionConfig(gap=WINDOW_DEPTH + 1, dead_zone_px=8.0))
+
+
+def test_config_for_camera_scales_with_width():
+    heights = HeightTable({"car": 140.0})
+    for width, gate, dead_zone in ((640.0, 160.0, 8.0), (1280.0, 320.0, 16.0), (320.0, 80.0, 4.0)):
+        camera = CameraIntrinsics(focal_px=1000.0, image_w=width, image_h=480.0)
+        cfg = config_for_camera(camera, heights)
+        assert cfg.matcher == MatchConfig(max_center_dist_px=gate)
+        assert cfg.direction == DirectionConfig(dead_zone_px=dead_zone)
+        assert cfg.camera == camera and cfg.heights is heights and cfg.alarm == AlarmPolicy()
+    for width in (0.0, -640.0):
+        # a width the intrinsics refuse scales to a gate the matcher refuses
+        camera = types.SimpleNamespace(focal_px=1000.0, image_w=width, image_h=480.0)
+        with pytest.raises(ValueError, match="max_center_dist_px must be positive"):
+            config_for_camera(camera, heights)
 
 
 def test_replaying_a_stream_is_deterministic():

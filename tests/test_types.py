@@ -174,7 +174,7 @@ def test_validate_frame_rejects_what_is_not_a_detection(bad, intrinsics, heights
     frame = make_frame(0, 0, [make_det(), bad])
     with pytest.raises(FrameValidationError, match="^detection 1: "):
         validate_frame(frame)
-    pipeline = Pipeline(PipelineConfig(camera=intrinsics, camera_height_cm=140.0, heights=heights))
+    pipeline = Pipeline(PipelineConfig(camera=intrinsics, heights=heights))
     with pytest.raises(FrameValidationError, match="^detection 1: "):
         pipeline.process_frame(frame)
 
@@ -189,6 +189,6 @@ def test_frame_constructor_and_validate_frame_agree_on_stamps(field, value, intr
     with pytest.raises(FrameValidationError) as validated:
         validate_frame(frame)
     assert str(validated.value) == str(built.value)
-    pipeline = Pipeline(PipelineConfig(camera=intrinsics, camera_height_cm=140.0, heights=heights))
+    pipeline = Pipeline(PipelineConfig(camera=intrinsics, heights=heights))
     with pytest.raises(FrameValidationError):
         pipeline.process_frame(frame)

@@ -7,7 +7,7 @@ relation runs both directions: estimation divides, projection multiplies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Tuple
 
 from .types import BoundingBox, Category, Detection, _is_finite_number
 
@@ -52,6 +52,21 @@ class HeightTable:
         return self.entries.get(category.label)
 
 
+# The bundled scenarios' camera, 640x480 with f = 1000 px, and the real
+# heights they use. These are also the shipped pipeline defaults
+# (config.load_config starts from them), so noise-free estimates of the
+# bundled scenarios are exact under the default config.
+SUITE_CAMERA = CameraIntrinsics(focal_px=1000.0, image_w=640.0, image_h=480.0)
+SUITE_HEIGHTS_CM: Dict[str, float] = {
+    "car": 140.0,
+    "bus": 320.0,
+    "truck": 350.0,
+    "motorcycle": 110.0,
+    "bicycle": 100.0,
+    "person": 165.0,
+}
+
+
 def focal_px_from_mm(focal_mm: float, sensor_height_mm: float, image_h_px: float) -> float:
     """Convert a metric focal length to pixel units for a given sensor."""
     if not all(_is_finite_number(v) and v > 0 for v in (focal_mm, sensor_height_mm, image_h_px)):
@@ -80,6 +95,26 @@ def project_height(intr: CameraIntrinsics, real_height_cm: float, depth_cm: floa
     return intr.focal_px * real_height_cm / depth_cm
 
 
+def _ground_box(
+    intr: CameraIntrinsics,
+    lateral_cm: float,
+    depth_cm: float,
+    real_height_cm: float,
+    aspect_ratio: float,
+    camera_height_cm: float,
+) -> Tuple[float, float, float, float]:
+    """project_ground_point's (x, y, w, h), not yet checked as a box."""
+    h = project_height(intr, real_height_cm, depth_cm)
+    if not aspect_ratio > 0:
+        raise ValueError(f"aspect_ratio must be positive, got {aspect_ratio!r}")
+    if camera_height_cm < 0:
+        raise ValueError(f"camera_height_cm must be non-negative, got {camera_height_cm!r}")
+    w = aspect_ratio * h
+    center_x = intr.image_w / 2.0 + intr.focal_px * lateral_cm / depth_cm
+    bottom_y = intr.image_h / 2.0 + intr.focal_px * camera_height_cm / depth_cm
+    return center_x - w / 2.0, bottom_y - h, w, h
+
+
 def project_ground_point(
     intr: CameraIntrinsics,
     lateral_cm: float,
@@ -95,12 +130,5 @@ def project_ground_point(
     the horizontal center at image_w/2 + f * X / Z. Width is
     aspect_ratio * height. The box may extend past the frame edges.
     """
-    h = project_height(intr, real_height_cm, depth_cm)
-    if not aspect_ratio > 0:
-        raise ValueError(f"aspect_ratio must be positive, got {aspect_ratio!r}")
-    if camera_height_cm < 0:
-        raise ValueError(f"camera_height_cm must be non-negative, got {camera_height_cm!r}")
-    w = aspect_ratio * h
-    center_x = intr.image_w / 2.0 + intr.focal_px * lateral_cm / depth_cm
-    bottom_y = intr.image_h / 2.0 + intr.focal_px * camera_height_cm / depth_cm
-    return BoundingBox(x=center_x - w / 2.0, y=bottom_y - h, w=w, h=h)
+    x, y, w, h = _ground_box(intr, lateral_cm, depth_cm, real_height_cm, aspect_ratio, camera_height_cm)
+    return BoundingBox(x=x, y=y, w=w, h=h)

@@ -19,7 +19,6 @@ from typing import Iterator, List, Optional, TextIO, Tuple
 
 from .alarm import stage_for_distance
 from .config import ConfigError, load_config
-from .evaluation import AlignmentError, BandPartition, EvalError, score
 from .jsonl import (
     ParseError,
     _undecodable_line,
@@ -33,8 +32,10 @@ from .jsonl import (
     read_truth_records,
 )
 from .pipeline import Pipeline, StreamOrderError
-from .simulator import ScenarioError, generate, scenario_by_name, scenario_from_dict, with_seed
 from .types import FrameValidationError
+
+# simulate and eval import the simulator and the scorer when they run, so
+# that replay and stage load neither.
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -121,6 +122,8 @@ def _open_outputs(*paths: str) -> Iterator[List[TextIO]]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .simulator import ScenarioError, generate, scenario_by_name, scenario_from_dict, with_seed
+
     inputs = [] if args.suite else [("the scenario", args.scenario)]
     _refuse_aliases(inputs, [("--out-detections", args.out_detections), ("--out-truth", args.out_truth)])
     if args.suite:
@@ -160,8 +163,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     with _open_outputs(args.out_tracked, args.out_events) as (tracked_out, events_out):
         for tracked, events in pipeline.run(read_records(args.detections, decode_detection_frame)):
             frames += 1
-            for obj in tracked:
-                tracked_out.write(encode_tracked_object(obj) + "\n")
+            if tracked:
+                tracked_out.write("".join([encode_tracked_object(obj) + "\n" for obj in tracked]))
             for event in events:
                 events_out.write(encode_alarm_event(event) + "\n")
                 stage_counts[event.stage] += 1
@@ -173,6 +176,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from .evaluation import AlignmentError, BandPartition, EvalError, score
+
     inputs = [("the tracked stream", args.tracked), ("the truth stream", args.truth)]
     _refuse_aliases(inputs, [("--report", args.report)])
     tracked = read_tracked_objects(args.tracked)
@@ -185,7 +190,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             raise EvalError(f"--bands must be comma-separated numbers, got {args.bands!r}") from None
         bands = BandPartition(boundaries)
     cfg = load_config(args.config) if args.config else None
-    report = score(tracked, truth, bands, excuse=cfg)
+    try:
+        report = score(tracked, truth, bands, excuse=cfg)
+    except AlignmentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     with open(args.report, "w", encoding="utf-8", newline="") as fh:
         fh.write(json.dumps(report.to_dict(), indent=2) + "\n")
     print(report.render_text())
@@ -220,10 +229,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return _COMMANDS[args.command](args)
-    except (StreamOrderError, AlignmentError) as exc:
+    except StreamOrderError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ParseError, ScenarioError, EvalError, FrameValidationError, ValueError, OSError) as exc:
+    # simulator.ScenarioError and evaluation.EvalError are ValueErrors too;
+    # an AlignmentError exits 2 from _cmd_eval
+    except (ConfigError, ParseError, FrameValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

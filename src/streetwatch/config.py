@@ -1,7 +1,7 @@
 """Pipeline configuration files.
 
 The shipped defaults are the bundled scenarios' camera and height table
-(simulator.SUITE_*) and what pipeline.config_for_camera builds on them;
+(camera.SUITE_*) and what pipeline.config_for_camera builds on them;
 nothing else restates them. A user file of flat INI-style sections
 overlays them key by key; unknown sections or keys are fatal so typos
 cannot silently fall back to defaults. dead_zone_px and
@@ -15,11 +15,10 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .alarm import AlarmPolicy, AlarmStage
-from .camera import CameraIntrinsics, HeightTable
+from .camera import SUITE_CAMERA, SUITE_HEIGHTS_CM, CameraIntrinsics, HeightTable
 from .direction import DirectionConfig
 from .matcher import MatchConfig
 from .pipeline import PipelineConfig, config_for_camera
-from .simulator import SUITE_CAMERA, SUITE_HEIGHTS_CM
 
 
 class ConfigError(ValueError):

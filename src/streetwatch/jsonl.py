@@ -18,9 +18,8 @@ from typing import Callable, Iterable, Iterator, List, Optional, TypeVar, Union
 from .alarm import AlarmEvent
 from .direction import DirectionLabel
 from .pipeline import TrackedObject
-from .simulator import TruthRecord
-from .types import KNOWN_CATEGORIES, BoundingBox, Category, Detection, DetectionFrame, key_mismatch
-from .types import _box_error, _checked_box, _checked_detection, _confidence_error, _is_finite_number
+from .types import KNOWN_CATEGORIES, BoundingBox, Category, Detection, DetectionFrame, TruthRecord, key_mismatch
+from .types import _box_error, _checked_box, _checked_detection, _checked_frame, _confidence_error, _is_finite_number
 
 T = TypeVar("T")
 PathLike = Union[str, Path]
@@ -194,12 +193,10 @@ def decode_detection_frame(line: str) -> DetectionFrame:
     raw = data["detections"]
     if not isinstance(raw, list):
         raise ParseError(f"detections must be an array, got {raw!r}")
-    detections = [_decode_detection(k, item) for k, item in enumerate(raw)]
-    return DetectionFrame(
-        frame_id=_int_field(data, "frame_id"),
-        t_ms=_int_field(data, "t_ms"),
-        detections=tuple(detections),
-    )
+    detections = tuple([_decode_detection(k, item) for k, item in enumerate(raw)])
+    # every value is checked by now, so the frame is marked for
+    # validate_frame to trust
+    return _checked_frame(_int_field(data, "frame_id"), _int_field(data, "t_ms"), detections)
 
 
 # --- truth stream -------------------------------------------------------
@@ -240,12 +237,30 @@ def decode_truth_record(line: str) -> TruthRecord:
 
 def encode_tracked_object(obj: TrackedObject) -> str:
     b = obj.bbox
-    distance = obj.distance_cm
-    matched_from = obj.matched_from
+    frame_id, object_id, matched_from = obj.frame_id, obj.object_id, obj.matched_from
+    x, y, w, h, distance = b.x, b.y, b.w, b.h, obj.distance_cm
+    # One guard for the whole record: exact ints and finite exact floats
+    # are written by their repr, which is what _num writes for them. Any
+    # other record takes the _num path, for its output and its errors.
+    if (
+        type(frame_id) is int and type(object_id) is int
+        and (matched_from is None or type(matched_from) is int)
+        and type(x) is float and type(y) is float and type(w) is float and type(h) is float
+        and -_INF < x < _INF and -_INF < y < _INF and -_INF < w < _INF and -_INF < h < _INF
+        and (distance is None or (type(distance) is float and -_INF < distance < _INF))
+    ):
+        return (
+            f'{{"frame_id":{frame_id!r},"object_id":{object_id!r},'
+            f'"category":{_str(obj.category.label)},'
+            f'"bbox":{{"x":{x!r},"y":{y!r},"w":{w!r},"h":{h!r}}},'
+            f'"distance_cm":{"null" if distance is None else repr(distance)},'
+            f'"direction":{_DIRECTION_JSON[obj.direction]},'
+            f'"matched_from":{"null" if matched_from is None else repr(matched_from)}}}'
+        )
     return (
-        f'{{"frame_id":{_num(obj.frame_id)},"object_id":{_num(obj.object_id)},'
+        f'{{"frame_id":{_num(frame_id)},"object_id":{_num(object_id)},'
         f'"category":{_str(obj.category.label)},'
-        f'"bbox":{{"x":{_num(b.x)},"y":{_num(b.y)},"w":{_num(b.w)},"h":{_num(b.h)}}},'
+        f'"bbox":{{"x":{_num(x)},"y":{_num(y)},"w":{_num(w)},"h":{_num(h)}}},'
         f'"distance_cm":{"null" if distance is None else _num(distance)},'
         f'"direction":{_DIRECTION_JSON[obj.direction]},'
         f'"matched_from":{"null" if matched_from is None else _num(matched_from)}}}'

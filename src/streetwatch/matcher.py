@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .types import DetectionFrame, _is_finite_number
 
@@ -67,26 +67,38 @@ def greedy_assign(
     return accepted
 
 
-def match_frames(current: DetectionFrame, reference: DetectionFrame, cfg: MatchConfig) -> MatchResult:
+def match_frames(
+    current: DetectionFrame,
+    reference: DetectionFrame,
+    cfg: MatchConfig,
+    current_centers: Optional[Sequence[Tuple[float, float]]] = None,
+    reference_centers: Optional[Sequence[Tuple[float, float]]] = None,
+) -> MatchResult:
     """Associate the current frame's detections with the reference frame's.
 
     Candidate pairs share a category and lie within the distance gate.
-    They are assigned by greedy_assign, nearest first.
+    They are assigned by greedy_assign, nearest first. current_centers and
+    reference_centers, when given, hold each side's BoundingBox.center()
+    in detection order; a side left out is computed here.
     """
     cur = current.detections
     ref = reference.detections
+    if current_centers is None:
+        current_centers = [d.bbox.center() for d in cur]
+    if reference_centers is None:
+        reference_centers = [d.bbox.center() for d in ref]
+    if len(current_centers) != len(cur) or len(reference_centers) != len(ref):
+        raise ValueError("centers must hold one (x, y) per detection")
 
     ref_by_cat: dict = {}
     for j, det in enumerate(ref):
         ref_by_cat.setdefault(det.category.label, []).append(j)
 
     candidates: List[Tuple[float, int, int]] = []
-    ref_centers = [d.bbox.center() for d in ref]
     gate = cfg.max_center_dist_px
-    for i, det in enumerate(cur):
-        cx, cy = det.bbox.center()
+    for i, (det, (cx, cy)) in enumerate(zip(cur, current_centers)):
         for j in ref_by_cat.get(det.category.label, ()):
-            rx, ry = ref_centers[j]
+            rx, ry = reference_centers[j]
             cost = math.hypot(cx - rx, cy - ry)
             if cost <= gate:
                 candidates.append((cost, i, j))

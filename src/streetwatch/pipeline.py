@@ -106,7 +106,7 @@ def config_for_camera(camera: CameraIntrinsics, heights: HeightTable) -> Pipelin
 class _WindowEntry:
     frame: DetectionFrame
     ids: Tuple[ObjectId, ...]
-    center_xs: List[float]
+    centers: List[Tuple[float, float]]
 
 
 class Pipeline:
@@ -143,8 +143,8 @@ class Pipeline:
         dets = frame.detections
         n = len(dets)
         distances = [estimate_distance(cfg.camera, cfg.heights, d) for d in dets]
-        # the x of BoundingBox.center(), once per detection
-        center_xs = [d.bbox.x + d.bbox.w / 2.0 for d in dets]
+        # BoundingBox.center(), once per detection
+        centers = [(b.x + b.w / 2.0, b.y + b.h / 2.0) for b in [d.bbox for d in dets]]
         skipped = sum(1 for d in distances if d is None)
         if skipped:
             logger.debug("frame %d: %d detection(s) without a height entry", frame.frame_id, skipped)
@@ -153,9 +153,9 @@ class Pipeline:
         directions: List[Optional[DirectionLabel]] = [None] * n
         claimed = set()
 
-        def associate(current: DetectionFrame, rows, ref: _WindowEntry, directed: bool) -> None:
+        def associate(current: DetectionFrame, rows, current_centers, ref: _WindowEntry, directed: bool) -> None:
             # rows maps current's detection indices back to this frame's
-            for k, j, _cost in match_frames(current, ref.frame, cfg.matcher).pairs:
+            for k, j, _cost in match_frames(current, ref.frame, cfg.matcher, current_centers, ref.centers).pairs:
                 rid = ref.ids[j]
                 if rid in claimed:
                     # id already continued through the gap match
@@ -164,17 +164,17 @@ class Pipeline:
                 matched_from[i] = rid
                 claimed.add(rid)
                 if directed:
-                    directions[i] = classify_direction(center_xs[i], ref.center_xs[j], cfg.direction)
+                    directions[i] = classify_direction(centers[i][0], ref.centers[j][0], cfg.direction)
 
         gap = cfg.direction.gap
         primary = self._window[-gap] if len(self._window) >= gap else None
         if primary is not None:
-            associate(frame, range(n), primary, directed=True)
+            associate(frame, range(n), centers, primary, directed=True)
         if self._window and self._window[-1] is not primary:
             leftovers = [i for i in range(n) if matched_from[i] is None]
             if leftovers:
                 sub = DetectionFrame(frame.frame_id, frame.t_ms, tuple(dets[i] for i in leftovers))
-                associate(sub, leftovers, self._window[-1], directed=False)
+                associate(sub, leftovers, [centers[i] for i in leftovers], self._window[-1], directed=False)
 
         ids: List[ObjectId] = []
         for rid in matched_from:
@@ -191,7 +191,7 @@ class Pipeline:
 
         events = emit_alarms(tracked, frame.t_ms, cfg.alarm, self._ledger)
 
-        self._window.append(_WindowEntry(frame=frame, ids=tuple(ids), center_xs=center_xs))
+        self._window.append(_WindowEntry(frame=frame, ids=tuple(ids), centers=centers))
         if len(self._window) > WINDOW_DEPTH:
             del self._window[0]
 

@@ -17,11 +17,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from .camera import CameraIntrinsics, project_ground_point
+from .camera import SUITE_CAMERA, SUITE_HEIGHTS_CM, CameraIntrinsics, _ground_box
 from .direction import DirectionConfig, DirectionLabel
-from .types import Category, Detection, DetectionFrame, KNOWN_CATEGORIES, key_mismatch
+from .types import Category, Detection, DetectionFrame, KNOWN_CATEGORIES, TruthRecord, key_mismatch
 from .types import _box_error, _checked_box, _checked_detection, _is_finite_number
 
 TRAJECTORY_KINDS = ("linear", "stationary")
@@ -159,19 +159,6 @@ class ScenarioSpec:
         return max(1, int(round(self.duration_s * self.frame_rate_hz)))
 
 
-@dataclass(frozen=True)
-class TruthRecord:
-    """Ground truth for one actor at one frame, emitted or not."""
-
-    frame_id: int
-    actor_id: int
-    true_depth_cm: float
-    true_lateral_cm: float
-    true_direction: DirectionLabel
-    emitted: bool
-    true_category: Category
-
-
 def true_direction_of(trajectory: Trajectory) -> DirectionLabel:
     """Truth labels come from the lateral velocity sign, not from pixels."""
     if trajectory.vx_cm_s > 0:
@@ -217,16 +204,11 @@ def generate(spec: ScenarioSpec) -> Tuple[List[DetectionFrame], List[TruthRecord
             if not enter <= t_s <= exit_:
                 continue
             x_cm, z_cm = actor.trajectory.position(t_s)
-            box = project_ground_point(
-                spec.camera,
-                lateral_cm=x_cm,
-                depth_cm=z_cm,
-                real_height_cm=actor.real_height_cm,
-                aspect_ratio=actor.aspect_ratio,
-                camera_height_cm=spec.camera_height_cm,
+            x, y, w, h = _ground_box(
+                spec.camera, x_cm, z_cm, actor.real_height_cm, actor.aspect_ratio, spec.camera_height_cm
             )
-            cx, cy = box.center()
-            h = box.h
+            # BoundingBox.center(); the box is checked once, after the noise
+            cx, cy = x + w / 2.0, y + h / 2.0
             category = actor.category
             emitted = True
             if drawing:
@@ -267,24 +249,10 @@ def generate(spec: ScenarioSpec) -> Tuple[List[DetectionFrame], List[TruthRecord
     return frames, truth
 
 
-# Camera shared by the bundled scenarios: 640x480, f = 1000 px, chest
-# height, 10 fps.
-SUITE_CAMERA = CameraIntrinsics(focal_px=1000.0, image_w=640.0, image_h=480.0)
+# The bundled scenarios' camera (SUITE_CAMERA, in camera) sits at chest
+# height and runs at 10 fps.
 SUITE_CAMERA_HEIGHT_CM = 140.0
 SUITE_FRAME_RATE_HZ = 10.0
-
-# Real heights used by the bundled scenarios. These and SUITE_CAMERA are
-# also the shipped pipeline defaults (config.load_config starts from them),
-# so noise-free estimates of the bundled scenarios are exact under the
-# default config.
-SUITE_HEIGHTS_CM: Dict[str, float] = {
-    "car": 140.0,
-    "bus": 320.0,
-    "truck": 350.0,
-    "motorcycle": 110.0,
-    "bicycle": 100.0,
-    "person": 165.0,
-}
 
 
 def _actor(

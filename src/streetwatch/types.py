@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Collection, Iterable, Tuple
+from typing import TYPE_CHECKING, Collection, Iterable, Tuple
+
+if TYPE_CHECKING:
+    from .direction import DirectionLabel
 
 KNOWN_CATEGORIES: Tuple[str, ...] = (
     "car",
@@ -114,6 +117,19 @@ def _checked_detection(category: Category, bbox: BoundingBox, confidence: float)
     return det
 
 
+def _checked_frame(frame_id: int, t_ms: int, detections: Tuple[Detection, ...]) -> DetectionFrame:
+    """A DetectionFrame of two stamps that pass _stamp_error and a tuple of
+    detections from _checked_detection, marked so that validate_frame
+    trusts it. The mark is an instance attribute, not a field: ==, hash
+    and repr ignore it, and dataclasses.replace drops it."""
+    frame = _new(DetectionFrame)
+    _set(frame, "frame_id", frame_id)
+    _set(frame, "t_ms", t_ms)
+    _set(frame, "detections", detections)
+    _set(frame, "_checked", True)
+    return frame
+
+
 @dataclass(frozen=True)
 class Category:
     """Object class label.
@@ -215,7 +231,11 @@ def validate_frame(frame: DetectionFrame) -> None:
     were assembled around the constructors. It reads the fields and builds
     nothing. Raises FrameValidationError naming the first offending
     detection index, with the text its constructor would have raised.
+    A frame from _checked_frame (the detection decoder's) had every value
+    checked as it was built, and returns at once.
     """
+    if getattr(frame, "_checked", False):
+        return
     text = _stamp_error("frame_id", frame.frame_id) or _stamp_error("t_ms", frame.t_ms)
     if text:
         raise FrameValidationError(text)
@@ -232,3 +252,16 @@ def validate_frame(frame: DetectionFrame) -> None:
             )
         if text:
             raise FrameValidationError(f"detection {i}: {text}")
+
+
+@dataclass(frozen=True)
+class TruthRecord:
+    """Ground truth for one actor at one frame, emitted or not."""
+
+    frame_id: int
+    actor_id: int
+    true_depth_cm: float
+    true_lateral_cm: float
+    true_direction: DirectionLabel
+    emitted: bool
+    true_category: Category

@@ -483,3 +483,61 @@ def test_cli_import_and_config_load_leave_numpy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_the_simulator_and_the_scorer_unloaded():
+    # replay and stage run neither; simulate and eval import them when they run
+    code = (
+        "import sys\n"
+        "import streetwatch.cli\n"
+        "print(sorted(m for m in ('streetwatch.simulator', 'streetwatch.evaluation') if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# Every name the package exported when its __init__ imported each module.
+PACKAGE_NAMES = {
+    "alarm": "AlarmEvent AlarmPolicy AlarmStage CooldownLedger DEFAULT_STAGES emit_alarms render_message "
+    "stage_for_distance",
+    "camera": "CameraIntrinsics HeightTable estimate_distance focal_px_from_mm project_ground_point project_height",
+    "config": "ConfigError load_config",
+    "direction": "DirectionConfig DirectionLabel classify_direction",
+    "evaluation": "AlignmentError BandPartition EvalError EvalReport GapComparison ScenarioRun "
+    "compare_gap_strategies config_for_scenario run_scenario score",
+    "matcher": "MatchConfig MatchResult match_frames",
+    "pipeline": "Pipeline PipelineConfig StreamOrderError TrackedObject WINDOW_DEPTH config_for_camera",
+    "simulator": "ActorSpec NoiseSpec ScenarioError ScenarioSpec Trajectory TruthRecord generate scenario_by_name "
+    "scenario_from_dict scenario_to_dict slow_crosser standard_suite true_direction_of with_noise with_seed",
+    "types": "BoundingBox Category Detection DetectionFrame FrameValidationError KNOWN_CATEGORIES ObjectId "
+    "validate_frame",
+}
+
+
+def test_package_names_resolve_to_their_modules_objects():
+    code = (
+        "import importlib, json, sys\n"
+        "import streetwatch\n"
+        "loaded = 'streetwatch.evaluation' in sys.modules\n"
+        f"names = {PACKAGE_NAMES!r}\n"
+        "same = all(getattr(streetwatch, n) is getattr(importlib.import_module('streetwatch.' + m), n)"
+        " for m, line in names.items() for n in line.split())\n"
+        "from streetwatch import evaluation, simulator\n"
+        "try:\n"
+        "    streetwatch.no_such_name\n"
+        "    missing = 'resolved'\n"
+        "except AttributeError as exc:\n"
+        "    missing = str(exc)\n"
+        "print(json.dumps([loaded, same, evaluation.__name__, simulator.__name__, streetwatch.__version__, missing]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        False,
+        True,
+        "streetwatch.evaluation",
+        "streetwatch.simulator",
+        "0.1.0",
+        "module 'streetwatch' has no attribute 'no_such_name'",
+    ]

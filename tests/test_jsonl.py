@@ -331,11 +331,16 @@ def test_float_subclass_is_written_as_the_float_it_holds():
         def __repr__(self):
             return "Sub()"
 
-    def line(x):
+    def lines(x):
         det = Detection(Category("car"), BoundingBox(x, 2.0, 3.0, 4.0), 0.5)
-        return encode_detection_frame(make_frame(3, 99, [det]))
+        tracked = sample_tracked()
+        return (
+            encode_detection_frame(make_frame(3, 99, [det])),
+            encode_tracked_object(dataclasses.replace(tracked, bbox=det.bbox)),
+            encode_tracked_object(dataclasses.replace(tracked, distance_cm=x)),
+        )
 
-    assert line(Sub(1.5)) == line(1.5)
+    assert lines(Sub(1.5)) == lines(1.5)
 
 
 def test_canonical_known_label_lines_skip_the_constructor_checks(monkeypatch):

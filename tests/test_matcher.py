@@ -210,6 +210,36 @@ def test_translation_invariance(pair, dx, dy):
     assert unmatched(base, *sizes) == unmatched(moved, *sizes)
 
 
+def centers(frame):
+    return [d.bbox.center() for d in frame.detections]
+
+
+@settings(max_examples=200, deadline=None)
+@given(frames_pair(), st.data())
+def test_precomputed_centers_give_the_same_result(pair, data):
+    cur, ref = pair
+    cfg = MatchConfig()
+    base = match_frames(cur, ref, cfg)
+    assert match_frames(cur, ref, cfg, centers(cur), centers(ref)) == base
+    assert match_frames(cur, ref, cfg, centers(cur)) == base
+    assert match_frames(cur, ref, cfg, reference_centers=centers(ref)) == base
+    # a leftover subset with its slice of the full frame's centers, as the
+    # pipeline's bridge match passes them
+    n = len(cur.detections)
+    rows = sorted(data.draw(st.sets(st.integers(min_value=0, max_value=n - 1)) if n else st.just(set())))
+    sub = make_frame(cur.frame_id, cur.t_ms, [cur.detections[i] for i in rows])
+    full = centers(cur)
+    assert match_frames(sub, ref, cfg, [full[i] for i in rows], centers(ref)) == match_frames(sub, ref, cfg)
+
+
+def test_centers_must_match_the_detections():
+    frame = make_frame(0, 0, [make_det("car")])
+    with pytest.raises(ValueError, match="one \\(x, y\\) per detection"):
+        match_frames(frame, frame, MatchConfig(), [])
+    with pytest.raises(ValueError, match="one \\(x, y\\) per detection"):
+        match_frames(frame, frame, MatchConfig(), reference_centers=[(0.0, 0.0)] * 2)
+
+
 def test_determinism():
     rng = random.Random(7)
     cfg = MatchConfig()

@@ -1,8 +1,10 @@
 """Vocabulary type invariants."""
+import dataclasses
 import math
 
 import pytest
 
+from streetwatch.jsonl import decode_detection_frame, encode_detection_frame
 from streetwatch.pipeline import Pipeline, PipelineConfig
 from streetwatch.types import (
     KNOWN_CATEGORIES,
@@ -130,7 +132,7 @@ GOOD_BOX = dict(x=0.0, y=0.0, w=5.0, h=5.0)
     + [("confidence", -0.1), ("confidence", 1.5), ("confidence", math.nan)]
     + [("label", "")],
 )
-def test_constructor_and_validate_frame_report_the_same_text(field, value):
+def test_constructor_and_validate_frame_report_the_same_text(field, value, intrinsics, heights):
     box, label, confidence = dict(GOOD_BOX), "car", 0.5
     with pytest.raises(ValueError) as built:
         if field in box:
@@ -151,6 +153,13 @@ def test_constructor_and_validate_frame_report_the_same_text(field, value):
     with pytest.raises(FrameValidationError) as validated:
         validate_frame(make_frame(0, 0, [make_det(), bad]))
     assert str(validated.value) == f"detection 1: {built.value}"
+    # the pipeline checks in full a frame the decoder did not build, a
+    # replace of a decoded frame included
+    decoded = decode_detection_frame(encode_detection_frame(make_frame(0, 0, [make_det(), make_det()])))
+    for frame in (make_frame(0, 0, [make_det(), bad]), dataclasses.replace(decoded, detections=(make_det(), bad))):
+        with pytest.raises(FrameValidationError) as validated:
+            Pipeline(PipelineConfig(camera=intrinsics, heights=heights)).process_frame(frame)
+        assert str(validated.value) == f"detection 1: {built.value}"
 
 
 def test_detection_rejects_parts_of_the_wrong_type():

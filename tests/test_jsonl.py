@@ -448,6 +448,22 @@ HUGE = "1" * 401  # an integer too large for a float
         ('{"x":10.0,"y":20.0,"w":30.0,"h":40.0}', "[10.0,20.0,30.0,40.0]", "bbox must be an object, got [10.0, 20.0, 30.0, 40.0]"),
         (',"h":40.0', "", "bbox: missing ['h']"),
         ('"h":40.0', f'"h":{HUGE}', f"h must be a finite number, got {HUGE}"),
+        ('"object_id":4', '"object_id":4.0', "object_id must be an integer >= 0, got 4.0"),
+        ('"object_id":4', '"object_id":true', "object_id must be an integer >= 0, got True"),
+        ('"object_id":4', '"object_id":-1', "object_id must be an integer >= 0, got -1"),
+        ('"frame_id":3', '"frame_id":3.0', "frame_id must be an integer >= 0, got 3.0"),
+        ('"frame_id":3', '"frame_id":false', "frame_id must be an integer >= 0, got False"),
+        ('"frame_id":3', '"frame_id":-1', "frame_id must be an integer >= 0, got -1"),
+        ('"matched_from":4', '"matched_from":4.0', "matched_from must be a non-negative integer or null, got 4.0"),
+        ('"matched_from":4', '"matched_from":true', "matched_from must be a non-negative integer or null, got True"),
+        ('"matched_from":4', '"matched_from":-1', "matched_from must be a non-negative integer or null, got -1"),
+        ('"matched_from":4', '"matched_from":null', "direction requires a match; matched_from is None"),
+        ('"distance_cm":412.5', '"distance_cm":0', "distance_cm must be positive or null, got 0.0"),
+        ('"distance_cm":412.5', '"distance_cm":"412.5"', "distance_cm must be a finite number, got '412.5'"),
+        ('"direction":"left"', '"direction":"up"', "direction must be left/right/forward or null, got 'up'"),
+        ('"direction":"left"', '"direction":{}', "direction must be left/right/forward or null, got {}"),
+        ('"category":"person"', '"category":""', "category must be a non-empty string, got ''"),
+        ('"category":"person"', '"category":7', "category must be a non-empty string, got 7"),
     ],
 )
 def test_bad_tracked_boxes_name_what_is_wrong(old, new, text):
@@ -456,6 +472,75 @@ def test_bad_tracked_boxes_name_what_is_wrong(old, new, text):
     with pytest.raises(ParseError) as info:
         decode_tracked_object(TRACKED.replace(old, new, 1))
     assert str(info.value) == text
+
+
+TRUTH = '{"frame_id":3,"actor_id":1,"true_depth_cm":580.0,"true_lateral_cm":-35.5,"true_direction":"right","emitted":true,"true_category":"car"}'
+
+
+@pytest.mark.parametrize(
+    "old,new,text",
+    [
+        ('"frame_id":3', '"frame_id":3.0', "frame_id must be an integer >= 0, got 3.0"),
+        ('"frame_id":3', '"frame_id":-1', "frame_id must be an integer >= 0, got -1"),
+        ('"actor_id":1', '"actor_id":true', "actor_id must be an integer >= 0, got True"),
+        ('"actor_id":1', '"actor_id":1.5', "actor_id must be an integer >= 0, got 1.5"),
+        ('"true_depth_cm":580.0', '"true_depth_cm":0', "true_depth_cm must be positive, got 0.0"),
+        ('"true_depth_cm":580.0', '"true_depth_cm":-1.5', "true_depth_cm must be positive, got -1.5"),
+        ('"true_depth_cm":580.0', '"true_depth_cm":NaN', "true_depth_cm must be a finite number, got nan"),
+        ('"true_depth_cm":580.0', f'"true_depth_cm":{HUGE}', f"true_depth_cm must be a finite number, got {HUGE}"),
+        ('"true_lateral_cm":-35.5', '"true_lateral_cm":-Infinity', "true_lateral_cm must be a finite number, got -inf"),
+        ('"true_lateral_cm":-35.5', '"true_lateral_cm":"x"', "true_lateral_cm must be a finite number, got 'x'"),
+        ('"true_direction":"right"', '"true_direction":"up"', "true_direction must be left/right/forward or null, got 'up'"),
+        ('"true_direction":"right"', '"true_direction":null', "true_direction cannot be null"),
+        ('"true_direction":"right"', '"true_direction":[]', "true_direction must be left/right/forward or null, got []"),
+        ('"emitted":true', '"emitted":1', "emitted must be a boolean, got 1"),
+        ('"emitted":true', '"emitted":null', "emitted must be a boolean, got None"),
+        ('"true_category":"car"', '"true_category":""', "true_category must be a non-empty string, got ''"),
+        ('"true_category":"car"', '"true_category":7', "true_category must be a non-empty string, got 7"),
+        (',"emitted":true', "", "truth record: missing ['emitted']"),
+    ],
+)
+def test_bad_truth_records_name_what_is_wrong(old, new, text):
+    assert encode_truth_record(sample_truth()) == TRUTH
+    assert old in TRUTH
+    with pytest.raises(ParseError) as info:
+        decode_truth_record(TRUTH.replace(old, new, 1))
+    assert str(info.value) == text
+
+
+DECODERS = [decode_detection_frame, decode_truth_record, decode_tracked_object, decode_alarm_event]
+
+
+@pytest.mark.parametrize("decode", DECODERS)
+@pytest.mark.parametrize(
+    "line,text",
+    [
+        ('{"a":1} x', "invalid JSON: Extra data"),
+        ("[1]", "record must be a JSON object, got list"),
+        ('"car"', "record must be a JSON object, got str"),
+        ("", "invalid JSON: Expecting value"),
+        ("{", "invalid JSON: Expecting property name enclosed in double quotes"),
+        ('\ufeff{"a":1}', "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    ],
+)
+def test_lines_that_are_not_one_json_object_keep_json_s_error_text(decode, line, text):
+    with pytest.raises(ParseError) as info:
+        decode(line)
+    assert str(info.value) == text
+
+
+@pytest.mark.parametrize(
+    "line,decode,record",
+    [
+        (CANONICAL, decode_detection_frame, sample_frame()),
+        (TRUTH, decode_truth_record, sample_truth()),
+        (TRACKED, decode_tracked_object, sample_tracked()),
+        (encode_alarm_event(sample_event()), decode_alarm_event, sample_event()),
+    ],
+)
+def test_whitespace_around_a_line_is_json_s_to_skip(line, decode, record):
+    assert decode(f" {line}\t\n") == record
+    assert decode(f"{line} ") == record
 
 
 def test_int_box_and_confidence_fields_re_encode_canonically():

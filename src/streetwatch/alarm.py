@@ -174,7 +174,10 @@ def emit_alarms(
     # edge can alarm; NaN and non-positive distances still reach the lookup
     # and raise there
     farthest_cm = policy.stages[0].band_hi_cm
-    candidates: List[Tuple[int, float, int, AlarmEvent]] = []
+    # (-stage, distance, object_id, arrival, object, stage): the arrival
+    # index breaks every tie, so the tuples sort as the first three keys
+    # with a stable sort and never compare the objects
+    candidates: List[Tuple[int, float, int, int, "TrackedObject", AlarmStage]] = []
     for obj in tracked:
         distance = obj.distance_cm
         if distance is None or distance > farthest_cm:
@@ -184,19 +187,22 @@ def emit_alarms(
             continue
         if not ledger.expired(obj.object_id, st.stage, t_ms, policy.cooldown_ms):
             continue
-        event = AlarmEvent(
-            t_ms=t_ms,
-            object_id=obj.object_id,
-            category=obj.category,
-            stage=st.stage,
-            vibration_s=st.vibration_s,
-            distance_cm=obj.distance_cm,
-            direction=obj.direction,
-            message=render_message(obj.category, obj.direction),
+        candidates.append((-st.stage, distance, obj.object_id, len(candidates), obj, st))
+    candidates.sort()
+    # only the events that fire are built
+    emitted = []
+    for _, distance, object_id, _, obj, st in candidates[: policy.max_events_per_frame]:
+        ledger.record(object_id, st.stage, t_ms)
+        emitted.append(
+            AlarmEvent(
+                t_ms=t_ms,
+                object_id=object_id,
+                category=obj.category,
+                stage=st.stage,
+                vibration_s=st.vibration_s,
+                distance_cm=distance,
+                direction=obj.direction,
+                message=render_message(obj.category, obj.direction),
+            )
         )
-        candidates.append((-st.stage, obj.distance_cm, obj.object_id, event))
-    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
-    emitted = [c[3] for c in candidates[: policy.max_events_per_frame]]
-    for event in emitted:
-        ledger.record(event.object_id, event.stage, t_ms)
     return emitted

@@ -172,6 +172,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     for stage in (1, 2, 3):
         print(f"stage {stage} events: {stage_counts.get(stage, 0)}")
     print(f"total events: {sum(stage_counts.values())}")
+    print(f"no-height detections: {pipeline.no_height}")
     return 0
 
 

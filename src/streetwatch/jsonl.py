@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, TypeVar, Union
 
 from .alarm import AlarmEvent
 from .direction import DirectionLabel
-from .pipeline import TrackedObject
+from .pipeline import TrackedObject, _checked_tracked
 from .types import KNOWN_CATEGORIES, BoundingBox, Category, Detection, DetectionFrame, TruthRecord, key_mismatch
 from .types import _box_error, _checked_box, _checked_detection, _checked_frame, _confidence_error, _is_finite_number
 
@@ -58,6 +58,7 @@ def _num(v) -> str:
 _str = encode_basestring_ascii
 
 _LABEL_JSON = {d: f'"{d.value}"' for d in DirectionLabel}
+_DIRECTION = {d.value: d for d in DirectionLabel}
 _DIRECTION_JSON = {None: "null", **_LABEL_JSON}
 
 
@@ -124,10 +125,12 @@ def _direction_field(data: dict, key: str) -> Optional[DirectionLabel]:
     v = data[key]
     if v is None:
         return None
-    try:
-        return DirectionLabel(v)
-    except ValueError:
-        raise ParseError(f"{key} must be left/right/forward or null, got {v!r}") from None
+    # type check first: an unhashable value must reach the ParseError below
+    if type(v) is str:
+        label = _DIRECTION.get(v)
+        if label is not None:
+            return label
+    raise ParseError(f"{key} must be left/right/forward or null, got {v!r}")
 
 
 def _bbox_field(data: dict, key: str) -> BoundingBox:
@@ -215,6 +218,22 @@ def encode_truth_record(rec: TruthRecord) -> str:
 
 def decode_truth_record(line: str) -> TruthRecord:
     data = _loads(line)
+    # One guard for the whole record: exact non-negative int ids, finite
+    # exact floats with a positive depth, a direction and a known category
+    # looked up by their label, and an exact bool. Any other record is read
+    # again field by field below, which words the error.
+    if data.keys() == _TRUTH_KEYS:
+        frame_id, actor_id, emitted = data["frame_id"], data["actor_id"], data["emitted"]
+        depth, lateral = data["true_depth_cm"], data["true_lateral_cm"]
+        label, category = data["true_direction"], data["true_category"]
+        if (
+            type(frame_id) is int and frame_id >= 0 and type(actor_id) is int and actor_id >= 0
+            and type(depth) is float and 0.0 < depth < _INF and type(lateral) is float and -_INF < lateral < _INF
+            and type(label) is str and (direction := _DIRECTION.get(label)) is not None
+            and type(emitted) is bool
+            and type(category) is str and (known := _KNOWN_CATEGORY.get(category)) is not None
+        ):
+            return TruthRecord(frame_id, actor_id, depth, lateral, direction, emitted, known)
     _expect_keys(data, _TRUTH_KEYS, "truth record")
     direction = _direction_field(data, "true_direction")
     if direction is None:
@@ -269,6 +288,34 @@ def encode_tracked_object(obj: TrackedObject) -> str:
 
 def decode_tracked_object(line: str) -> TrackedObject:
     data = _loads(line)
+    # One guard for the whole record: exact non-negative int ids, a finite
+    # positive exact float or null distance, a known category and a
+    # direction looked up by their label, the direction only on a matched
+    # id, and a box of four exact floats that pass _box_error. Any other
+    # record is read again field by field below, which words the error.
+    if data.keys() == _TRACKED_KEYS:
+        object_id, frame_id, matched_from = data["object_id"], data["frame_id"], data["matched_from"]
+        distance, label, category, box = data["distance_cm"], data["direction"], data["category"], data["bbox"]
+        direction = None
+        if (
+            type(object_id) is int and object_id >= 0 and type(frame_id) is int and frame_id >= 0
+            and (matched_from is None or (type(matched_from) is int and matched_from >= 0))
+            and (distance is None or (type(distance) is float and 0.0 < distance < _INF))
+            and (
+                label is None
+                or (matched_from is not None and type(label) is str and (direction := _DIRECTION.get(label)) is not None)
+            )
+            and type(category) is str and (known := _KNOWN_CATEGORY.get(category)) is not None
+            and type(box) is dict and box.keys() == _BBOX_KEYS
+        ):
+            x, y, w, h = box["x"], box["y"], box["w"], box["h"]
+            if (
+                type(x) is float and type(y) is float and type(w) is float and type(h) is float
+                and not _box_error(x, y, w, h)
+            ):
+                return _checked_tracked(
+                    object_id, frame_id, known, _checked_box(x, y, w, h), distance, direction, matched_from
+                )
     _expect_keys(data, _TRACKED_KEYS, "tracked object")
     distance = data["distance_cm"]
     if distance is not None:
@@ -326,7 +373,22 @@ def decode_alarm_event(line: str) -> AlarmEvent:
 
 # --- file helpers -------------------------------------------------------
 
+# The C scanner that json.loads runs, called directly
+_scan = json.decoder.JSONDecoder().scan_once
+
+
 def _loads(line: str) -> dict:
+    # A str line that is one JSON object from its first character to its
+    # last is taken from the scanner. Anything else, whitespace around the
+    # object included, goes through json.loads, which words the error.
+    if type(line) is str:
+        try:
+            data, end = _scan(line, 0)
+        except (StopIteration, ValueError):
+            pass
+        else:
+            if end == len(line) and type(data) is dict:
+                return data
     try:
         data = json.loads(line)
     except json.JSONDecodeError as exc:

@@ -10,7 +10,6 @@ association step, run twice.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Optional, Tuple
 
@@ -19,8 +18,6 @@ from .camera import CameraIntrinsics, HeightTable, estimate_distance
 from .direction import DirectionConfig, DirectionLabel, classify_direction
 from .matcher import MatchConfig, match_frames
 from .types import BoundingBox, Category, DetectionFrame, ObjectId, _new, _set, validate_frame
-
-logger = logging.getLogger(__name__)
 
 # Lookback window capacity in frames; gap must fit inside it.
 WINDOW_DEPTH = 3
@@ -110,10 +107,15 @@ class _WindowEntry:
 
 
 class Pipeline:
-    """Stateful processor for one detection stream. Feed frames in order."""
+    """Stateful processor for one detection stream. Feed frames in order.
+
+    no_height counts the detections seen so far whose category has no
+    height entry: they get no distance and never alarm.
+    """
 
     def __init__(self, config: PipelineConfig):
         self.config = config
+        self.no_height = 0
         self._window: List[_WindowEntry] = []
         self._next_id: ObjectId = 0
         self._ledger = CooldownLedger()
@@ -145,9 +147,7 @@ class Pipeline:
         distances = [estimate_distance(cfg.camera, cfg.heights, d) for d in dets]
         # BoundingBox.center(), once per detection
         centers = [(b.x + b.w / 2.0, b.y + b.h / 2.0) for b in [d.bbox for d in dets]]
-        skipped = sum(1 for d in distances if d is None)
-        if skipped:
-            logger.debug("frame %d: %d detection(s) without a height entry", frame.frame_id, skipped)
+        self.no_height += distances.count(None)
 
         matched_from: List[Optional[ObjectId]] = [None] * n
         directions: List[Optional[DirectionLabel]] = [None] * n

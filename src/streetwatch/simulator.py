@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 from .camera import SUITE_CAMERA, SUITE_HEIGHTS_CM, CameraIntrinsics, _ground_box
 from .direction import DirectionConfig, DirectionLabel
 from .types import Category, Detection, DetectionFrame, KNOWN_CATEGORIES, TruthRecord, key_mismatch
-from .types import _box_error, _checked_box, _checked_detection, _is_finite_number
+from .types import _box_error, _checked_box, _checked_detection, _checked_frame, _is_finite_number
 
 TRAJECTORY_KINDS = ("linear", "stationary")
 
@@ -245,7 +245,9 @@ def generate(spec: ScenarioSpec) -> Tuple[List[DetectionFrame], List[TruthRecord
                     true_category=actor.category,
                 )
             )
-        frames.append(DetectionFrame(frame_id=i, t_ms=t_ms, detections=tuple(detections)))
+        # the stamps are non-negative ints and every box is checked above,
+        # so the frame is marked for validate_frame to trust
+        frames.append(_checked_frame(i, t_ms, tuple(detections)))
     return frames, truth
 
 

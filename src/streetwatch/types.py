@@ -231,8 +231,9 @@ def validate_frame(frame: DetectionFrame) -> None:
     were assembled around the constructors. It reads the fields and builds
     nothing. Raises FrameValidationError naming the first offending
     detection index, with the text its constructor would have raised.
-    A frame from _checked_frame (the detection decoder's) had every value
-    checked as it was built, and returns at once.
+    A frame from _checked_frame (the detection decoder's or the
+    simulator's) had every value checked as it was built, and returns at
+    once.
     """
     if getattr(frame, "_checked", False):
         return

@@ -2,6 +2,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from streetwatch import alarm
 from streetwatch.alarm import (
     DEFAULT_STAGES,
     AlarmEvent,
@@ -179,6 +180,15 @@ def test_frame_budget_keeps_the_most_urgent():
     events = emit_alarms(objs, 0, policy, ledger)
     assert [e.stage for e in events] == [3, 2]
     assert [e.object_id for e in events] == [2, 1]
+
+
+def test_a_capped_frame_builds_only_the_events_it_emits(monkeypatch):
+    calls = []
+    monkeypatch.setattr(alarm, "render_message", lambda *args: calls.append(args) or render_message(*args))
+    objs = [tracked(k, 149.0 - k) for k in range(5)]
+    events = emit_alarms(objs, 0, AlarmPolicy(), CooldownLedger())  # max 2 per frame
+    assert [e.object_id for e in events] == [4, 3]
+    assert len(calls) == 2
 
 
 def test_capped_candidate_fires_next_frame():

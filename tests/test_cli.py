@@ -167,7 +167,7 @@ def test_replay_produces_tracks_and_events(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "frames: 40" in proc.stdout
     assert "stage 1 events: 3" in proc.stdout
-    assert "total events: 3" in proc.stdout
+    assert "total events: 3\nno-height detections: 0\n" in proc.stdout
     objs = read_tracked_objects(tracked)
     assert len(objs) == 40
     assert {o.object_id for o in objs} == {0}
@@ -330,6 +330,17 @@ def test_replay_out_of_order_stream_exits_two(tmp_path):
     assert "frame_id 1" in proc.stderr
 
 
+def test_replay_counts_detections_without_a_height(tmp_path):
+    frames = [make_frame(i, 100 * i, [make_det("dog", cx=100.0 + 5 * i), make_det("car", cx=400.0)]) for i in range(3)]
+    det = tmp_path / "detections.jsonl"
+    write_lines(det, (encode_detection_frame(f) for f in frames))
+    tracked = tmp_path / "t.jsonl"
+    proc = run_cli("replay", str(det), "--out-tracked", str(tracked), "--out-events", str(tmp_path / "e.jsonl"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("total events: 0\nno-height detections: 3\n")
+    assert [o.distance_cm is None for o in read_tracked_objects(tracked)] == [True, False] * 3
+
+
 def test_replay_with_config_file(tmp_path):
     det, _, _ = simulate(tmp_path)
     config = tmp_path / "config.ini"
@@ -486,11 +497,12 @@ def test_cli_import_and_config_load_leave_numpy_unloaded():
 
 
 def test_cli_import_leaves_the_simulator_and_the_scorer_unloaded():
-    # replay and stage run neither; simulate and eval import them when they run
+    # replay and stage run neither; simulate and eval import them when they
+    # run. Nothing imports logging.
     code = (
         "import sys\n"
         "import streetwatch.cli\n"
-        "print(sorted(m for m in ('streetwatch.simulator', 'streetwatch.evaluation') if m in sys.modules))\n"
+        "print(sorted(m for m in ('streetwatch.simulator', 'streetwatch.evaluation', 'logging') if m in sys.modules))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -287,6 +287,61 @@ def test_shared_encoder_writes_what_json_dumps_writes(record):
     assert line.isascii()
 
 
+# Records the decoders accept: float fields hold floats, and depth and
+# distance are positive.
+positive = st.floats(min_value=5e-324, max_value=1e300) | st.sampled_from([1.0, 412.0, 1e16])
+float_box = st.builds(BoundingBox, finite, finite, positive, positive)
+decodable_truth = st.builds(TruthRecord, count, count, positive, finite, direction, st.booleans(), category)
+
+
+@st.composite
+def decodable_tracked(draw):
+    matched_from = draw(st.none() | count)
+    return TrackedObject(
+        object_id=draw(count),
+        frame_id=draw(count),
+        category=draw(category),
+        bbox=draw(float_box),
+        distance_cm=draw(st.none() | positive),
+        direction=None if matched_from is None else draw(st.none() | direction),
+        matched_from=matched_from,
+    )
+
+
+def integral_floats_as_ints(value):
+    """value with every integer-valued float, nested ones too, as an int."""
+    if type(value) is float and value.is_integer():
+        return int(value)
+    if type(value) is dict:
+        return {k: integral_floats_as_ints(v) for k, v in value.items()}
+    return value
+
+
+def field_types(record):
+    return [type(v) for v in vars(record).values()] + [type(v) for v in vars(getattr(record, "bbox", record)).values()]
+
+
+# Each decodable record type: its writer, its reader and its category field.
+CODECS = {
+    TruthRecord: (encode_truth_record, decode_truth_record, "true_category"),
+    TrackedObject: (encode_tracked_object, decode_tracked_object, "category"),
+}
+
+
+@given(record=decodable_truth | decodable_tracked(), as_ints=st.booleans())
+def test_decoded_records_equal_the_written_ones_field_type_for_field_type(record, as_ints):
+    encode, decode, category_field = CODECS[type(record)]
+    line = encode(record)
+    if as_ints:
+        line = json.dumps(integral_floats_as_ints(json.loads(line)), separators=(",", ":"))
+    decoded = decode(line)
+    assert decoded == record
+    assert field_types(decoded) == field_types(record)
+    # a known label decodes to one shared Category, an open-set one to its own
+    first, second = getattr(decoded, category_field), getattr(decode(line), category_field)
+    assert (first is second) == (first.label in KNOWN_CATEGORIES)
+
+
 def smuggled(record, name, value):
     """A copy of record with value in field name, past the constructor's checks."""
     copy = dataclasses.replace(record)

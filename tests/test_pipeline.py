@@ -5,6 +5,7 @@ import types
 import pytest
 
 import streetwatch.types as sw_types
+from streetwatch import simulator
 from streetwatch.alarm import AlarmPolicy
 from streetwatch.camera import CameraIntrinsics, HeightTable
 from streetwatch.direction import DirectionConfig, DirectionLabel
@@ -145,6 +146,7 @@ def test_unknown_category_tracks_without_distance_or_alarms():
     assert tracked[0].distance_cm is None
     assert tracked[0].direction is DirectionLabel.RIGHT
     assert events == []
+    assert pipeline.no_height == 3
 
 
 def test_two_objects_keep_separate_identities():
@@ -282,6 +284,29 @@ def test_process_frame_does_not_check_a_decoded_frame_again(monkeypatch):
     for frame in frames:
         pipeline.process_frame(frame)
     assert calls == ["_label_error", "_box_error", "_confidence_error"] * 6
+
+
+def test_a_generated_box_is_checked_once_where_the_simulator_builds_it(monkeypatch):
+    calls = []
+    check = sw_types._box_error
+    for module in (sw_types, simulator):
+        monkeypatch.setattr(module, "_box_error", lambda *args: calls.append(args) or check(*args))
+    run = run_scenario(scenario_by_name("crowded-midrange"))
+    assert len(run.truth) == 240 and all(r.emitted for r in run.truth)
+    assert len(calls) == len(run.truth)
+
+
+def test_a_replaced_generated_frame_is_checked_again():
+    spec = scenario_by_name("crowded-midrange")
+    frame = generate(spec)[0][0]
+    det = frame.detections[0]
+    box = dataclasses.replace(det.bbox)
+    object.__setattr__(box, "w", -1.0)
+    bad = dataclasses.replace(frame, detections=(dataclasses.replace(det, bbox=box),) + frame.detections[1:])
+    Pipeline(config_for_scenario(spec)).process_frame(frame)
+    with pytest.raises(sw_types.FrameValidationError) as info:
+        Pipeline(config_for_scenario(spec)).process_frame(bad)
+    assert str(info.value) == f"detection 0: box needs w > 0 and h > 0, got w=-1.0, h={det.bbox.h}"
 
 
 def test_a_decoded_frame_and_its_python_built_twin_give_the_same_lines():

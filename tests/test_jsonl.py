@@ -318,7 +318,9 @@ def integral_floats_as_ints(value):
 
 
 def field_types(record):
-    return [type(v) for v in vars(record).values()] + [type(v) for v in vars(getattr(record, "bbox", record)).values()]
+    """The type of each field, and of each box field of a tracked object."""
+    box = vars(record.bbox) if isinstance(record, TrackedObject) else {}
+    return [type(v) for v in [*vars(record).values(), *box.values()]]
 
 
 # Each decodable record type: its writer, its reader and its category field.
@@ -514,6 +516,8 @@ HUGE = "1" * 401  # an integer too large for a float
         ('"matched_from":4', '"matched_from":-1', "matched_from must be a non-negative integer or null, got -1"),
         ('"matched_from":4', '"matched_from":null', "direction requires a match; matched_from is None"),
         ('"distance_cm":412.5', '"distance_cm":0', "distance_cm must be positive or null, got 0.0"),
+        ('"distance_cm":412.5', '"distance_cm":0.0', "distance_cm must be positive or null, got 0.0"),
+        ('"distance_cm":412.5', '"distance_cm":NaN', "distance_cm must be a finite number, got nan"),
         ('"distance_cm":412.5', '"distance_cm":"412.5"', "distance_cm must be a finite number, got '412.5'"),
         ('"direction":"left"', '"direction":"up"', "direction must be left/right/forward or null, got 'up'"),
         ('"direction":"left"', '"direction":{}', "direction must be left/right/forward or null, got {}"),
@@ -540,6 +544,7 @@ TRUTH = '{"frame_id":3,"actor_id":1,"true_depth_cm":580.0,"true_lateral_cm":-35.
         ('"actor_id":1', '"actor_id":true', "actor_id must be an integer >= 0, got True"),
         ('"actor_id":1', '"actor_id":1.5', "actor_id must be an integer >= 0, got 1.5"),
         ('"true_depth_cm":580.0', '"true_depth_cm":0', "true_depth_cm must be positive, got 0.0"),
+        ('"true_depth_cm":580.0', '"true_depth_cm":0.0', "true_depth_cm must be positive, got 0.0"),
         ('"true_depth_cm":580.0', '"true_depth_cm":-1.5', "true_depth_cm must be positive, got -1.5"),
         ('"true_depth_cm":580.0', '"true_depth_cm":NaN', "true_depth_cm must be a finite number, got nan"),
         ('"true_depth_cm":580.0', f'"true_depth_cm":{HUGE}', f"true_depth_cm must be a finite number, got {HUGE}"),
@@ -578,7 +583,7 @@ DECODERS = [decode_detection_frame, decode_truth_record, decode_tracked_object, 
         ('\ufeff{"a":1}', "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
     ],
 )
-def test_lines_that_are_not_one_json_object_keep_json_s_error_text(decode, line, text):
+def test_lines_that_are_not_one_json_object_keep_json_error_texts(decode, line, text):
     with pytest.raises(ParseError) as info:
         decode(line)
     assert str(info.value) == text
@@ -593,7 +598,7 @@ def test_lines_that_are_not_one_json_object_keep_json_s_error_text(decode, line,
         (encode_alarm_event(sample_event()), decode_alarm_event, sample_event()),
     ],
 )
-def test_whitespace_around_a_line_is_json_s_to_skip(line, decode, record):
+def test_whitespace_around_a_line_is_skipped(line, decode, record):
     assert decode(f" {line}\t\n") == record
     assert decode(f"{line} ") == record
 

@@ -4,7 +4,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from streetwatch.alarm import AlarmEvent
 from streetwatch.direction import DirectionLabel
@@ -342,6 +342,86 @@ def test_decoded_records_equal_the_written_ones_field_type_for_field_type(record
     # a known label decodes to one shared Category, an open-set one to its own
     first, second = getattr(decoded, category_field), getattr(decode(line), category_field)
     assert (first is second) == (first.label in KNOWN_CATEGORIES)
+
+
+# Bad and non-canonical field values: non-finite and huge numbers, bools,
+# ints where floats go, known and open-set labels, and good, int-valued,
+# empty, short, long and non-finite boxes.
+POOL = [
+    math.nan, math.inf, -math.inf, 10**400, True, False, None, 0, 3, -1, 0.0, 2.5, -2.5, "car", "e-scooter", "",
+    "left", "up", "7", [], {}, [1.0, 2.0, 3.0, 4.0],
+    {"x": 1, "y": 2, "w": 3, "h": 4},
+    {"x": 1.0, "y": 2.0, "w": 0.0, "h": 4.0},
+    {"x": 1.0, "y": 2.0, "w": 3.0},
+    {"x": 1.0, "y": 2.0, "w": 3.0, "h": 4.0, "z": 0.0},
+    {"x": math.nan, "y": 2.0, "w": 3.0, "h": 4.0},
+    {"x": 1.0, "y": 2.0, "w": 3.0, "h": 10**400},
+]
+EXTRA = "extra"
+# Each decoder's record: its writer, its reader and the order in which
+# its fields are checked. "keys" stands for the key set: it is replaced
+# by dropping one key or by adding one.
+CHECK_ORDER = {
+    TruthRecord: (
+        encode_truth_record,
+        decode_truth_record,
+        ("keys", "true_direction", "true_depth_cm", "frame_id", "actor_id", "true_lateral_cm", "emitted", "true_category"),
+    ),
+    TrackedObject: (
+        encode_tracked_object,
+        decode_tracked_object,
+        ("keys", "distance_cm", "matched_from", "object_id", "frame_id", "category", "bbox", "direction"),
+    ),
+}
+NO_MATCH = "direction requires a match; matched_from is None"
+
+
+def replaced(base, changes):
+    """The line for base with each (field, value) of changes applied, the
+    key set's last."""
+    data = dict(base)
+    for name, value in sorted(changes, key=lambda change: change[0] == "keys"):
+        if name != "keys":
+            data[name] = value
+        elif value == EXTRA:
+            data[EXTRA] = 1
+        else:
+            del data[value]
+    return json.dumps(data, separators=(",", ":"))
+
+
+def error_text(decode, line):
+    try:
+        decode(line)
+    except ParseError as exc:
+        return str(exc)
+    return None
+
+
+@given(record=decodable_truth | decodable_tracked(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_the_earliest_failing_field_words_the_error(record, data):
+    encode, decode, order = CHECK_ORDER[type(record)]
+    base = json.loads(encode(record))
+    if isinstance(record, TrackedObject):
+        # a match without a direction: alone, each replacement meets or
+        # breaks only its own field's rule
+        base["direction"], base["matched_from"] = None, base["matched_from"] or 0
+    names = data.draw(st.lists(st.sampled_from(order), min_size=1, max_size=2, unique=True))
+    keys = st.sampled_from([*base, EXTRA])
+    changes = sorted(
+        ((name, data.draw(keys if name == "keys" else st.sampled_from(POOL))) for name in names),
+        key=lambda change: order.index(change[0]),
+    )
+    alone = [error_text(decode, replaced(base, [change])) for change in changes]
+    expected = next((text for text in alone if text is not None), None)
+    line = replaced(base, changes)
+    if expected is None and isinstance(record, TrackedObject):
+        # the one rule that spans two fields is checked after every field
+        fields = json.loads(line)
+        if fields["direction"] is not None and fields["matched_from"] is None:
+            expected = NO_MATCH
+    assert error_text(decode, line) == expected
 
 
 def smuggled(record, name, value):

@@ -140,10 +140,6 @@ class CooldownLedger:
 
     last_emitted: Dict[Tuple[ObjectId, int], int] = field(default_factory=dict)
 
-    def expired(self, object_id: ObjectId, stage: int, t_ms: int, cooldown_ms: int) -> bool:
-        last = self.last_emitted.get((object_id, stage))
-        return last is None or t_ms - last >= cooldown_ms
-
     def record(self, object_id: ObjectId, stage: int, t_ms: int) -> None:
         self.last_emitted[(object_id, stage)] = t_ms
 
@@ -169,6 +165,7 @@ def emit_alarms(
     max_events_per_frame. Only events actually emitted touch the ledger,
     so a capped-out candidate may fire on the next frame.
     """
+    # an entry that outlives the prune is still in its cooldown
     ledger.prune(t_ms, policy.cooldown_ms)
     # stage 1 is the farthest band in both modes, so nothing beyond its top
     # edge can alarm; NaN and non-positive distances still reach the lookup
@@ -185,7 +182,7 @@ def emit_alarms(
         st = stage_for_distance(distance, policy)
         if st is None:
             continue
-        if not ledger.expired(obj.object_id, st.stage, t_ms, policy.cooldown_ms):
+        if (obj.object_id, st.stage) in ledger.last_emitted:
             continue
         candidates.append((-st.stage, distance, obj.object_id, len(candidates), obj, st))
     candidates.sort()

@@ -87,15 +87,16 @@ def _same_file(a: str, b: str) -> bool:
         return False
 
 
-def _refuse_aliases(inputs: List[Tuple[str, str]], outputs: List[Tuple[str, str]]) -> None:
+def _refuse_aliases(inputs: List[Tuple[str, Optional[str]]], outputs: List[Tuple[str, str]]) -> None:
     """Raise ValueError when an output names an input or an earlier output.
 
     Opening an output truncates it, so an alias would destroy the input or
-    the other output before a record is read. Takes (name, path) pairs.
+    the other output before a record is read. Takes (name, path) pairs; an
+    input left out (path None) is skipped.
     """
     for k, (name_b, b) in enumerate(outputs):
         for name_a, a in inputs + outputs[:k]:
-            if _same_file(a, b):
+            if a is not None and _same_file(a, b):
                 raise ValueError(f"{name_b} and {name_a} name the same file: {b}")
 
 
@@ -124,7 +125,7 @@ def _open_outputs(*paths: str) -> Iterator[List[TextIO]]:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from .simulator import ScenarioError, generate, scenario_by_name, scenario_from_dict, with_seed
 
-    inputs = [] if args.suite else [("the scenario", args.scenario)]
+    inputs = [("the scenario", args.scenario)]
     _refuse_aliases(inputs, [("--out-detections", args.out_detections), ("--out-truth", args.out_truth)])
     if args.suite:
         spec = scenario_by_name(args.suite)
@@ -154,9 +155,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    _refuse_aliases(
-        [("the input", args.detections)], [("--out-tracked", args.out_tracked), ("--out-events", args.out_events)]
-    )
+    inputs = [("the input", args.detections), ("--config", args.config)]
+    _refuse_aliases(inputs, [("--out-tracked", args.out_tracked), ("--out-events", args.out_events)])
     pipeline = Pipeline(load_config(args.config))
     stage_counts: Counter = Counter()
     frames = 0
@@ -179,7 +179,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     from .evaluation import AlignmentError, BandPartition, EvalError, score
 
-    inputs = [("the tracked stream", args.tracked), ("the truth stream", args.truth)]
+    inputs = [("the tracked stream", args.tracked), ("the truth stream", args.truth), ("--config", args.config)]
     _refuse_aliases(inputs, [("--report", args.report)])
     tracked = read_tracked_objects(args.tracked)
     truth = read_truth_records(args.truth)

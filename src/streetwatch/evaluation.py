@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .camera import HeightTable
-from .direction import DirectionConfig, DirectionLabel
+from .direction import DirectionLabel
 from .pipeline import Pipeline, PipelineConfig, TrackedObject, config_for_camera
 from .simulator import ScenarioSpec, TruthRecord, generate
 from .types import DetectionFrame, _is_finite_number
@@ -228,15 +228,10 @@ def score(
     )
 
 
-def config_for_scenario(
-    spec: ScenarioSpec,
-    *,
-    gap: Optional[int] = None,
-    dead_zone_px: Optional[float] = None,
-) -> PipelineConfig:
+def config_for_scenario(spec: ScenarioSpec, *, gap: Optional[int] = None) -> PipelineConfig:
     """A pipeline config that mirrors a scenario: same camera, same heights.
 
-    gap and dead_zone_px, when given, replace the camera's direction defaults.
+    gap, when given, replaces the camera's default lookback.
     """
     heights: Dict[str, float] = {}
     for actor in spec.actors:
@@ -245,13 +240,9 @@ def config_for_scenario(
             raise EvalError(f"actors disagree on the height of {label!r}; cannot derive a height table")
         heights[label] = actor.real_height_cm
     cfg = config_for_camera(spec.camera, HeightTable(heights))
-    if gap is None and dead_zone_px is None:
+    if gap is None:
         return cfg
-    direction = DirectionConfig(
-        gap=cfg.direction.gap if gap is None else gap,
-        dead_zone_px=cfg.direction.dead_zone_px if dead_zone_px is None else dead_zone_px,
-    )
-    return replace(cfg, direction=direction)
+    return replace(cfg, direction=replace(cfg.direction, gap=gap))
 
 
 @dataclass(frozen=True)
@@ -294,7 +285,7 @@ class GapComparison:
     gap2: EvalReport
 
 
-def compare_gap_strategies(spec: ScenarioSpec, dead_zone_px: float) -> GapComparison:
+def compare_gap_strategies(spec: ScenarioSpec) -> GapComparison:
     """Score the same run under a one-frame and a two-frame lookback.
 
     Scoring is strict on purpose: the comparison exists to expose labels
@@ -304,7 +295,7 @@ def compare_gap_strategies(spec: ScenarioSpec, dead_zone_px: float) -> GapCompar
     frames, truth = generate(spec)
     reports: Dict[int, EvalReport] = {}
     for gap in (1, 2):
-        pipeline = Pipeline(config_for_scenario(spec, gap=gap, dead_zone_px=dead_zone_px))
+        pipeline = Pipeline(config_for_scenario(spec, gap=gap))
         tracked = [obj for t, _ in pipeline.run(frames) for obj in t]
         reports[gap] = score(tracked, truth)
     return GapComparison(gap1=reports[1], gap2=reports[2])

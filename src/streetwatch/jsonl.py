@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, TypeVar, Union
 
 from .alarm import AlarmEvent
 from .direction import DirectionLabel
-from .pipeline import TrackedObject, _checked_tracked
+from .pipeline import TrackedObject, _checked_tracked, _match_error
 from .types import KNOWN_CATEGORIES, BoundingBox, Category, Detection, DetectionFrame, TruthRecord, key_mismatch
 from .types import _box_error, _checked_box, _checked_detection, _checked_frame, _confidence_error, _is_finite_number
 
@@ -218,38 +218,36 @@ def encode_truth_record(rec: TruthRecord) -> str:
 
 def decode_truth_record(line: str) -> TruthRecord:
     data = _loads(line)
-    # One guard for the whole record: exact non-negative int ids, finite
-    # exact floats with a positive depth, a direction and a known category
-    # looked up by their label, and an exact bool. Any other record is read
-    # again field by field below, which words the error.
-    if data.keys() == _TRUTH_KEYS:
-        frame_id, actor_id, emitted = data["frame_id"], data["actor_id"], data["emitted"]
-        depth, lateral = data["true_depth_cm"], data["true_lateral_cm"]
-        label, category = data["true_direction"], data["true_category"]
-        if (
-            type(frame_id) is int and frame_id >= 0 and type(actor_id) is int and actor_id >= 0
-            and type(depth) is float and 0.0 < depth < _INF and type(lateral) is float and -_INF < lateral < _INF
-            and type(label) is str and (direction := _DIRECTION.get(label)) is not None
-            and type(emitted) is bool
-            and type(category) is str and (known := _KNOWN_CATEGORY.get(category)) is not None
-        ):
-            return TruthRecord(frame_id, actor_id, depth, lateral, direction, emitted, known)
     _expect_keys(data, _TRUTH_KEYS, "truth record")
-    direction = _direction_field(data, "true_direction")
-    if direction is None:
-        raise ParseError("true_direction cannot be null")
-    depth = _num_field(data, "true_depth_cm")
-    if not depth > 0:
-        raise ParseError(f"true_depth_cm must be positive, got {depth!r}")
-    return TruthRecord(
-        frame_id=_int_field(data, "frame_id"),
-        actor_id=_int_field(data, "actor_id"),
-        true_depth_cm=depth,
-        true_lateral_cm=_num_field(data, "true_lateral_cm"),
-        true_direction=direction,
-        emitted=_bool_field(data, "emitted"),
-        true_category=_category_field(data, "true_category"),
-    )
+    # One pass. Each value is checked once, by exact type and range or by
+    # label lookup; one that fails goes to its field's reader, which words
+    # the error or returns what to use (a float for an int, a new Category).
+    direction = data["true_direction"]
+    if type(direction) is not str or (direction := _DIRECTION.get(direction)) is None:
+        direction = _direction_field(data, "true_direction")
+        if direction is None:
+            raise ParseError("true_direction cannot be null")
+    depth = data["true_depth_cm"]
+    if type(depth) is not float or not 0.0 < depth < _INF:
+        depth = _num_field(data, "true_depth_cm")
+        if not depth > 0:
+            raise ParseError(f"true_depth_cm must be positive, got {depth!r}")
+    frame_id = data["frame_id"]
+    if type(frame_id) is not int or frame_id < 0:
+        frame_id = _int_field(data, "frame_id")
+    actor_id = data["actor_id"]
+    if type(actor_id) is not int or actor_id < 0:
+        actor_id = _int_field(data, "actor_id")
+    lateral = data["true_lateral_cm"]
+    if type(lateral) is not float or not -_INF < lateral < _INF:
+        lateral = _num_field(data, "true_lateral_cm")
+    emitted = data["emitted"]
+    if type(emitted) is not bool:
+        emitted = _bool_field(data, "emitted")
+    category = data["true_category"]
+    if type(category) is not str or (category := _KNOWN_CATEGORY.get(category)) is None:
+        category = _category_field(data, "true_category")
+    return TruthRecord(frame_id, actor_id, depth, lateral, direction, emitted, category)
 
 
 # --- tracked stream -----------------------------------------------------
@@ -288,55 +286,32 @@ def encode_tracked_object(obj: TrackedObject) -> str:
 
 def decode_tracked_object(line: str) -> TrackedObject:
     data = _loads(line)
-    # One guard for the whole record: exact non-negative int ids, a finite
-    # positive exact float or null distance, a known category and a
-    # direction looked up by their label, the direction only on a matched
-    # id, and a box of four exact floats that pass _box_error. Any other
-    # record is read again field by field below, which words the error.
-    if data.keys() == _TRACKED_KEYS:
-        object_id, frame_id, matched_from = data["object_id"], data["frame_id"], data["matched_from"]
-        distance, label, category, box = data["distance_cm"], data["direction"], data["category"], data["bbox"]
-        direction = None
-        if (
-            type(object_id) is int and object_id >= 0 and type(frame_id) is int and frame_id >= 0
-            and (matched_from is None or (type(matched_from) is int and matched_from >= 0))
-            and (distance is None or (type(distance) is float and 0.0 < distance < _INF))
-            and (
-                label is None
-                or (matched_from is not None and type(label) is str and (direction := _DIRECTION.get(label)) is not None)
-            )
-            and type(category) is str and (known := _KNOWN_CATEGORY.get(category)) is not None
-            and type(box) is dict and box.keys() == _BBOX_KEYS
-        ):
-            x, y, w, h = box["x"], box["y"], box["w"], box["h"]
-            if (
-                type(x) is float and type(y) is float and type(w) is float and type(h) is float
-                and not _box_error(x, y, w, h)
-            ):
-                return _checked_tracked(
-                    object_id, frame_id, known, _checked_box(x, y, w, h), distance, direction, matched_from
-                )
     _expect_keys(data, _TRACKED_KEYS, "tracked object")
+    # one pass, as in decode_truth_record; _bbox_field checks the box once
     distance = data["distance_cm"]
-    if distance is not None:
+    if distance is not None and (type(distance) is not float or not 0.0 < distance < _INF):
         distance = _num_field(data, "distance_cm")
         if not distance > 0:
             raise ParseError(f"distance_cm must be positive or null, got {distance!r}")
     matched_from = data["matched_from"]
-    if matched_from is not None and (not isinstance(matched_from, int) or isinstance(matched_from, bool) or matched_from < 0):
+    if matched_from is not None and (type(matched_from) is not int or matched_from < 0):
         raise ParseError(f"matched_from must be a non-negative integer or null, got {matched_from!r}")
-    try:
-        return TrackedObject(
-            object_id=_int_field(data, "object_id"),
-            frame_id=_int_field(data, "frame_id"),
-            category=_category_field(data, "category"),
-            bbox=_bbox_field(data, "bbox"),
-            distance_cm=distance,
-            direction=_direction_field(data, "direction"),
-            matched_from=matched_from,
-        )
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    object_id = data["object_id"]
+    if type(object_id) is not int or object_id < 0:
+        object_id = _int_field(data, "object_id")
+    frame_id = data["frame_id"]
+    if type(frame_id) is not int or frame_id < 0:
+        frame_id = _int_field(data, "frame_id")
+    category = data["category"]
+    if type(category) is not str or (category := _KNOWN_CATEGORY.get(category)) is None:
+        category = _category_field(data, "category")
+    bbox = _bbox_field(data, "bbox")
+    direction = data["direction"]
+    if direction is not None and (type(direction) is not str or (direction := _DIRECTION.get(direction)) is None):
+        direction = _direction_field(data, "direction")
+    if text := _match_error(direction, matched_from):
+        raise ParseError(text)
+    return _checked_tracked(object_id, frame_id, category, bbox, distance, direction, matched_from)
 
 
 # --- event stream -------------------------------------------------------

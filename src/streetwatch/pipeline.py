@@ -45,8 +45,15 @@ class TrackedObject:
     matched_from: Optional[ObjectId]
 
     def __post_init__(self):
-        if self.matched_from is None and self.direction is not None:
-            raise ValueError("direction requires a match; matched_from is None")
+        if text := _match_error(self.direction, self.matched_from):
+            raise ValueError(text)
+
+
+def _match_error(direction: Optional[DirectionLabel], matched_from: Optional[ObjectId]) -> str:
+    """The error text for a direction on a fresh id, or "" when there is none."""
+    if direction is not None and matched_from is None:
+        return "direction requires a match; matched_from is None"
+    return ""
 
 
 def _checked_tracked(
@@ -58,8 +65,8 @@ def _checked_tracked(
     direction: Optional[DirectionLabel],
     matched_from: Optional[ObjectId],
 ) -> TrackedObject:
-    """A TrackedObject without __post_init__, for a direction that is None
-    or set on a matched id, as process_frame sets it."""
+    """A TrackedObject without __post_init__, for a direction and a match
+    that pass _match_error, as process_frame sets them."""
     obj = _new(TrackedObject)
     _set(obj, "object_id", object_id)
     _set(obj, "frame_id", frame_id)

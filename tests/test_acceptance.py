@@ -154,7 +154,7 @@ def test_association_against_exhaustive_oracle(capsys):
 
 def test_gap_lookback_beats_single_frame_on_slow_crossers(capsys):
     with verdict(capsys, "slow crosser: gap-2 direction accuracy 1.0, gap-1 accuracy 0.0"):
-        comparison = compare_gap_strategies(slow_crosser(dead_zone_px=8.0), dead_zone_px=8.0)
+        comparison = compare_gap_strategies(slow_crosser(dead_zone_px=8.0))
         assert comparison.gap2.direction_accuracy_overall == 1.0, (
             f"gap-2 accuracy {comparison.gap2.direction_accuracy_overall}"
         )

@@ -235,7 +235,10 @@ def emit_alarms_oracle(objects, t_ms, policy, ledger):
         if obj.distance_cm is None:
             continue
         stage = stage_for_distance(obj.distance_cm, policy)
-        if stage is None or not ledger.expired(obj.object_id, stage.stage, t_ms, policy.cooldown_ms):
+        if stage is None:
+            continue
+        last = ledger.last_emitted.get((obj.object_id, stage.stage))
+        if not (last is None or t_ms - last >= policy.cooldown_ms):
             continue
         message = render_message(obj.category, obj.direction)
         event = AlarmEvent(

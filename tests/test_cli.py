@@ -285,7 +285,9 @@ def test_replay_refuses_one_path_for_both_outputs(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("case", ["simulate-scenario", "simulate-outputs", "replay", "eval"])
+@pytest.mark.parametrize(
+    "case", ["simulate-scenario", "simulate-outputs", "replay", "eval", "replay-config", "eval-config"]
+)
 def test_writing_commands_refuse_aliased_paths(tmp_path, case):
     det, truth, _ = simulate(tmp_path)
     tracked = tmp_path / "tracked.jsonl"
@@ -293,6 +295,8 @@ def test_writing_commands_refuse_aliased_paths(tmp_path, case):
     assert proc.returncode == 0, proc.stderr
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(scenario_to_dict(scenario_by_name("single-crosser"))), encoding="utf-8")
+    config = tmp_path / "config.ini"
+    config.write_text("[alarm]\ncooldown_ms = 0\n", encoding="utf-8")
     fresh = str(tmp_path / "fresh.jsonl")
     args, text = {
         "simulate-scenario": (
@@ -305,6 +309,14 @@ def test_writing_commands_refuse_aliased_paths(tmp_path, case):
         ),
         "replay": (("replay", str(det), "--out-tracked", fresh, "--out-events", str(det)), "--out-events and the input"),
         "eval": (("eval", str(tracked), str(truth), "--report", str(tracked)), "--report and the tracked stream"),
+        "replay-config": (
+            ("replay", str(det), "--config", str(config), "--out-tracked", fresh, "--out-events", str(config)),
+            "--out-events and --config",
+        ),
+        "eval-config": (
+            ("eval", str(tracked), str(truth), "--config", str(config), "--report", str(config)),
+            "--report and --config",
+        ),
     }[case]
     before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
     proc = run_cli(*args)

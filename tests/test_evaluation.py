@@ -161,7 +161,7 @@ def test_unemitted_truth_rows_are_skipped():
 
 def test_excusable_forward_rule():
     spec = slow_crosser(dead_zone_px=8.0)
-    cfg = config_for_scenario(spec, gap=1, dead_zone_px=8.0)
+    cfg = config_for_scenario(spec, gap=1)
     frames, truth = generate(spec)
     pipeline = Pipeline(cfg)
     tracked = []
@@ -176,24 +176,21 @@ def test_excusable_forward_rule():
     # those same labels are excusable
     assert excused.direction_accuracy_overall == 1.0
     # over two frames the displacement clears the zone: no excuse
-    wide = score(
-        tracked, truth,
-        excuse=config_for_scenario(spec, gap=2, dead_zone_px=8.0),
-    )
+    wide = score(tracked, truth, excuse=config_for_scenario(spec, gap=2))
     assert wide.direction_accuracy_overall == 0.0
 
 
 def test_gap_comparison_on_the_slow_crosser():
-    comparison = compare_gap_strategies(slow_crosser(8.0), dead_zone_px=8.0)
+    comparison = compare_gap_strategies(slow_crosser(8.0))
     assert comparison.gap2.direction_accuracy_overall == 1.0
     assert comparison.gap1.direction_accuracy_overall == 0.0
 
 
 def test_gap_comparison_ties_on_fast_and_stationary_motion():
-    fast = compare_gap_strategies(scenario_by_name("single-crosser"), dead_zone_px=8.0)
+    fast = compare_gap_strategies(scenario_by_name("single-crosser"))
     assert fast.gap1.direction_accuracy_overall == 1.0
     assert fast.gap2.direction_accuracy_overall == 1.0
-    parked = compare_gap_strategies(scenario_by_name("stationary-clutter"), dead_zone_px=8.0)
+    parked = compare_gap_strategies(scenario_by_name("stationary-clutter"))
     assert parked.gap1.direction_accuracy_overall == 1.0
     assert parked.gap2.direction_accuracy_overall == 1.0
 

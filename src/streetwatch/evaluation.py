@@ -149,9 +149,10 @@ def score(
 
     tracked_by_frame = _group_by_frame(tracked)
     truth_by_frame = _group_by_frame(truth)
-    truth_by_actor_frame: Dict[Tuple[int, int], TruthRecord] = {
-        (r.actor_id, r.frame_id): r for r in truth
-    }
+    # only the excusable-forward rule looks a truth record up by (actor, frame)
+    truth_by_actor_frame: Dict[Tuple[int, int], TruthRecord] = (
+        {} if excuse is None else {(r.actor_id, r.frame_id): r for r in truth}
+    )
 
     aligned = 0
     category_correct = 0

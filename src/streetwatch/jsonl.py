@@ -140,7 +140,8 @@ def _bbox_field(data: dict, key: str) -> BoundingBox:
     box = data[key]
     if type(box) is not dict:
         raise ParseError(f"{key} must be an object, got {box!r}")
-    _expect_keys(box, _BBOX_KEYS, key)
+    if box.keys() != _BBOX_KEYS:
+        raise ParseError(f"{key}: {key_mismatch(box, _BBOX_KEYS)}")
     x, y, w, h = box["x"], box["y"], box["w"], box["h"]
     if (
         type(x) is not float or type(y) is not float or type(w) is not float or type(h) is not float
@@ -378,7 +379,9 @@ def read_records(path: PathLike, decoder: Callable[[str], T]) -> Iterator[T]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
+                # only JSON's own whitespace: str.strip() would also take
+                # form feed, NBSP and other characters json.loads refuses
+                line = line.strip(" \t\r\n")
                 if not line:
                     continue
                 try:

@@ -5,24 +5,33 @@ positive to the camera's right; Z depth in cm) and are projected through
 the pinhole model into detection boxes. Noise is applied per detection in
 a fixed order: center jitter, height jitter, label flip, drop.
 
-Every (seed, actor, frame) cell seeds its own random.Random, so adding
-or removing an actor never perturbs anyone else's noise, and generation
-order cannot matter. Draws go only through random(), whose sequence for
-a given seed Python keeps the same across versions. A scenario whose
-noise numbers are all zero draws nothing: the draws could not change a
-byte of its output.
+Every (seed, actor, frame) cell draws its noise from one keyed hash, a
+counter-based generator in the sense of Salmon et al. ("Parallel Random
+Numbers: As Easy as 1, 2, 3", SC 2011): the 56-byte BLAKE2b digest of
+"<seed>/<actor_id>/<frame>" is cut into seven little-endian 64-bit words,
+and each word's top 53 bits give a uniform in [0, 1), as random() builds
+its floats. The words have fixed roles: u0-u3 feed three Box-Muller
+normals (center x, center y, height), u4 is the flip, u5 the drop and u6
+the replacement label, read only on a flip. A cell's draws depend on
+nothing but its key, so adding or removing an actor never perturbs anyone
+else's noise, toggling one knob changes only what that knob does, and
+generation order cannot matter. BLAKE2b is a fixed standard (RFC 7693)
+that hashlib always provides, so the draws are the same bytes on every
+Python build. A scenario whose noise numbers are all zero draws nothing:
+the draws could not change a byte of its output.
 """
 from __future__ import annotations
 
 import math
-import random
+import struct
 from dataclasses import dataclass, field, replace
+from hashlib import blake2b
 from typing import List, Optional, Tuple
 
 from .camera import SUITE_CAMERA, SUITE_HEIGHTS_CM, CameraIntrinsics, _ground_box
 from .direction import DirectionConfig, DirectionLabel
 from .types import Category, Detection, DetectionFrame, KNOWN_CATEGORIES, TruthRecord, key_mismatch
-from .types import _box_error, _checked_box, _checked_detection, _checked_frame, _is_finite_number
+from .types import _box_error, _checked_box, _checked_detection, _checked_frame, _is_finite_number, _new, _set
 
 TRAJECTORY_KINDS = ("linear", "stationary")
 
@@ -168,15 +177,38 @@ def true_direction_of(trajectory: Trajectory) -> DirectionLabel:
     return DirectionLabel.FORWARD
 
 
-def _three_normals(rng: random.Random) -> Tuple[float, float, float]:
-    """Three standard normals by Box-Muller from four random() draws.
+_CELL_WORDS = struct.Struct("<7Q")
+_UNIT = 2.0**-53
 
-    1 - random() lies in (0, 1], so the log is always finite.
+
+def _cell_uniforms(seed: int, actor_id: int, frame: int) -> Tuple[float, ...]:
+    """The seven uniforms in [0, 1) of one (seed, actor, frame) cell.
+
+    The "/" separators make the key injective; each 64-bit word keeps its
+    top 53 bits, so every uniform is a multiple of 2**-53 below 1.
     """
-    r1 = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
-    a1 = 2.0 * math.pi * rng.random()
-    r2 = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
-    a2 = 2.0 * math.pi * rng.random()
+    digest = blake2b(f"{seed}/{actor_id}/{frame}".encode(), digest_size=56).digest()
+    q0, q1, q2, q3, q4, q5, q6 = _CELL_WORDS.unpack(digest)
+    return (
+        (q0 >> 11) * _UNIT,
+        (q1 >> 11) * _UNIT,
+        (q2 >> 11) * _UNIT,
+        (q3 >> 11) * _UNIT,
+        (q4 >> 11) * _UNIT,
+        (q5 >> 11) * _UNIT,
+        (q6 >> 11) * _UNIT,
+    )
+
+
+def _three_normals(u0: float, u1: float, u2: float, u3: float) -> Tuple[float, float, float]:
+    """Three standard normals by Box-Muller from four uniforms in [0, 1).
+
+    1 - u lies in (0, 1], so the log is always finite.
+    """
+    r1 = math.sqrt(-2.0 * math.log(1.0 - u0))
+    a1 = 2.0 * math.pi * u1
+    r2 = math.sqrt(-2.0 * math.log(1.0 - u2))
+    a2 = 2.0 * math.pi * u3
     return r1 * math.cos(a1), r1 * math.sin(a1), r2 * math.cos(a2)
 
 
@@ -195,38 +227,52 @@ def generate(spec: ScenarioSpec) -> Tuple[List[DetectionFrame], List[TruthRecord
     # plus 0 * n is the center (it is never -0.0), the height factor is
     # exactly 1.0 and no uniform is below 0.0. So nothing is drawn.
     drawing = noise != NoiseSpec()
-    cast = [(actor, *actor.span(spec.duration_s), true_direction_of(actor.trajectory)) for actor in spec.actors]
+    jitter, height_jitter = noise.center_jitter_px, noise.height_jitter_frac
+    flip_prob, drop_prob = noise.label_flip_prob, noise.drop_prob
+    seed, camera, camera_height = spec.seed, spec.camera, spec.camera_height_cm
+    cast = [
+        (
+            actor.actor_id,
+            *actor.span(spec.duration_s),
+            actor.trajectory.x0_cm,
+            actor.trajectory.z0_cm,
+            actor.trajectory.vx_cm_s,
+            actor.trajectory.vz_cm_s,
+            actor.real_height_cm,
+            actor.aspect_ratio,
+            actor.category,
+            true_direction_of(actor.trajectory),
+            # the labels a flip can pick, in KNOWN_CATEGORIES order
+            [Category(c) for c in KNOWN_CATEGORIES if c != actor.category.label],
+        )
+        for actor in spec.actors
+    ]
     for i in range(spec.frame_count()):
         t_s = i / spec.frame_rate_hz
         t_ms = int(round(i * 1000.0 / spec.frame_rate_hz))
         detections: List[Detection] = []
-        for actor, enter, exit_, direction in cast:
+        for actor_id, enter, exit_, x0, z0, vx, vz, height, aspect, true_category, direction, others in cast:
             if not enter <= t_s <= exit_:
                 continue
-            x_cm, z_cm = actor.trajectory.position(t_s)
-            x, y, w, h = _ground_box(
-                spec.camera, x_cm, z_cm, actor.real_height_cm, actor.aspect_ratio, spec.camera_height_cm
-            )
+            # Trajectory.position
+            x_cm = x0 + vx * t_s
+            z_cm = z0 + vz * t_s
+            x, y, w, h = _ground_box(camera, x_cm, z_cm, height, aspect, camera_height)
             # BoundingBox.center(); the box is checked once, after the noise
             cx, cy = x + w / 2.0, y + h / 2.0
-            category = actor.category
+            category = true_category
             emitted = True
             if drawing:
-                # the "/" separators make the key injective
-                rng = random.Random(f"{spec.seed}/{actor.actor_id}/{i}")
-                # fixed draw order keeps streams diffable when toggling one knob
-                n0, n1, n2 = _three_normals(rng)
-                flip_u = rng.random()
-                drop_u = rng.random()
-                cx += noise.center_jitter_px * n0
-                cy += noise.center_jitter_px * n1
+                u0, u1, u2, u3, flip_u, drop_u, label_u = _cell_uniforms(seed, actor_id, i)
+                n0, n1, n2 = _three_normals(u0, u1, u2, u3)
+                cx += jitter * n0
+                cy += jitter * n1
                 # clamp so extreme jitter cannot produce a non-positive box
-                h *= max(1.0 + noise.height_jitter_frac * n2, 0.01)
-                if flip_u < noise.label_flip_prob:
-                    others = [c for c in KNOWN_CATEGORIES if c != category.label]
-                    category = Category(others[int(rng.random() * len(others))])
-                emitted = not drop_u < noise.drop_prob
-            w = actor.aspect_ratio * h
+                h *= max(1.0 + height_jitter * n2, 0.01)
+                if flip_u < flip_prob:
+                    category = others[int(label_u * len(others))]
+                emitted = not drop_u < drop_prob
+            w = aspect * h
             x = cx - w / 2.0
             y = cy - h / 2.0
             text = _box_error(x, y, w, h)
@@ -234,17 +280,17 @@ def generate(spec: ScenarioSpec) -> Tuple[List[DetectionFrame], List[TruthRecord
                 raise ValueError(text)
             if emitted:
                 detections.append(_checked_detection(category, _checked_box(x, y, w, h), 1.0))
-            truth.append(
-                TruthRecord(
-                    frame_id=i,
-                    actor_id=actor.actor_id,
-                    true_depth_cm=z_cm,
-                    true_lateral_cm=x_cm,
-                    true_direction=direction,
-                    emitted=emitted,
-                    true_category=actor.category,
-                )
-            )
+            # TruthRecord's constructor checks nothing; this build skips only
+            # its keyword handling
+            rec = _new(TruthRecord)
+            _set(rec, "frame_id", i)
+            _set(rec, "actor_id", actor_id)
+            _set(rec, "true_depth_cm", z_cm)
+            _set(rec, "true_lateral_cm", x_cm)
+            _set(rec, "true_direction", direction)
+            _set(rec, "emitted", emitted)
+            _set(rec, "true_category", true_category)
+            truth.append(rec)
         # the stamps are non-negative ints and every box is checked above,
         # so the frame is marked for validate_frame to trust
         frames.append(_checked_frame(i, t_ms, tuple(detections)))

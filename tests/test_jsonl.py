@@ -781,6 +781,30 @@ def test_read_records_cites_the_line_number(tmp_path):
         list(read_records(path, decode_detection_frame))
 
 
+@pytest.mark.parametrize(
+    "padded",
+    [
+        "\x0c{line}\xa0",  # form feed before, NBSP after
+        "\x1f",  # a unit separator alone is not a blank line
+        "\x1c{line}",
+        "{line}\u2028",
+        "\xa0",
+        "\x0b{line}",
+    ],
+)
+def test_read_records_strips_only_json_whitespace(tmp_path, padded):
+    # json.loads refuses these characters around or instead of a record,
+    # so the reader does too, naming the line
+    frame_line = encode_detection_frame(sample_frame())
+    bad = padded.format(line=frame_line)
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(bad)
+    path = tmp_path / "frames.jsonl"
+    path.write_text(f"{frame_line}\n{bad}\n{frame_line}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"^line 2: invalid JSON: "):
+        read_detection_frames(path)
+
+
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
 def test_read_records_line_endings_and_non_utf8_lines(tmp_path, newline):
     frames, _ = generate(scenario_by_name("single-crosser"))

@@ -1,6 +1,7 @@
 """Synthetic scenario generation: determinism, noise knobs, bundled suite."""
 import hashlib
 import math
+import struct
 
 import pytest
 
@@ -89,14 +90,15 @@ def test_noisy_generate_leaves_plain_floats():
 
 
 def test_noisy_draw_recipe_is_pinned():
-    # per cell: four random() calls for three Box-Muller normals, then the
-    # flip and drop uniforms, then, on a flip only, the replacement label
+    # per cell: seven uniforms from one keyed hash; u0-u3 give three
+    # Box-Muller normals, u4 the flip, u5 the drop and, on a flip only, u6
+    # the replacement label
     frames, truth = generate(two_actor_scenario(ALL_NOISE))
     assert 0 < sum(len(f.detections) for f in frames) < len(truth)
     assert any(d.category.label not in ("car", "person") for f in frames for d in f.detections)
     detections, truth_lines = encode_run(frames, truth)
     digest = hashlib.sha256((detections + "\n" + truth_lines).encode("ascii")).hexdigest()
-    assert digest == "14ddb2169d88c98cd29ff30b3b83660fdc82ac9c58b7edbcfbb14bf6a1e398bf"
+    assert digest == "b6e4d6b814d57003a04e5e6cdc311198cf303d60afb22d07a7ae97e5c58eeba6"
 
 
 def run_digest(spec):
@@ -123,10 +125,10 @@ def test_suite_bytes_are_pinned(name):
 
 # One non-zero noise number each: every one of them keeps the draw recipe.
 SINGLE_KNOB_DIGESTS = {
-    "center_jitter_px": (2.0, "da666c5c221688f35f1599cc6dd3deae858e80b833ab9bf362635f221ed100aa"),
-    "height_jitter_frac": (0.05, "c399592716157bebc91474befe841035a04cc741b620e9afe95a587e05d1f31e"),
-    "drop_prob": (0.2, "1fa04783e5c1ec290352615841216f20acb1d3ba8f3695d8c799559210df8e28"),
-    "label_flip_prob": (0.2, "47ccb0328771ab52e0222aada50cf5baf01ba4e817d40416e6f75bf82928405c"),
+    "center_jitter_px": (2.0, "f35c298700f64b797e6b2713f736f51d6a5aa7fd9f3646d0500fd3ee2c1566e3"),
+    "height_jitter_frac": (0.05, "080ccab57354c761615b5a6bf6e213425b711ae3db43097a29f8083d75d35389"),
+    "drop_prob": (0.2, "51363335f09c66229fa207fc82c1f4b4f8e4cc16acebce5cddfe224e2fe62154"),
+    "label_flip_prob": (0.2, "4e9e1aa58f30aa735e1fcc2272497929be23b0435db54456435ab0757097c582"),
 }
 
 
@@ -138,24 +140,86 @@ def test_single_knob_bytes_are_pinned(knob):
 
 def test_noise_free_spec_draws_nothing(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a noise-free scenario seeded a random.Random")
+        raise AssertionError("a noise-free scenario drew a cell's uniforms")
 
-    monkeypatch.setattr(simulator.random, "Random", refuse)
+    monkeypatch.setattr(simulator, "_cell_uniforms", refuse)
     frames, truth = generate(two_actor_scenario(NoiseSpec()))
     assert len(truth) == sum(len(f.detections) for f in frames) == 40
 
 
 def test_any_noise_number_keeps_the_draws(monkeypatch):
-    seeded = []
-    real = simulator.random.Random
+    drawn = []
+    real = simulator._cell_uniforms
 
-    def counting(key):
-        seeded.append(key)
-        return real(key)
+    def counting(*key):
+        drawn.append(key)
+        return real(*key)
 
-    monkeypatch.setattr(simulator.random, "Random", counting)
+    monkeypatch.setattr(simulator, "_cell_uniforms", counting)
     _, truth = generate(two_actor_scenario(NoiseSpec(drop_prob=0.2)))
-    assert len(seeded) == len(truth) == 40
+    assert len(drawn) == len(truth) == 40
+
+
+def independent_uniforms(key):
+    # the recipe spelled out: BLAKE2b-448 of the key, seven little-endian
+    # 64-bit words, the top 53 bits of each scaled into [0, 1)
+    digest = hashlib.blake2b(key.encode("ascii"), digest_size=56).digest()
+    words = struct.unpack("<QQQQQQQ", digest)
+    return tuple(math.ldexp(w // 2**11, -53) for w in words)
+
+
+@pytest.mark.parametrize("seed,actor_id,frame", [(42, 0, 0), (2**63 - 1, 12345, 999)])
+def test_cell_uniforms_follow_the_recipe(seed, actor_id, frame):
+    uniforms = simulator._cell_uniforms(seed, actor_id, frame)
+    assert uniforms == independent_uniforms(f"{seed}/{actor_id}/{frame}")
+    assert len(uniforms) == 7
+    assert all(type(u) is float and 0.0 <= u < 1.0 for u in uniforms)
+    assert len(set(uniforms)) == 7
+
+
+def test_cell_uniforms_and_normals_have_their_moments():
+    n = 100_000
+    cells = [simulator._cell_uniforms(5, k % 40, k // 40) for k in range(n)]
+    for j in range(7):
+        mean = math.fsum(c[j] for c in cells) / n
+        assert abs(mean - 0.5) <= 0.005, (j, mean)
+    normals = [simulator._three_normals(*c[:4]) for c in cells]
+    for j in range(3):
+        values = [v[j] for v in normals]
+        mean = math.fsum(values) / n
+        sd = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1))
+        assert abs(mean) <= 0.01, (j, mean)
+        assert abs(sd - 1.0) <= 0.01, (j, sd)
+
+
+def test_drop_and_flip_rates_are_binomial():
+    noise = NoiseSpec(drop_prob=0.3, label_flip_prob=0.2)
+    actors = tuple(
+        ActorSpec(k, Category("car"), 140.0, 2.0, Trajectory("stationary", -300.0 + 20.0 * k, 900.0))
+        for k in range(30)
+    )
+    frames, truth = generate(small_scenario(noise=noise, actors=actors, duration_s=60.0))
+    cells = len(truth)
+    assert cells == 30 * 600
+    emitted = [d for f in frames for d in f.detections]
+    for p, hits, trials in (
+        (0.3, cells - len(emitted), cells),
+        (0.2, sum(d.category.label != "car" for d in emitted), len(emitted)),
+    ):
+        assert abs(hits - p * trials) <= 4 * math.sqrt(trials * p * (1 - p)), (p, hits, trials)
+
+
+def test_actor_draws_do_not_depend_on_its_span():
+    noise = NoiseSpec(center_jitter_px=3.0, height_jitter_frac=0.05, label_flip_prob=0.3)
+    trajectory = Trajectory("stationary", 50.0, 600.0)
+    boxes = []
+    for enter_s in (None, 0.5):
+        actor = ActorSpec(3, Category("bus"), 320.0, 2.5, trajectory, enter_s=enter_s)
+        frames, _ = generate(small_scenario(noise=noise, actors=(actor,)))
+        boxes.append({f.frame_id: f.detections for f in frames if f.detections})
+    always, late = boxes
+    assert sorted(late) == list(range(5, 20))
+    assert all(late[i] == always[i] for i in late)
 
 
 def test_different_seed_different_jitter():

@@ -140,6 +140,7 @@ def _bbox_field(data: dict, key: str) -> BoundingBox:
     box = data[key]
     if type(box) is not dict:
         raise ParseError(f"{key} must be an object, got {box!r}")
+    # _expect_keys inline: a call per box shows in the decode time
     if box.keys() != _BBOX_KEYS:
         raise ParseError(f"{key}: {key_mismatch(box, _BBOX_KEYS)}")
     x, y, w, h = box["x"], box["y"], box["w"], box["h"]

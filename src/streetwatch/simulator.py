@@ -189,6 +189,7 @@ def _cell_uniforms(seed: int, actor_id: int, frame: int) -> Tuple[float, ...]:
     """
     digest = blake2b(f"{seed}/{actor_id}/{frame}".encode(), digest_size=56).digest()
     q0, q1, q2, q3, q4, q5, q6 = _CELL_WORDS.unpack(digest)
+    # spelled out: a comprehension costs about 0.5 us more per cell
     return (
         (q0 >> 11) * _UNIT,
         (q1 >> 11) * _UNIT,
@@ -280,8 +281,8 @@ def generate(spec: ScenarioSpec) -> Tuple[List[DetectionFrame], List[TruthRecord
                 raise ValueError(text)
             if emitted:
                 detections.append(_checked_detection(category, _checked_box(x, y, w, h), 1.0))
-            # TruthRecord's constructor checks nothing; this build skips only
-            # its keyword handling
+            # TruthRecord.__init__ checks nothing, so setting the fields
+            # directly drops no check and is faster
             rec = _new(TruthRecord)
             _set(rec, "frame_id", i)
             _set(rec, "actor_id", actor_id)

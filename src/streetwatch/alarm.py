@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 from .direction import DirectionLabel
-from .types import Category, ObjectId, _is_finite_number
+from .types import Category, ObjectId, _is_finite_number, _new, _slot_setters
 
 if TYPE_CHECKING:  # pragma: no cover
     from .pipeline import TrackedObject
@@ -90,7 +90,7 @@ class AlarmPolicy:
             raise ValueError(f"cumulative_bands must be a bool, got {self.cumulative_bands!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlarmEvent:
     """One emitted alarm. vibration_s is the pulse length the device should play."""
 
@@ -102,6 +102,37 @@ class AlarmEvent:
     distance_cm: float
     direction: Optional[DirectionLabel]
     message: str
+
+
+# each field's slot setter, as types binds them for its records
+(
+    _event_t_ms, _event_object_id, _event_category, _event_stage,
+    _event_vibration, _event_distance, _event_direction, _event_message,
+) = _slot_setters(AlarmEvent)
+
+
+def _checked_event(
+    t_ms: int,
+    object_id: ObjectId,
+    category: Category,
+    stage: int,
+    vibration_s: float,
+    distance_cm: float,
+    direction: Optional[DirectionLabel],
+    message: str,
+) -> AlarmEvent:
+    """An AlarmEvent, as its constructor builds it: that checks nothing,
+    so this drops no check."""
+    event = _new(AlarmEvent)
+    _event_t_ms(event, t_ms)
+    _event_object_id(event, object_id)
+    _event_category(event, category)
+    _event_stage(event, stage)
+    _event_vibration(event, vibration_s)
+    _event_distance(event, distance_cm)
+    _event_direction(event, direction)
+    _event_message(event, message)
+    return event
 
 
 def render_message(category: Category, direction: Optional[DirectionLabel]) -> str:
@@ -191,15 +222,15 @@ def emit_alarms(
     for _, distance, object_id, _, obj, st in candidates[: policy.max_events_per_frame]:
         ledger.record(object_id, st.stage, t_ms)
         emitted.append(
-            AlarmEvent(
-                t_ms=t_ms,
-                object_id=object_id,
-                category=obj.category,
-                stage=st.stage,
-                vibration_s=st.vibration_s,
-                distance_cm=distance,
-                direction=obj.direction,
-                message=render_message(obj.category, obj.direction),
+            _checked_event(
+                t_ms,
+                object_id,
+                obj.category,
+                st.stage,
+                st.vibration_s,
+                distance,
+                obj.direction,
+                render_message(obj.category, obj.direction),
             )
         )
     return emitted

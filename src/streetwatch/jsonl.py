@@ -15,11 +15,12 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, List, Optional, TypeVar, Union
 
-from .alarm import AlarmEvent
+from .alarm import AlarmEvent, _checked_event
 from .direction import DirectionLabel
 from .pipeline import TrackedObject, _checked_tracked, _match_error
 from .types import KNOWN_CATEGORIES, BoundingBox, Category, Detection, DetectionFrame, TruthRecord, key_mismatch
-from .types import _box_error, _checked_box, _checked_detection, _checked_frame, _confidence_error, _is_finite_number
+from .types import _box_error, _checked_box, _checked_detection, _checked_frame, _checked_truth
+from .types import _confidence_error, _is_finite_number
 
 T = TypeVar("T")
 PathLike = Union[str, Path]
@@ -179,14 +180,17 @@ def _decode_detection(k: int, item) -> Detection:
             raise ParseError("must be an object")
         if item.keys() != _DETECTION_KEYS:
             raise ParseError(key_mismatch(item, _DETECTION_KEYS))
-        category = _category_field(item, "category")
+        # one pass, as in decode_truth_record; _bbox_field checks the box once
+        category = item["category"]
+        if type(category) is not str or (category := _KNOWN_CATEGORY.get(category)) is None:
+            category = _category_field(item, "category")
         bbox = _bbox_field(item, "bbox")
         confidence = item["confidence"]
-        if type(confidence) is not float:
+        if type(confidence) is not float or not 0.0 <= confidence <= 1.0:
             confidence = _num_field(item, "confidence")
-        text = _confidence_error(confidence)
-        if text:
-            raise ParseError(text)
+            text = _confidence_error(confidence)
+            if text:
+                raise ParseError(text)
     except ParseError as exc:
         raise ParseError(f"detection {k}: {exc}") from None
     return _checked_detection(category, bbox, confidence)
@@ -249,7 +253,7 @@ def decode_truth_record(line: str) -> TruthRecord:
     category = data["true_category"]
     if type(category) is not str or (category := _KNOWN_CATEGORY.get(category)) is None:
         category = _category_field(data, "true_category")
-    return TruthRecord(frame_id, actor_id, depth, lateral, direction, emitted, category)
+    return _checked_truth(frame_id, actor_id, depth, lateral, direction, emitted, category)
 
 
 # --- tracked stream -----------------------------------------------------
@@ -330,22 +334,36 @@ def encode_alarm_event(event: AlarmEvent) -> str:
 def decode_alarm_event(line: str) -> AlarmEvent:
     data = _loads(line)
     _expect_keys(data, _EVENT_KEYS, "alarm event")
-    vibration = _num_field(data, "vibration_s")
-    if not vibration > 0:
-        raise ParseError(f"vibration_s must be positive, got {vibration!r}")
-    distance = _num_field(data, "distance_cm")
-    if not distance > 0:
-        raise ParseError(f"distance_cm must be positive, got {distance!r}")
-    return AlarmEvent(
-        t_ms=_int_field(data, "t_ms"),
-        object_id=_int_field(data, "object_id"),
-        category=_category_field(data, "category"),
-        stage=_int_field(data, "stage", minimum=1),
-        vibration_s=vibration,
-        distance_cm=distance,
-        direction=_direction_field(data, "direction"),
-        message=_str_field(data, "message"),
-    )
+    # one pass, as in decode_truth_record
+    vibration = data["vibration_s"]
+    if type(vibration) is not float or not 0.0 < vibration < _INF:
+        vibration = _num_field(data, "vibration_s")
+        if not vibration > 0:
+            raise ParseError(f"vibration_s must be positive, got {vibration!r}")
+    distance = data["distance_cm"]
+    if type(distance) is not float or not 0.0 < distance < _INF:
+        distance = _num_field(data, "distance_cm")
+        if not distance > 0:
+            raise ParseError(f"distance_cm must be positive, got {distance!r}")
+    t_ms = data["t_ms"]
+    if type(t_ms) is not int or t_ms < 0:
+        t_ms = _int_field(data, "t_ms")
+    object_id = data["object_id"]
+    if type(object_id) is not int or object_id < 0:
+        object_id = _int_field(data, "object_id")
+    category = data["category"]
+    if type(category) is not str or (category := _KNOWN_CATEGORY.get(category)) is None:
+        category = _category_field(data, "category")
+    stage = data["stage"]
+    if type(stage) is not int or stage < 1:
+        stage = _int_field(data, "stage", minimum=1)
+    direction = data["direction"]
+    if direction is not None and (type(direction) is not str or (direction := _DIRECTION.get(direction)) is None):
+        direction = _direction_field(data, "direction")
+    message = data["message"]
+    if type(message) is not str or not message:
+        message = _str_field(data, "message")
+    return _checked_event(t_ms, object_id, category, stage, vibration, distance, direction, message)
 
 
 # --- file helpers -------------------------------------------------------

@@ -17,7 +17,7 @@ from .alarm import AlarmEvent, AlarmPolicy, CooldownLedger, emit_alarms
 from .camera import CameraIntrinsics, HeightTable, estimate_distance
 from .direction import DirectionConfig, DirectionLabel, classify_direction
 from .matcher import MatchConfig, match_frames
-from .types import BoundingBox, Category, DetectionFrame, ObjectId, _new, _set, validate_frame
+from .types import BoundingBox, Category, DetectionFrame, ObjectId, _new, _slot_setters, validate_frame
 
 # Lookback window capacity in frames; gap must fit inside it.
 WINDOW_DEPTH = 3
@@ -27,7 +27,7 @@ class StreamOrderError(Exception):
     """Frames arrived out of stream order (frame_id or t_ms went backwards)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrackedObject:
     """One detection enriched with identity, distance and direction.
 
@@ -56,6 +56,13 @@ def _match_error(direction: Optional[DirectionLabel], matched_from: Optional[Obj
     return ""
 
 
+# each field's slot setter, as types binds them for its records
+(
+    _tracked_object_id, _tracked_frame_id, _tracked_category, _tracked_bbox,
+    _tracked_distance, _tracked_direction, _tracked_matched_from,
+) = _slot_setters(TrackedObject)
+
+
 def _checked_tracked(
     object_id: ObjectId,
     frame_id: int,
@@ -68,13 +75,13 @@ def _checked_tracked(
     """A TrackedObject without __post_init__, for a direction and a match
     that pass _match_error, as process_frame sets them."""
     obj = _new(TrackedObject)
-    _set(obj, "object_id", object_id)
-    _set(obj, "frame_id", frame_id)
-    _set(obj, "category", category)
-    _set(obj, "bbox", bbox)
-    _set(obj, "distance_cm", distance_cm)
-    _set(obj, "direction", direction)
-    _set(obj, "matched_from", matched_from)
+    _tracked_object_id(obj, object_id)
+    _tracked_frame_id(obj, frame_id)
+    _tracked_category(obj, category)
+    _tracked_bbox(obj, bbox)
+    _tracked_distance(obj, distance_cm)
+    _tracked_direction(obj, direction)
+    _tracked_matched_from(obj, matched_from)
     return obj
 
 

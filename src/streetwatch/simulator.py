@@ -31,7 +31,7 @@ from typing import List, Optional, Tuple
 from .camera import SUITE_CAMERA, SUITE_HEIGHTS_CM, CameraIntrinsics, _ground_box
 from .direction import DirectionConfig, DirectionLabel
 from .types import Category, Detection, DetectionFrame, KNOWN_CATEGORIES, TruthRecord, key_mismatch
-from .types import _box_error, _checked_box, _checked_detection, _checked_frame, _is_finite_number, _new, _set
+from .types import _box_error, _checked_box, _checked_detection, _checked_frame, _checked_truth, _is_finite_number
 
 TRAJECTORY_KINDS = ("linear", "stationary")
 
@@ -281,17 +281,7 @@ def generate(spec: ScenarioSpec) -> Tuple[List[DetectionFrame], List[TruthRecord
                 raise ValueError(text)
             if emitted:
                 detections.append(_checked_detection(category, _checked_box(x, y, w, h), 1.0))
-            # TruthRecord.__init__ checks nothing, so setting the fields
-            # directly drops no check and is faster
-            rec = _new(TruthRecord)
-            _set(rec, "frame_id", i)
-            _set(rec, "actor_id", actor_id)
-            _set(rec, "true_depth_cm", z_cm)
-            _set(rec, "true_lateral_cm", x_cm)
-            _set(rec, "true_direction", direction)
-            _set(rec, "emitted", emitted)
-            _set(rec, "true_category", true_category)
-            truth.append(rec)
+            truth.append(_checked_truth(i, actor_id, z_cm, x_cm, direction, emitted, true_category))
         # the stamps are non-negative ints and every box is checked above,
         # so the frame is marked for validate_frame to trust
         frames.append(_checked_frame(i, t_ms, tuple(detections)))

@@ -7,7 +7,7 @@ extend past the frame edges (objects half inside the view are normal).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Collection, Iterable, Tuple
 
 if TYPE_CHECKING:
@@ -92,44 +92,6 @@ def _parts_error(category, bbox) -> str:
     return ""
 
 
-# The two constructors below take values the caller has already checked
-# with the helpers above, and skip __post_init__. Fields are set one by
-# one, as the generated __init__ does: writing into __dict__ is faster
-# here but slows every later attribute read.
-
-def _checked_box(x: float, y: float, w: float, h: float) -> BoundingBox:
-    """A BoundingBox of four floats that pass _box_error."""
-    box = _new(BoundingBox)
-    _set(box, "x", x)
-    _set(box, "y", y)
-    _set(box, "w", w)
-    _set(box, "h", h)
-    return box
-
-
-def _checked_detection(category: Category, bbox: BoundingBox, confidence: float) -> Detection:
-    """A Detection of a valid Category, a box from _checked_box and a float
-    that passes _confidence_error."""
-    det = _new(Detection)
-    _set(det, "category", category)
-    _set(det, "bbox", bbox)
-    _set(det, "confidence", confidence)
-    return det
-
-
-def _checked_frame(frame_id: int, t_ms: int, detections: Tuple[Detection, ...]) -> DetectionFrame:
-    """A DetectionFrame of two stamps that pass _stamp_error and a tuple of
-    detections from _checked_detection, marked so that validate_frame
-    trusts it. The mark is an instance attribute, not a field: ==, hash
-    and repr ignore it, and dataclasses.replace drops it."""
-    frame = _new(DetectionFrame)
-    _set(frame, "frame_id", frame_id)
-    _set(frame, "t_ms", t_ms)
-    _set(frame, "detections", detections)
-    _set(frame, "_checked", True)
-    return frame
-
-
 @dataclass(frozen=True)
 class Category:
     """Object class label.
@@ -155,7 +117,7 @@ class Category:
         return self.label[:1].upper() + self.label[1:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Axis-aligned box. (x, y) is the top-left corner; w and h are strictly positive."""
 
@@ -173,7 +135,7 @@ class BoundingBox:
         return (self.x + self.w / 2.0, self.y + self.h / 2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """One detector output: what, where, how sure."""
 
@@ -255,7 +217,7 @@ def validate_frame(frame: DetectionFrame) -> None:
             raise FrameValidationError(f"detection {i}: {text}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TruthRecord:
     """Ground truth for one actor at one frame, emitted or not."""
 
@@ -266,3 +228,78 @@ class TruthRecord:
     true_direction: DirectionLabel
     emitted: bool
     true_category: Category
+
+
+# The builders below take values the caller has already checked with the
+# helpers above, and skip __post_init__. The records they build are
+# slotted, so each field is written through its slot's setter, bound once
+# here: the generated __init__ goes through object.__setattr__, which
+# looks the name up on the class each time to find that same setter.
+
+def _slot_setters(cls) -> tuple:
+    """The setter of each field's slot of a slotted dataclass, in field order."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+_box_x, _box_y, _box_w, _box_h = _slot_setters(BoundingBox)
+_det_category, _det_bbox, _det_confidence = _slot_setters(Detection)
+(
+    _truth_frame_id, _truth_actor_id, _truth_depth, _truth_lateral,
+    _truth_direction, _truth_emitted, _truth_category,
+) = _slot_setters(TruthRecord)
+
+
+def _checked_box(x: float, y: float, w: float, h: float) -> BoundingBox:
+    """A BoundingBox of four floats that pass _box_error."""
+    box = _new(BoundingBox)
+    _box_x(box, x)
+    _box_y(box, y)
+    _box_w(box, w)
+    _box_h(box, h)
+    return box
+
+
+def _checked_detection(category: Category, bbox: BoundingBox, confidence: float) -> Detection:
+    """A Detection of a valid Category, a box from _checked_box and a float
+    that passes _confidence_error."""
+    det = _new(Detection)
+    _det_category(det, category)
+    _det_bbox(det, bbox)
+    _det_confidence(det, confidence)
+    return det
+
+
+def _checked_truth(
+    frame_id: int,
+    actor_id: int,
+    true_depth_cm: float,
+    true_lateral_cm: float,
+    true_direction: DirectionLabel,
+    emitted: bool,
+    true_category: Category,
+) -> TruthRecord:
+    """A TruthRecord, as its constructor builds it: that checks nothing,
+    so this drops no check."""
+    rec = _new(TruthRecord)
+    _truth_frame_id(rec, frame_id)
+    _truth_actor_id(rec, actor_id)
+    _truth_depth(rec, true_depth_cm)
+    _truth_lateral(rec, true_lateral_cm)
+    _truth_direction(rec, true_direction)
+    _truth_emitted(rec, emitted)
+    _truth_category(rec, true_category)
+    return rec
+
+
+def _checked_frame(frame_id: int, t_ms: int, detections: Tuple[Detection, ...]) -> DetectionFrame:
+    """A DetectionFrame of two stamps that pass _stamp_error and a tuple of
+    detections from _checked_detection, marked so that validate_frame
+    trusts it. The mark is an instance attribute, not a field: ==, hash
+    and repr ignore it, and dataclasses.replace drops it. DetectionFrame
+    is not slotted, so that it can hold the mark."""
+    frame = _new(DetectionFrame)
+    _set(frame, "frame_id", frame_id)
+    _set(frame, "t_ms", t_ms)
+    _set(frame, "detections", detections)
+    _set(frame, "_checked", True)
+    return frame

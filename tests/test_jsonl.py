@@ -319,8 +319,8 @@ def integral_floats_as_ints(value):
 
 def field_types(record):
     """The type of each field, and of each box field of a tracked object."""
-    box = vars(record.bbox) if isinstance(record, TrackedObject) else {}
-    return [type(v) for v in [*vars(record).values(), *box.values()]]
+    parts = [record, record.bbox] if isinstance(record, TrackedObject) else [record]
+    return [type(getattr(part, f.name)) for part in parts for f in dataclasses.fields(part)]
 
 
 # Each decodable record type: its writer, its reader and its category field.
@@ -646,6 +646,51 @@ def test_bad_truth_records_name_what_is_wrong(old, new, text):
     with pytest.raises(ParseError) as info:
         decode_truth_record(TRUTH.replace(old, new, 1))
     assert str(info.value) == text
+
+
+EVENT = '{"t_ms":1500,"object_id":4,"category":"person","stage":2,"vibration_s":1.2,"distance_cm":290.0,"direction":"left","message":"Person moving left"}'
+
+
+@pytest.mark.parametrize(
+    "old,new,text",
+    [
+        ('"t_ms":1500', '"t_ms":1500.0', "t_ms must be an integer >= 0, got 1500.0"),
+        ('"t_ms":1500', '"t_ms":-1', "t_ms must be an integer >= 0, got -1"),
+        ('"object_id":4', '"object_id":true', "object_id must be an integer >= 0, got True"),
+        ('"category":"person"', '"category":""', "category must be a non-empty string, got ''"),
+        ('"category":"person"', '"category":7', "category must be a non-empty string, got 7"),
+        ('"stage":2', '"stage":0', "stage must be an integer >= 1, got 0"),
+        ('"stage":2', '"stage":2.0', "stage must be an integer >= 1, got 2.0"),
+        ('"vibration_s":1.2', '"vibration_s":0', "vibration_s must be positive, got 0.0"),
+        ('"vibration_s":1.2', '"vibration_s":NaN', "vibration_s must be a finite number, got nan"),
+        ('"vibration_s":1.2', '"vibration_s":"1.2"', "vibration_s must be a finite number, got '1.2'"),
+        ('"distance_cm":290.0', '"distance_cm":-1.5', "distance_cm must be positive, got -1.5"),
+        ('"distance_cm":290.0', '"distance_cm":Infinity', "distance_cm must be a finite number, got inf"),
+        ('"direction":"left"', '"direction":"up"', "direction must be left/right/forward or null, got 'up'"),
+        ('"direction":"left"', '"direction":[]', "direction must be left/right/forward or null, got []"),
+        ('"message":"Person moving left"', '"message":""', "message must be a non-empty string, got ''"),
+        ('"message":"Person moving left"', '"message":null', "message must be a non-empty string, got None"),
+        (',"stage":2', "", "alarm event: missing ['stage']"),
+    ],
+)
+def test_bad_alarm_events_name_what_is_wrong(old, new, text):
+    assert encode_alarm_event(sample_event()) == EVENT
+    assert old in EVENT
+    with pytest.raises(ParseError) as info:
+        decode_alarm_event(EVENT.replace(old, new, 1))
+    assert str(info.value) == text
+
+
+def test_loose_alarm_event_values_decode_as_their_canonical_form():
+    loose = (
+        EVENT.replace('"vibration_s":1.2', '"vibration_s":2', 1)
+        .replace('"category":"person"', '"category":"e-scooter"', 1)
+        .replace('"direction":"left"', '"direction":null', 1)
+    )
+    event = decode_alarm_event(loose)
+    assert event == dataclasses.replace(sample_event(), vibration_s=2.0, category=Category("e-scooter"), direction=None)
+    assert type(event.vibration_s) is float
+    assert decode_alarm_event(EVENT).category is decode_alarm_event(EVENT).category
 
 
 DECODERS = [decode_detection_frame, decode_truth_record, decode_tracked_object, decode_alarm_event]

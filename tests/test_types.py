@@ -1,11 +1,15 @@
 """Vocabulary type invariants."""
+import copy
 import dataclasses
 import math
+import pickle
 
 import pytest
 
+from streetwatch.alarm import AlarmEvent, _checked_event
+from streetwatch.direction import DirectionLabel
 from streetwatch.jsonl import decode_detection_frame, encode_detection_frame
-from streetwatch.pipeline import Pipeline, PipelineConfig
+from streetwatch.pipeline import Pipeline, PipelineConfig, TrackedObject, _checked_tracked
 from streetwatch.types import (
     KNOWN_CATEGORIES,
     BoundingBox,
@@ -13,6 +17,10 @@ from streetwatch.types import (
     Detection,
     DetectionFrame,
     FrameValidationError,
+    TruthRecord,
+    _checked_box,
+    _checked_detection,
+    _checked_truth,
     validate_frame,
 )
 
@@ -201,3 +209,35 @@ def test_frame_constructor_and_validate_frame_agree_on_stamps(field, value, intr
     pipeline = Pipeline(PipelineConfig(camera=intrinsics, heights=heights))
     with pytest.raises(FrameValidationError):
         pipeline.process_frame(frame)
+
+
+# Each record built once per detection, cell or event: its class, its
+# builder and the builder's (and constructor's) positional arguments.
+SLOTTED = [
+    (BoundingBox, _checked_box, (1.0, -2.5, 3.0, 4.0)),
+    (Detection, _checked_detection, (Category("car"), BoundingBox(1.0, -2.5, 3.0, 4.0), 0.5)),
+    (TruthRecord, _checked_truth, (3, 1, 580.0, -35.5, DirectionLabel.RIGHT, False, Category("car"))),
+    (TrackedObject, _checked_tracked, (4, 3, Category("person"), BoundingBox(1.0, 2.0, 3.0, 4.0), None, DirectionLabel.LEFT, 4)),
+    (AlarmEvent, _checked_event, (1500, 4, Category("person"), 2, 1.2, 290.0, None, "Person ahead")),
+]
+
+
+@pytest.mark.parametrize("cls,build,args", SLOTTED, ids=[cls.__name__ for cls, _, _ in SLOTTED])
+def test_built_records_are_slotted_and_equal_constructed_ones(cls, build, args):
+    built, constructed = build(*args), cls(*args)
+    assert type(built) is cls
+    assert built == constructed
+    assert hash(built) == hash(constructed)
+    assert repr(built) == repr(constructed)
+    # a dropped slots=True gives every instance a __dict__ again
+    assert not hasattr(built, "__dict__")
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert [getattr(built, name) for name in names] == list(args)
+    assert dataclasses.replace(built) == built
+    assert dataclasses.asdict(built) == dataclasses.asdict(constructed)
+    assert list(dataclasses.asdict(built)) == names
+    assert copy.copy(built) == built
+    assert pickle.loads(pickle.dumps(built)) == built
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(built, names[0], args[0])
+

@@ -25,7 +25,6 @@ _EXPORTS = {
         "HeightTable",
         "estimate_distance",
         "focal_px_from_mm",
-        "project_ground_point",
         "project_height",
     ),
     "config": ("ConfigError", "load_config"),
@@ -65,7 +64,6 @@ _EXPORTS = {
         "slow_crosser",
         "standard_suite",
         "true_direction_of",
-        "with_noise",
         "with_seed",
     ),
     "types": (

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 from .direction import DirectionLabel
-from .types import Category, ObjectId, _is_finite_number, _new, _slot_setters
+from .types import Category, ObjectId, _is_finite_number, _slot_builder
 
 if TYPE_CHECKING:  # pragma: no cover
     from .pipeline import TrackedObject
@@ -104,35 +104,8 @@ class AlarmEvent:
     message: str
 
 
-# each field's slot setter, as types binds them for its records
-(
-    _event_t_ms, _event_object_id, _event_category, _event_stage,
-    _event_vibration, _event_distance, _event_direction, _event_message,
-) = _slot_setters(AlarmEvent)
-
-
-def _checked_event(
-    t_ms: int,
-    object_id: ObjectId,
-    category: Category,
-    stage: int,
-    vibration_s: float,
-    distance_cm: float,
-    direction: Optional[DirectionLabel],
-    message: str,
-) -> AlarmEvent:
-    """An AlarmEvent, as its constructor builds it: that checks nothing,
-    so this drops no check."""
-    event = _new(AlarmEvent)
-    _event_t_ms(event, t_ms)
-    _event_object_id(event, object_id)
-    _event_category(event, category)
-    _event_stage(event, stage)
-    _event_vibration(event, vibration_s)
-    _event_distance(event, distance_cm)
-    _event_direction(event, direction)
-    _event_message(event, message)
-    return event
+# nothing: AlarmEvent's constructor checks nothing either
+_checked_event = _slot_builder(AlarmEvent)
 
 
 def render_message(category: Category, direction: Optional[DirectionLabel]) -> str:

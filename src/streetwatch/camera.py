@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
-from .types import BoundingBox, Category, Detection, _is_finite_number
+from .types import Category, Detection, _is_finite_number
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,14 @@ def _ground_box(
     aspect_ratio: float,
     camera_height_cm: float,
 ) -> Tuple[float, float, float, float]:
-    """project_ground_point's (x, y, w, h), not yet checked as a box."""
+    """Project a ground-standing object into a pixel box (x, y, w, h), not
+    yet checked as a box.
+
+    The camera sits camera_height_cm above the ground with a level optical
+    axis, so the box bottom lands at image_h/2 + f * camera_height / Z and
+    the horizontal center at image_w/2 + f * X / Z. Width is
+    aspect_ratio * height. The box may extend past the frame edges.
+    """
     h = project_height(intr, real_height_cm, depth_cm)
     if not aspect_ratio > 0:
         raise ValueError(f"aspect_ratio must be positive, got {aspect_ratio!r}")
@@ -113,22 +120,3 @@ def _ground_box(
     center_x = intr.image_w / 2.0 + intr.focal_px * lateral_cm / depth_cm
     bottom_y = intr.image_h / 2.0 + intr.focal_px * camera_height_cm / depth_cm
     return center_x - w / 2.0, bottom_y - h, w, h
-
-
-def project_ground_point(
-    intr: CameraIntrinsics,
-    lateral_cm: float,
-    depth_cm: float,
-    real_height_cm: float,
-    aspect_ratio: float,
-    camera_height_cm: float,
-) -> BoundingBox:
-    """Project a ground-standing object into a pixel box.
-
-    The camera sits camera_height_cm above the ground with a level optical
-    axis, so the box bottom lands at image_h/2 + f * camera_height / Z and
-    the horizontal center at image_w/2 + f * X / Z. Width is
-    aspect_ratio * height. The box may extend past the frame edges.
-    """
-    x, y, w, h = _ground_box(intr, lateral_cm, depth_cm, real_height_cm, aspect_ratio, camera_height_cm)
-    return BoundingBox(x=x, y=y, w=w, h=h)

@@ -90,18 +90,6 @@ class EvalReport:
             "assumptions": self.assumptions,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "EvalReport":
-        return cls(
-            category_accuracy=data["category_accuracy"],
-            direction_accuracy_overall=data["direction_accuracy_overall"],
-            direction_accuracy_by_band=dict(data["direction_accuracy_by_band"]),
-            matched_fraction=data["matched_fraction"],
-            id_switches=int(data["id_switches"]),
-            counts=dict(data["counts"]),
-            assumptions=dict(data["assumptions"]),
-        )
-
     def render_text(self) -> str:
         def fmt(v: Optional[float]) -> str:
             return "n/a" if v is None else f"{v:.4f}"

@@ -438,10 +438,6 @@ def write_lines(path: PathLike, lines: Iterable[str]) -> int:
     return n
 
 
-def read_detection_frames(path: PathLike) -> List[DetectionFrame]:
-    return list(read_records(path, decode_detection_frame))
-
-
 def read_truth_records(path: PathLike) -> List[TruthRecord]:
     return list(read_records(path, decode_truth_record))
 

@@ -17,7 +17,8 @@ from .alarm import AlarmEvent, AlarmPolicy, CooldownLedger, emit_alarms
 from .camera import CameraIntrinsics, HeightTable, estimate_distance
 from .direction import DirectionConfig, DirectionLabel, classify_direction
 from .matcher import MatchConfig, match_frames
-from .types import BoundingBox, Category, DetectionFrame, ObjectId, _new, _slot_setters, validate_frame
+from .types import BoundingBox, Category, DetectionFrame, FrameValidationError, ObjectId, validate_frame
+from .types import _INF, _slot_builder
 
 # Lookback window capacity in frames; gap must fit inside it.
 WINDOW_DEPTH = 3
@@ -56,33 +57,8 @@ def _match_error(direction: Optional[DirectionLabel], matched_from: Optional[Obj
     return ""
 
 
-# each field's slot setter, as types binds them for its records
-(
-    _tracked_object_id, _tracked_frame_id, _tracked_category, _tracked_bbox,
-    _tracked_distance, _tracked_direction, _tracked_matched_from,
-) = _slot_setters(TrackedObject)
-
-
-def _checked_tracked(
-    object_id: ObjectId,
-    frame_id: int,
-    category: Category,
-    bbox: BoundingBox,
-    distance_cm: Optional[float],
-    direction: Optional[DirectionLabel],
-    matched_from: Optional[ObjectId],
-) -> TrackedObject:
-    """A TrackedObject without __post_init__, for a direction and a match
-    that pass _match_error, as process_frame sets them."""
-    obj = _new(TrackedObject)
-    _tracked_object_id(obj, object_id)
-    _tracked_frame_id(obj, frame_id)
-    _tracked_category(obj, category)
-    _tracked_bbox(obj, bbox)
-    _tracked_distance(obj, distance_cm)
-    _tracked_direction(obj, direction)
-    _tracked_matched_from(obj, matched_from)
-    return obj
+# a direction and a match that pass _match_error, as process_frame sets them
+_checked_tracked = _slot_builder(TrackedObject)
 
 
 @dataclass
@@ -141,7 +117,9 @@ class Pipeline:
         gap frame (ids + direction), bridge leftovers to the previous frame
         (ids only), assign fresh ids, emit alarms, advance the window.
         Raises StreamOrderError on a frame that does not strictly follow
-        the previous one.
+        the previous one, and FrameValidationError on an invalid frame or
+        on a distance estimate that is not a positive finite number. Either
+        leaves the pipeline's state as it was.
         """
         validate_frame(frame)
         if self._window:
@@ -159,6 +137,13 @@ class Pipeline:
         dets = frame.detections
         n = len(dets)
         distances = [estimate_distance(cfg.camera, cfg.heights, d) for d in dets]
+        if _INF in distances or 0.0 in distances:
+            # f * H / h overflows to inf, or underflows to 0, on extreme but valid values
+            i = next(i for i, d in enumerate(distances) if d == _INF or d == 0.0)
+            raise FrameValidationError(
+                f"frame_id {frame.frame_id}, detection {i}: distance estimate {distances[i]!r} cm"
+                f" from box h={dets[i].bbox.h!r} is not a positive finite number"
+            )
         # BoundingBox.center(), once per detection
         centers = [(b.x + b.w / 2.0, b.y + b.h / 2.0) for b in [d.bbox for d in dets]]
         self.no_height += distances.count(None)

@@ -436,10 +436,6 @@ def slow_crosser(dead_zone_px: float = DirectionConfig.dead_zone_px) -> Scenario
     )
 
 
-def with_noise(spec: ScenarioSpec, noise: NoiseSpec) -> ScenarioSpec:
-    return replace(spec, noise=noise)
-
-
 def with_seed(spec: ScenarioSpec, seed: int) -> ScenarioSpec:
     return replace(spec, seed=seed)
 

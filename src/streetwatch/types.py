@@ -108,10 +108,6 @@ class Category:
         if text:
             raise ValueError(text)
 
-    @property
-    def is_known(self) -> bool:
-        return self.label in KNOWN_CATEGORIES
-
     def display(self) -> str:
         """Message form of the label: 'car' -> 'Car'."""
         return self.label[:1].upper() + self.label[1:]
@@ -230,65 +226,39 @@ class TruthRecord:
     true_category: Category
 
 
-# The builders below take values the caller has already checked with the
-# helpers above, and skip __post_init__. The records they build are
-# slotted, so each field is written through its slot's setter, bound once
+# The builders below skip __post_init__: each takes values that its caller
+# has already checked with the helpers above (the comment on each says
+# which). Each field is written through its slot's setter, bound once
 # here: the generated __init__ goes through object.__setattr__, which
 # looks the name up on the class each time to find that same setter.
 
-def _slot_setters(cls) -> tuple:
-    """The setter of each field's slot of a slotted dataclass, in field order."""
-    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+def _slot_builder(cls):
+    """A function that builds the slotted dataclass cls from its field
+    values, given in field order, through each field's slot setter.
+
+    As dataclasses does for __init__, it writes the body with exec: one
+    straight-line setter call per field, since a loop over the setters
+    costs 60-85% more per record. Only the field names of this package's
+    record classes reach exec.
+    """
+    names = [f.name for f in fields(cls)]
+    env = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
+    env.update(_new=_new, _cls=cls)
+    lines = [f"def build({', '.join(names)}):", "    obj = _new(_cls)"]
+    lines += [f"    _set_{name}(obj, {name})" for name in names]
+    lines.append("    return obj")
+    exec("\n".join(lines), env)
+    build = env["build"]
+    build.__qualname__ = build.__name__ = f"_build_{cls.__name__}"
+    return build
 
 
-_box_x, _box_y, _box_w, _box_h = _slot_setters(BoundingBox)
-_det_category, _det_bbox, _det_confidence = _slot_setters(Detection)
-(
-    _truth_frame_id, _truth_actor_id, _truth_depth, _truth_lateral,
-    _truth_direction, _truth_emitted, _truth_category,
-) = _slot_setters(TruthRecord)
-
-
-def _checked_box(x: float, y: float, w: float, h: float) -> BoundingBox:
-    """A BoundingBox of four floats that pass _box_error."""
-    box = _new(BoundingBox)
-    _box_x(box, x)
-    _box_y(box, y)
-    _box_w(box, w)
-    _box_h(box, h)
-    return box
-
-
-def _checked_detection(category: Category, bbox: BoundingBox, confidence: float) -> Detection:
-    """A Detection of a valid Category, a box from _checked_box and a float
-    that passes _confidence_error."""
-    det = _new(Detection)
-    _det_category(det, category)
-    _det_bbox(det, bbox)
-    _det_confidence(det, confidence)
-    return det
-
-
-def _checked_truth(
-    frame_id: int,
-    actor_id: int,
-    true_depth_cm: float,
-    true_lateral_cm: float,
-    true_direction: DirectionLabel,
-    emitted: bool,
-    true_category: Category,
-) -> TruthRecord:
-    """A TruthRecord, as its constructor builds it: that checks nothing,
-    so this drops no check."""
-    rec = _new(TruthRecord)
-    _truth_frame_id(rec, frame_id)
-    _truth_actor_id(rec, actor_id)
-    _truth_depth(rec, true_depth_cm)
-    _truth_lateral(rec, true_lateral_cm)
-    _truth_direction(rec, true_direction)
-    _truth_emitted(rec, emitted)
-    _truth_category(rec, true_category)
-    return rec
+# four floats that pass _box_error
+_checked_box = _slot_builder(BoundingBox)
+# a valid Category, a box from _checked_box and a float that passes _confidence_error
+_checked_detection = _slot_builder(Detection)
+# nothing: TruthRecord's constructor checks nothing either
+_checked_truth = _slot_builder(TruthRecord)
 
 
 def _checked_frame(frame_id: int, t_ms: int, detections: Tuple[Detection, ...]) -> DetectionFrame:

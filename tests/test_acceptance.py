@@ -7,8 +7,6 @@ import math
 import random
 import time
 
-import pytest
-
 from streetwatch.alarm import AlarmPolicy, stage_for_distance
 from streetwatch.camera import CameraIntrinsics, HeightTable, estimate_distance, project_height
 from streetwatch.evaluation import compare_gap_strategies, run_scenario

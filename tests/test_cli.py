@@ -6,13 +6,14 @@ import sys
 import pytest
 
 from streetwatch.jsonl import (
+    decode_detection_frame,
     encode_detection_frame,
     read_alarm_events,
-    read_detection_frames,
+    read_records,
     read_tracked_objects,
     write_lines,
 )
-from streetwatch.simulator import generate, scenario_by_name, scenario_to_dict
+from streetwatch.simulator import scenario_by_name, scenario_to_dict
 
 from conftest import make_det, make_frame
 
@@ -42,7 +43,7 @@ def test_simulate_suite_scenario(tmp_path):
     assert "scenario: single-crosser" in proc.stdout
     assert "frames: 40" in proc.stdout
     assert "emitted detections: 40" in proc.stdout
-    frames = read_detection_frames(det)
+    frames = list(read_records(det, decode_detection_frame))
     assert len(frames) == 40
     assert truth.read_text(encoding="utf-8").count("\n") == 40
 
@@ -226,6 +227,26 @@ def test_replay_failure_mid_stream_leaves_no_outputs(tmp_path):
     assert proc.returncode == 1
     assert "line 6" in proc.stderr
     # five good frames were processed first; none of their lines may remain
+    assert not tracked.exists()
+    assert not events.exists()
+
+
+def test_replay_distance_overflow_names_the_frame_and_detection(tmp_path):
+    det, _, _ = simulate(tmp_path)
+    lines = det.read_text(encoding="utf-8").splitlines()
+    data = json.loads(lines[5])
+    # a valid positive box height, so small that f * H / h overflows
+    data["detections"][0]["bbox"]["h"] = 5e-324
+    lines[5] = json.dumps(data)
+    det.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tracked = tmp_path / "t.jsonl"
+    events = tmp_path / "e.jsonl"
+    proc = run_cli("replay", str(det), "--out-tracked", str(tracked), "--out-events", str(events))
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        f"error: frame_id {data['frame_id']}, detection 0: distance estimate inf cm"
+        " from box h=5e-324 is not a positive finite number\n"
+    )
     assert not tracked.exists()
     assert not events.exists()
 
@@ -497,10 +518,11 @@ def test_cli_import_and_config_load_leave_numpy_unloaded():
         "import sys\n"
         "import streetwatch.cli\n"
         "from streetwatch.config import load_config\n"
-        "from streetwatch.simulator import NoiseSpec, generate, scenario_by_name, with_noise\n"
+        "from dataclasses import replace\n"
+        "from streetwatch.simulator import NoiseSpec, generate, scenario_by_name\n"
         "load_config()\n"
         "noise = NoiseSpec(center_jitter_px=2.0, height_jitter_frac=0.05, drop_prob=0.1, label_flip_prob=0.1)\n"
-        "generate(with_noise(scenario_by_name('crowded-midrange'), noise))\n"
+        "generate(replace(scenario_by_name('crowded-midrange'), noise=noise))\n"
         "print('numpy' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
@@ -525,7 +547,7 @@ def test_cli_import_leaves_the_simulator_and_the_scorer_unloaded():
 PACKAGE_NAMES = {
     "alarm": "AlarmEvent AlarmPolicy AlarmStage CooldownLedger DEFAULT_STAGES emit_alarms render_message "
     "stage_for_distance",
-    "camera": "CameraIntrinsics HeightTable estimate_distance focal_px_from_mm project_ground_point project_height",
+    "camera": "CameraIntrinsics HeightTable estimate_distance focal_px_from_mm project_height",
     "config": "ConfigError load_config",
     "direction": "DirectionConfig DirectionLabel classify_direction",
     "evaluation": "AlignmentError BandPartition EvalError EvalReport GapComparison ScenarioRun "
@@ -533,7 +555,7 @@ PACKAGE_NAMES = {
     "matcher": "MatchConfig MatchResult match_frames",
     "pipeline": "Pipeline PipelineConfig StreamOrderError TrackedObject WINDOW_DEPTH config_for_camera",
     "simulator": "ActorSpec NoiseSpec ScenarioError ScenarioSpec Trajectory TruthRecord generate scenario_by_name "
-    "scenario_from_dict scenario_to_dict slow_crosser standard_suite true_direction_of with_noise with_seed",
+    "scenario_from_dict scenario_to_dict slow_crosser standard_suite true_direction_of with_seed",
     "types": "BoundingBox Category Detection DetectionFrame FrameValidationError KNOWN_CATEGORIES ObjectId "
     "validate_frame",
 }
@@ -548,11 +570,13 @@ def test_package_names_resolve_to_their_modules_objects():
         "same = all(getattr(streetwatch, n) is getattr(importlib.import_module('streetwatch.' + m), n)"
         " for m, line in names.items() for n in line.split())\n"
         "from streetwatch import evaluation, simulator\n"
-        "try:\n"
-        "    streetwatch.no_such_name\n"
-        "    missing = 'resolved'\n"
-        "except AttributeError as exc:\n"
-        "    missing = str(exc)\n"
+        "missing = []\n"
+        "for name in ('no_such_name', 'project_ground_point', 'with_noise'):\n"
+        "    try:\n"
+        "        getattr(streetwatch, name)\n"
+        "        missing.append('resolved')\n"
+        "    except AttributeError as exc:\n"
+        "        missing.append(str(exc))\n"
         "print(json.dumps([loaded, same, evaluation.__name__, simulator.__name__, streetwatch.__version__, missing]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
@@ -563,5 +587,10 @@ def test_package_names_resolve_to_their_modules_objects():
         "streetwatch.evaluation",
         "streetwatch.simulator",
         "0.1.0",
-        "module 'streetwatch' has no attribute 'no_such_name'",
+        [
+            "module 'streetwatch' has no attribute 'no_such_name'",
+            # retired names stay retired
+            "module 'streetwatch' has no attribute 'project_ground_point'",
+            "module 'streetwatch' has no attribute 'with_noise'",
+        ],
     ]

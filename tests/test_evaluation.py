@@ -6,7 +6,6 @@ from streetwatch.evaluation import (
     AlignmentError,
     BandPartition,
     EvalError,
-    EvalReport,
     compare_gap_strategies,
     config_for_scenario,
     run_scenario,
@@ -16,8 +15,6 @@ from streetwatch.pipeline import Pipeline, TrackedObject
 from streetwatch.simulator import (
     ActorSpec,
     Category,
-    NoiseSpec,
-    ScenarioSpec,
     Trajectory,
     TruthRecord,
     generate,
@@ -204,12 +201,6 @@ def test_config_for_scenario_rejects_conflicting_heights():
     )
     with pytest.raises(EvalError, match="car"):
         config_for_scenario(spec)
-
-
-def test_report_dict_round_trip():
-    run = run_scenario(scenario_by_name("single-crosser"))
-    clone = EvalReport.from_dict(run.report.to_dict())
-    assert clone == run.report
 
 
 def test_report_counts_are_consistent():

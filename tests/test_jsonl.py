@@ -20,7 +20,6 @@ from streetwatch.jsonl import (
     encode_detection_frame,
     encode_tracked_object,
     encode_truth_record,
-    read_detection_frames,
     read_records,
     write_lines,
 )
@@ -533,7 +532,7 @@ def test_known_and_open_set_categories_decode_alike():
     data["detections"].append(dict(data["detections"][0], category="e-scooter"))
     frame = decode_detection_frame(json.dumps(data))
     assert [d.category for d in frame.detections] == [Category("car"), Category("e-scooter")]
-    assert frame.detections[0].category.is_known and not frame.detections[1].category.is_known
+    assert [d.category.label in KNOWN_CATEGORIES for d in frame.detections] == [True, False]
 
 
 CANONICAL = '{"frame_id":3,"t_ms":99,"detections":[{"category":"car","bbox":{"x":80.0,"y":35.25,"w":40.0,"h":30.0},"confidence":0.875}]}'
@@ -847,7 +846,7 @@ def test_read_records_strips_only_json_whitespace(tmp_path, padded):
     path = tmp_path / "frames.jsonl"
     path.write_text(f"{frame_line}\n{bad}\n{frame_line}\n", encoding="utf-8")
     with pytest.raises(ParseError, match=r"^line 2: invalid JSON: "):
-        read_detection_frames(path)
+        list(read_records(path, decode_detection_frame))
 
 
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
@@ -856,11 +855,11 @@ def test_read_records_line_endings_and_non_utf8_lines(tmp_path, newline):
     lines = [encode_detection_frame(f).encode("ascii") for f in frames[:5]]
     path = tmp_path / "stream.jsonl"
     path.write_bytes(newline.join(lines) + newline)
-    assert read_detection_frames(path) == frames[:5]
+    assert list(read_records(path, decode_detection_frame)) == frames[:5]
     lines[2] = lines[2].replace(b'"car"', b'"c\xe9r"', 1)
     path.write_bytes(newline.join(lines) + newline)
     with pytest.raises(ParseError, match=r"^line 3: not UTF-8 \(invalid continuation byte, byte \d+ of the line\)$"):
-        read_detection_frames(path)
+        list(read_records(path, decode_detection_frame))
 
 
 def test_write_then_read_lists(tmp_path):
@@ -871,11 +870,11 @@ def test_write_then_read_lists(tmp_path):
     raw = path.read_bytes()
     assert raw.endswith(b"\n")
     assert b"\r" not in raw
-    assert read_detection_frames(path) == frames
+    assert list(read_records(path, decode_detection_frame)) == frames
 
 
 def test_blank_lines_are_skipped(tmp_path):
     path = tmp_path / "frames.jsonl"
     frame_line = encode_detection_frame(sample_frame())
     path.write_text(f"\n{frame_line}\n\n", encoding="utf-8")
-    assert read_detection_frames(path) == [sample_frame()]
+    assert list(read_records(path, decode_detection_frame)) == [sample_frame()]

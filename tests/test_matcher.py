@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streetwatch.matcher import MatchConfig, match_frames
-from streetwatch.types import BoundingBox, Category, Detection
+from streetwatch.types import BoundingBox, Detection
 
 from conftest import (
     best_assignment_bruteforce,
     euclidean_cost,
-    gated_edges,
     is_mutual_nn_instance,
     make_det,
     make_frame,

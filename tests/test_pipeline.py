@@ -20,7 +20,7 @@ from streetwatch.pipeline import (
     TrackedObject,
     config_for_camera,
 )
-from streetwatch.simulator import NoiseSpec, generate, scenario_by_name, with_noise
+from streetwatch.simulator import NoiseSpec, generate, scenario_by_name
 from streetwatch.types import BoundingBox, Category
 
 from conftest import make_det, make_frame
@@ -120,6 +120,47 @@ def test_long_absence_retires_the_id():
     # both lookbacks hit empty frames; ids are never reused
     assert tracked[0].object_id == 1
     assert tracked[0].direction is None
+
+
+@pytest.mark.parametrize(
+    "gap, missed, ids",
+    [
+        # the gap frame is the previous frame, so there is no bridge
+        (1, {1}, [0, 1, 1, 1, 1]),
+        (2, {1}, [0, 0, 0, 0, 0]),
+        # ids reach back at most gap frames
+        (2, {1, 2}, [0, 1, 1, 1]),
+    ],
+)
+def test_ids_reach_back_gap_frames_across_missed_detections(gap, missed, ids):
+    pipeline = Pipeline(make_config(direction=DirectionConfig(gap=gap, dead_zone_px=8.0)))
+    seen = []
+    for i in range(6):
+        tracked, _ = pipeline.process_frame(make_frame(i, i * 100, [] if i in missed else [car_at(100.0)]))
+        seen += [t.object_id for t in tracked]
+    assert seen == ids
+
+
+@pytest.mark.parametrize(
+    "focal_px, h, estimate",
+    [
+        (1000.0, 5e-324, "inf"),  # f * H / h overflows
+        (5e-324, 1000.0, "0.0"),  # f * H / h underflows
+    ],
+)
+def test_a_distance_that_is_not_positive_and_finite_is_refused_untouched(focal_px, h, estimate):
+    camera = CameraIntrinsics(focal_px=focal_px, image_w=640.0, image_h=480.0)
+    pipeline = Pipeline(make_config(camera=camera))
+    bad = make_frame(4, 0, [make_det("dog"), make_det("car", h=h)])
+    with pytest.raises(sw_types.FrameValidationError) as info:
+        pipeline.process_frame(bad)
+    assert str(info.value) == (
+        f"frame_id 4, detection 1: distance estimate {estimate} cm from box h={h!r} is not a positive finite number"
+    )
+    # nothing moved: no count, no id, no window entry
+    assert pipeline.no_height == 0
+    tracked, _ = pipeline.process_frame(make_frame(4, 0, [make_det("car")]))
+    assert [(t.object_id, t.matched_from) for t in tracked] == [(0, None)]
 
 
 def test_direction_only_comes_from_the_gap_match():
@@ -311,7 +352,7 @@ def test_a_replaced_generated_frame_is_checked_again():
 
 def test_a_decoded_frame_and_its_python_built_twin_give_the_same_lines():
     noise = NoiseSpec(center_jitter_px=3.0, height_jitter_frac=0.05, drop_prob=0.2, label_flip_prob=0.05)
-    spec = with_noise(scenario_by_name("enter-exit-churn"), noise)
+    spec = dataclasses.replace(scenario_by_name("enter-exit-churn"), noise=noise)
     frames, _ = generate(spec)
     runs = []
     for stream in (frames, [decoded(f) for f in frames]):

@@ -2,16 +2,16 @@
 
 The pipeline is deliberately stateless beyond a three-frame window, a
 monotonic id counter and the alarm cooldown ledger, so memory and per-frame
-cost never depend on stream length. Direction comes only from the match
-against the lookback-gap frame; a bridge match of the leftovers against
-the previous frame keeps object ids continuous across the frames the gap
-match cannot reach, but never feeds direction. Both are the same
-association step, run twice.
+cost never depend on stream length. Association is one loop over the
+window: the lookback-gap frame first, against the whole frame and as the
+only source of direction, then each other frame newest first, ids only,
+against the detections still unmatched. Ids reach back the whole window.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Deque, Iterable, Iterator, List, Optional, Tuple
 
 from .alarm import AlarmEvent, AlarmPolicy, CooldownLedger, emit_alarms
 from .camera import CameraIntrinsics, HeightTable, estimate_distance
@@ -106,16 +106,16 @@ class Pipeline:
     def __init__(self, config: PipelineConfig):
         self.config = config
         self.no_height = 0
-        self._window: List[_WindowEntry] = []
+        self._window: Deque[_WindowEntry] = deque(maxlen=WINDOW_DEPTH)
         self._next_id: ObjectId = 0
         self._ledger = CooldownLedger()
 
     def process_frame(self, frame: DetectionFrame) -> Tuple[List[TrackedObject], List[AlarmEvent]]:
         """Run one frame through the pipeline.
 
-        Order per frame: validate, estimate distances, match against the
-        gap frame (ids + direction), bridge leftovers to the previous frame
-        (ids only), assign fresh ids, emit alarms, advance the window.
+        Order per frame: validate, estimate distances, associate over the
+        window (ids + direction from the gap frame, then ids only from the
+        rest), assign fresh ids, emit alarms, advance the window.
         Raises StreamOrderError on a frame that does not strictly follow
         the previous one, and FrameValidationError on an invalid frame or
         on a distance estimate that is not a positive finite number. Either
@@ -151,29 +151,29 @@ class Pipeline:
         matched_from: List[Optional[ObjectId]] = [None] * n
         directions: List[Optional[DirectionLabel]] = [None] * n
         claimed = set()
-
-        def associate(current: DetectionFrame, rows, current_centers, ref: _WindowEntry, directed: bool) -> None:
-            # rows maps current's detection indices back to this frame's
+        gap = cfg.direction.gap
+        rows = range(n)
+        # the gap frame first, then every other window frame newest first
+        for back in sorted(range(1, len(self._window) + 1), key=lambda back: back != gap):
+            ref = self._window[-back]
+            current, current_centers = frame, centers
+            if back != gap:
+                # rows maps the leftovers' sub-frame indices back to this frame's
+                rows = [i for i in rows if matched_from[i] is None]
+                if not rows:
+                    break
+                current = DetectionFrame(frame.frame_id, frame.t_ms, tuple(dets[i] for i in rows))
+                current_centers = [centers[i] for i in rows]
             for k, j, _cost in match_frames(current, ref.frame, cfg.matcher, current_centers, ref.centers).pairs:
                 rid = ref.ids[j]
                 if rid in claimed:
-                    # id already continued through the gap match
+                    # id already continued through an earlier round
                     continue
                 i = rows[k]
                 matched_from[i] = rid
                 claimed.add(rid)
-                if directed:
+                if back == gap:
                     directions[i] = classify_direction(centers[i][0], ref.centers[j][0], cfg.direction)
-
-        gap = cfg.direction.gap
-        primary = self._window[-gap] if len(self._window) >= gap else None
-        if primary is not None:
-            associate(frame, range(n), centers, primary, directed=True)
-        if self._window and self._window[-1] is not primary:
-            leftovers = [i for i in range(n) if matched_from[i] is None]
-            if leftovers:
-                sub = DetectionFrame(frame.frame_id, frame.t_ms, tuple(dets[i] for i in leftovers))
-                associate(sub, leftovers, [centers[i] for i in leftovers], self._window[-1], directed=False)
 
         ids: List[ObjectId] = []
         for rid in matched_from:
@@ -191,8 +191,6 @@ class Pipeline:
         events = emit_alarms(tracked, frame.t_ms, cfg.alarm, self._ledger)
 
         self._window.append(_WindowEntry(frame=frame, ids=tuple(ids), centers=centers))
-        if len(self._window) > WINDOW_DEPTH:
-            del self._window[0]
 
         return tracked, events
 

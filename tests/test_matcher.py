@@ -223,7 +223,7 @@ def test_precomputed_centers_give_the_same_result(pair, data):
     assert match_frames(cur, ref, cfg, centers(cur)) == base
     assert match_frames(cur, ref, cfg, reference_centers=centers(ref)) == base
     # a leftover subset with its slice of the full frame's centers, as the
-    # pipeline's bridge match passes them
+    # pipeline's leftover rounds pass them
     n = len(cur.detections)
     rows = sorted(data.draw(st.sets(st.integers(min_value=0, max_value=n - 1)) if n else st.just(set())))
     sub = make_frame(cur.frame_id, cur.t_ms, [cur.detections[i] for i in rows])

@@ -3,7 +3,9 @@ import dataclasses
 import types
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import streetwatch.pipeline as sw_pipeline
 import streetwatch.types as sw_types
 from streetwatch import simulator
 from streetwatch.alarm import AlarmPolicy
@@ -67,7 +69,7 @@ def test_three_frame_crosser_alarms_with_direction():
     assert len(events) == 1 and events[0].message == "Car ahead"
 
     tracked, events = pipeline.process_frame(make_frame(1, 100, [car_at(130.0)]))
-    # bridged to the previous frame: same id, still no direction
+    # matched to the previous frame, ids only: same id, still no direction
     assert tracked[0].object_id == 0
     assert tracked[0].direction is None
     assert len(events) == 1 and events[0].message == "Car ahead"
@@ -111,34 +113,41 @@ def test_identity_survives_a_one_frame_occlusion():
     assert tracked[0].direction is DirectionLabel.RIGHT
 
 
-def test_long_absence_retires_the_id():
-    pipeline = Pipeline(make_config())
+@pytest.mark.parametrize("gap", [1, 2, 3])
+def test_long_absence_retires_the_id(gap):
+    pipeline = Pipeline(make_config(direction=DirectionConfig(gap=gap, dead_zone_px=8.0)))
     pipeline.process_frame(make_frame(0, 0, [car_at(100.0)]))
     for i in (1, 2, 3):
         pipeline.process_frame(make_frame(i, i * 33, []))
     tracked, _ = pipeline.process_frame(make_frame(4, 132, [car_at(100.0)]))
-    # both lookbacks hit empty frames; ids are never reused
+    # every window frame is empty; ids are never reused
     assert tracked[0].object_id == 1
     assert tracked[0].direction is None
 
 
-@pytest.mark.parametrize(
-    "gap, missed, ids",
-    [
-        # the gap frame is the previous frame, so there is no bridge
-        (1, {1}, [0, 1, 1, 1, 1]),
-        (2, {1}, [0, 0, 0, 0, 0]),
-        # ids reach back at most gap frames
-        (2, {1, 2}, [0, 1, 1, 1]),
-    ],
-)
-def test_ids_reach_back_gap_frames_across_missed_detections(gap, missed, ids):
+def seen_ids(gap, missed, frames):
+    """The ids of one stationary car over frames 0..frames-1, absent in missed."""
     pipeline = Pipeline(make_config(direction=DirectionConfig(gap=gap, dead_zone_px=8.0)))
     seen = []
-    for i in range(6):
+    for i in range(frames):
         tracked, _ = pipeline.process_frame(make_frame(i, i * 100, [] if i in missed else [car_at(100.0)]))
         seen += [t.object_id for t in tracked]
-    assert seen == ids
+    return seen
+
+
+@pytest.mark.parametrize("gap", [1, 2, 3])
+@pytest.mark.parametrize("missed", [{1}, {1, 2}])
+def test_ids_reach_back_the_whole_window_across_missed_detections(gap, missed):
+    # the window holds three frames, so one or two missed frames in a row
+    # keep the id at every gap
+    assert seen_ids(gap, missed, 6) == [0] * (6 - len(missed))
+
+
+def test_a_car_missed_before_the_window_fills_keeps_its_id_at_gap_3():
+    # frame 2 has no gap frame yet and frame 1 is empty, so only frame 0
+    # can carry the id over; a fresh id there would come back every third
+    # frame, because each gap match copies the id of three frames before
+    assert seen_ids(3, {1}, 12) == [0] * 11
 
 
 @pytest.mark.parametrize(
@@ -167,7 +176,7 @@ def test_direction_only_comes_from_the_gap_match():
     pipeline = Pipeline(make_config())
     pipeline.process_frame(make_frame(0, 0, [car_at(100.0)]))
     tracked, _ = pipeline.process_frame(make_frame(1, 33, [car_at(150.0)]))
-    # id bridged via the previous frame, but direction stays unset: the
+    # id carried over from the previous frame, but direction stays unset: the
     # one-frame displacement is not what the gap classifier measures
     assert tracked[0].object_id == 0
     assert tracked[0].direction is None
@@ -350,10 +359,15 @@ def test_a_replaced_generated_frame_is_checked_again():
     assert str(info.value) == f"detection 0: box needs w > 0 and h > 0, got w=-1.0, h={det.bbox.h}"
 
 
-def test_a_decoded_frame_and_its_python_built_twin_give_the_same_lines():
+def noisy_churn():
+    """enter-exit-churn under drops, jitter and label flips: (spec, frames)."""
     noise = NoiseSpec(center_jitter_px=3.0, height_jitter_frac=0.05, drop_prob=0.2, label_flip_prob=0.05)
     spec = dataclasses.replace(scenario_by_name("enter-exit-churn"), noise=noise)
-    frames, _ = generate(spec)
+    return spec, generate(spec)[0]
+
+
+def test_a_decoded_frame_and_its_python_built_twin_give_the_same_lines():
+    spec, frames = noisy_churn()
     runs = []
     for stream in (frames, [decoded(f) for f in frames]):
         pipeline = Pipeline(config_for_scenario(spec))
@@ -363,6 +377,84 @@ def test_a_decoded_frame_and_its_python_built_twin_give_the_same_lines():
         runs.append(lines)
     assert runs[0] == runs[1]
     # drops and flips leave fresh ids after the first frames, and the
-    # person at 430 cm alarms, so the bridge and the alarm layer ran
+    # person at 430 cm alarms, so the leftover rounds and the alarm layer ran
     assert any('"matched_from":null' in line for line in runs[0][100:])
     assert any('"stage":' in line for line in runs[0])
+
+
+# --- one association loop over the window ----------------------------------
+
+
+@pytest.mark.parametrize("gap", [1, 2, 3])
+def test_only_the_gap_round_gets_the_processed_frame(monkeypatch, gap):
+    # bench/spans.py tells the gap match from the ids-only rounds by
+    # whether match_frames gets the very frame process_frame was called with
+    calls = []
+    match = sw_pipeline.match_frames
+    monkeypatch.setattr(sw_pipeline, "match_frames", lambda cur, ref, *args: calls.append((cur, ref)) or match(cur, ref, *args))
+    spec, frames = noisy_churn()
+    cfg = config_for_scenario(spec)
+    pipeline = Pipeline(dataclasses.replace(cfg, direction=dataclasses.replace(cfg.direction, gap=gap)))
+    one_call_frames = 0
+    for pos, frame in enumerate(frames):
+        calls.clear()
+        tracked, _ = pipeline.process_frame(frame)
+        row_of = {id(d): i for i, d in enumerate(frame.detections)}
+        rows = list(range(len(tracked)))
+        if pos >= gap:
+            cur, ref = calls.pop(0)
+            assert cur is frame and ref is frames[pos - gap]
+            # a gap-matched object always carries a direction
+            rows = [i for i in rows if tracked[i].direction is None]
+            if not rows:
+                assert calls == []
+                one_call_frames += 1
+        backs = [back for back in range(1, min(pos, WINDOW_DEPTH) + 1) if back != gap]
+        assert len(calls) <= len(backs)
+        for (cur, ref), back in zip(calls, backs):
+            assert cur is not frame and ref is frames[pos - back]
+            sub_rows = [row_of[id(d)] for d in cur.detections]
+            # the leftovers of the rounds before, less what those rounds matched
+            assert sub_rows and set(sub_rows) <= set(rows) and sub_rows == sorted(sub_rows)
+            assert all(tracked[i].matched_from is not None for i in set(rows) - set(sub_rows))
+            rows = sub_rows
+        # the loop stops early only when nothing is left unmatched
+        fresh = [i for i, o in enumerate(tracked) if o.matched_from is None]
+        assert set(fresh) <= set(rows)
+        if fresh:
+            assert len(calls) == len(backs)
+    assert one_call_frames > 0
+
+
+actor_specs = st.lists(
+    st.tuples(st.sampled_from(["car", "person"]), st.floats(40.0, 600.0), st.floats(-25.0, 25.0)),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, WINDOW_DEPTH), actor_specs, st.lists(st.lists(st.booleans(), min_size=4, max_size=4), max_size=8))
+def test_association_invariants_hold_on_random_streams(gap, actors, shown):
+    pipeline = Pipeline(make_config(direction=DirectionConfig(gap=gap, dead_zone_px=8.0)))
+    history = []  # each processed frame's ids, oldest first
+    top = -1
+    for f, keep in enumerate(shown):
+        dets = [
+            make_det(label, cx=x0 + v * f, cy=240.0, w=40.0, h=60.0 if label == "car" else 90.0)
+            for (label, x0, v), kept in zip(actors, keep)
+            if kept
+        ]
+        tracked, _ = pipeline.process_frame(make_frame(f, 100 * f, dets))
+        ids = [o.object_id for o in tracked]
+        assert len(set(ids)) == len(ids)
+        for o in tracked:
+            if o.matched_from is None:
+                assert o.object_id > top
+            else:
+                assert o.object_id == o.matched_from
+                assert any(o.matched_from in earlier for earlier in history[-WINDOW_DEPTH:])
+            if o.direction is not None:
+                assert len(history) >= gap and o.matched_from in history[-gap]
+            top = max(top, o.object_id)
+        history.append(ids)

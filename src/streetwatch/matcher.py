@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from .types import DetectionFrame, _is_finite_number
@@ -46,24 +47,25 @@ class MatchResult:
 
 def greedy_assign(
     candidates: List[Tuple[float, int, int]], n_cur: int, n_ref: int
-) -> List[Tuple[float, int, int]]:
+) -> List[Optional[Tuple[float, int, int]]]:
     """Accept (key, i, j) candidates best-first while both ends are free.
 
-    Sorts the list in place: ascending key, ties broken by (i, j). i ranges
-    over n_cur current items and j over n_ref reference items. Returns the
-    accepted candidates in acceptance order.
+    i ranges over n_cur current items and j over n_ref reference items.
+    Sorts the list in place by key alone; the sort is stable, so equal
+    keys keep the order the caller generated them in. A caller that lists
+    candidates in ascending (i, j) order gets ties broken by the lower i,
+    then the lower j. Returns n_cur slots in current-index order: slot i
+    holds the candidate accepted for item i, or None.
     """
-    candidates.sort()
-    taken_cur = [False] * n_cur
+    candidates.sort(key=itemgetter(0))
+    accepted: List[Optional[Tuple[float, int, int]]] = [None] * n_cur
     taken_ref = [False] * n_ref
-    accepted = []
     for cand in candidates:
         _key, i, j = cand
-        if taken_cur[i] or taken_ref[j]:
+        if accepted[i] is not None or taken_ref[j]:
             continue
-        taken_cur[i] = True
+        accepted[i] = cand
         taken_ref[j] = True
-        accepted.append(cand)
     return accepted
 
 
@@ -77,7 +79,10 @@ def match_frames(
     """Associate the current frame's detections with the reference frame's.
 
     Candidate pairs share a category and lie within the distance gate.
-    They are assigned by greedy_assign, nearest first. current_centers and
+    They are listed in ascending (current, reference) index order and
+    assigned by greedy_assign, nearest first, so equal distances go to the
+    lower current index, then the lower reference index. Pairs come back
+    in current-index order. current_centers and
     reference_centers, when given, hold each side's BoundingBox.center()
     in detection order; a side left out is computed here.
     """
@@ -104,5 +109,4 @@ def match_frames(
                 candidates.append((cost, i, j))
 
     accepted = greedy_assign(candidates, len(cur), len(ref))
-    pairs = sorted((i, j, cost) for cost, i, j in accepted)
-    return MatchResult(pairs=tuple(pairs))
+    return MatchResult(pairs=tuple([(i, j, cost) for cost, i, j in filter(None, accepted)]))

@@ -18,10 +18,21 @@ from .camera import CameraIntrinsics, HeightTable, estimate_distance
 from .direction import DirectionConfig, DirectionLabel, classify_direction
 from .matcher import MatchConfig, match_frames
 from .types import BoundingBox, Category, DetectionFrame, FrameValidationError, ObjectId, validate_frame
-from .types import _INF, _slot_builder
+from .types import _INF, _checked_frame, _slot_builder
 
 # Lookback window capacity in frames; gap must fit inside it.
 WINDOW_DEPTH = 3
+
+# _ROUNDS[gap][n]: the association rounds over a window of n frames, as
+# steps back from the newest: the gap frame first, when the window holds
+# it, then every other frame newest first
+_ROUNDS = {
+    gap: tuple(
+        ((gap,) if gap <= n else ()) + tuple(back for back in range(1, n + 1) if back != gap)
+        for n in range(WINDOW_DEPTH + 1)
+    )
+    for gap in range(1, WINDOW_DEPTH + 1)
+}
 
 
 class StreamOrderError(Exception):
@@ -153,8 +164,7 @@ class Pipeline:
         claimed = set()
         gap = cfg.direction.gap
         rows = range(n)
-        # the gap frame first, then every other window frame newest first
-        for back in sorted(range(1, len(self._window) + 1), key=lambda back: back != gap):
+        for back in _ROUNDS[gap][len(self._window)]:
             ref = self._window[-back]
             current, current_centers = frame, centers
             if back != gap:
@@ -162,7 +172,8 @@ class Pipeline:
                 rows = [i for i in rows if matched_from[i] is None]
                 if not rows:
                     break
-                current = DetectionFrame(frame.frame_id, frame.t_ms, tuple(dets[i] for i in rows))
+                # stamps and detections from the frame validate_frame passed above
+                current = _checked_frame(frame.frame_id, frame.t_ms, tuple([dets[i] for i in rows]))
                 current_centers = [centers[i] for i in rows]
             for k, j, _cost in match_frames(current, ref.frame, cfg.matcher, current_centers, ref.centers).pairs:
                 rid = ref.ids[j]

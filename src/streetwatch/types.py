@@ -263,10 +263,11 @@ _checked_truth = _slot_builder(TruthRecord)
 
 def _checked_frame(frame_id: int, t_ms: int, detections: Tuple[Detection, ...]) -> DetectionFrame:
     """A DetectionFrame of two stamps that pass _stamp_error and a tuple of
-    detections from _checked_detection, marked so that validate_frame
-    trusts it. The mark is an instance attribute, not a field: ==, hash
-    and repr ignore it, and dataclasses.replace drops it. DetectionFrame
-    is not slotted, so that it can hold the mark."""
+    detections from _checked_detection or from a frame that validate_frame
+    has passed, marked so that validate_frame trusts it. The mark is an
+    instance attribute, not a field: ==, hash and repr ignore it, and
+    dataclasses.replace drops it. DetectionFrame is not slotted, so that
+    it can hold the mark."""
     frame = _new(DetectionFrame)
     _set(frame, "frame_id", frame_id)
     _set(frame, "t_ms", t_ms)

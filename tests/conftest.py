@@ -162,3 +162,22 @@ def is_mutual_nn_instance(
         if best_for_cur[i][1] != j:
             return False
     return True
+
+
+# --- greedy reference -------------------------------------------------------
+
+def tuple_sort_greedy(
+    current: DetectionFrame, reference: DetectionFrame, cfg: MatchConfig
+) -> Tuple[Tuple[int, int, float], ...]:
+    """Greedy matching by sorting whole (cost, i, j) tuples, so that equal
+    costs go to the lower current index, then the lower reference index.
+    Returns the accepted (i, j, cost) pairs sorted."""
+    candidates = sorted((cost, i, j) for i, j, cost in gated_edges(current, reference, cfg))
+    taken_cur, taken_ref, accepted = set(), set(), []
+    for cost, i, j in candidates:
+        if i in taken_cur or j in taken_ref:
+            continue
+        taken_cur.add(i)
+        taken_ref.add(j)
+        accepted.append((i, j, cost))
+    return tuple(sorted(accepted))

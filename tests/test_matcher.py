@@ -14,6 +14,7 @@ from conftest import (
     is_mutual_nn_instance,
     make_det,
     make_frame,
+    tuple_sort_greedy,
 )
 
 
@@ -79,6 +80,21 @@ def test_tie_breaks_on_current_then_reference_index():
     ref = make_frame(0, 0, [make_det("car", cx=100.0 + 10.0), make_det("car", cx=120.0 - 10.0)])
     result = match_frames(cur, ref, MatchConfig())
     assert {(i, j) for i, j, _ in result.pairs} == {(0, 0), (1, 1)}
+
+
+# two labels on a coarse lattice, so that equal costs are common
+lattice_side = st.lists(
+    st.tuples(st.sampled_from(["car", "person"]), st.integers(0, 3), st.integers(0, 3)), max_size=6
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_side, lattice_side)
+def test_ties_break_as_in_the_tuple_sorting_greedy(cur_side, ref_side):
+    cur = make_frame(1, 33, [make_det(label, cx=100.0 + 30.0 * a, cy=100.0 + 30.0 * b) for label, a, b in cur_side])
+    ref = make_frame(0, 0, [make_det(label, cx=100.0 + 30.0 * a, cy=100.0 + 30.0 * b) for label, a, b in ref_side])
+    cfg = MatchConfig()
+    assert match_frames(cur, ref, cfg).pairs == tuple_sort_greedy(cur, ref, cfg)
 
 
 def test_config_validation():

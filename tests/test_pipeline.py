@@ -1,5 +1,6 @@
 """End-to-end per-frame behavior: ids, direction, alarms, stream order."""
 import dataclasses
+import hashlib
 import types
 
 import pytest
@@ -23,7 +24,7 @@ from streetwatch.pipeline import (
     config_for_camera,
 )
 from streetwatch.simulator import NoiseSpec, generate, scenario_by_name
-from streetwatch.types import BoundingBox, Category
+from streetwatch.types import BoundingBox, Category, DetectionFrame
 
 from conftest import make_det, make_frame
 
@@ -382,6 +383,38 @@ def test_a_decoded_frame_and_its_python_built_twin_give_the_same_lines():
     assert any('"stage":' in line for line in runs[0])
 
 
+# sha256 of the tracked lines and of the event lines that noisy_churn()
+# replays to at each gap, pinned from the association before its rounds
+# were trimmed (whole-tuple candidate sort, per-frame round sort)
+NOISY_CHURN_DIGESTS = {
+    1: (
+        "c62b9be5c6e02de6e5bf41e901cadbb86deafa6077635621eee0e7e16dfb0ed0",
+        "8490bc7a02499a3801140728fd0846ebd4d258d688b1dcda06bf6ec17ba414e2",
+    ),
+    2: (
+        "76d400663fe125be80ef6da81dadc774f2b6f001f1d40574904a2455463da519",
+        "a6ce275779748c4c3532a6bf24d475d1d6b7ac464af692986c33fe09671d942a",
+    ),
+    3: (
+        "9e8458d38ed320da435d1662d209561c08e997d3dc18b2b0b88c32b76a01417e",
+        "a6ce275779748c4c3532a6bf24d475d1d6b7ac464af692986c33fe09671d942a",
+    ),
+}
+
+
+@pytest.mark.parametrize("gap", sorted(NOISY_CHURN_DIGESTS))
+def test_noisy_association_output_is_pinned(gap):
+    spec, frames = noisy_churn()
+    cfg = config_for_scenario(spec)
+    pipeline = Pipeline(dataclasses.replace(cfg, direction=dataclasses.replace(cfg.direction, gap=gap)))
+    tracked_lines, event_lines = [], []
+    for tracked, events in pipeline.run(frames):
+        tracked_lines += [encode_tracked_object(o) + "\n" for o in tracked]
+        event_lines += [encode_alarm_event(e) + "\n" for e in events]
+    digests = tuple(hashlib.sha256("".join(lines).encode("ascii")).hexdigest() for lines in (tracked_lines, event_lines))
+    assert digests == NOISY_CHURN_DIGESTS[gap]
+
+
 # --- one association loop over the window ----------------------------------
 
 
@@ -413,6 +446,9 @@ def test_only_the_gap_round_gets_the_processed_frame(monkeypatch, gap):
         assert len(calls) <= len(backs)
         for (cur, ref), back in zip(calls, backs):
             assert cur is not frame and ref is frames[pos - back]
+            # the processed frame's stamps, around the leftover detections
+            assert cur.frame_id == frame.frame_id and cur.t_ms == frame.t_ms
+            assert cur == DetectionFrame(frame.frame_id, frame.t_ms, cur.detections)
             sub_rows = [row_of[id(d)] for d in cur.detections]
             # the leftovers of the rounds before, less what those rounds matched
             assert sub_rows and set(sub_rows) <= set(rows) and sub_rows == sorted(sub_rows)

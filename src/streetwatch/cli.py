@@ -23,13 +23,13 @@ from .jsonl import (
     ParseError,
     _undecodable_line,
     decode_detection_frame,
+    decode_tracked_object,
+    decode_truth_record,
     encode_alarm_event,
     encode_detection_frame,
     encode_tracked_object,
     encode_truth_record,
     read_records,
-    read_tracked_objects,
-    read_truth_records,
 )
 from .pipeline import Pipeline, StreamOrderError
 from .types import FrameValidationError
@@ -181,8 +181,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
     inputs = [("the tracked stream", args.tracked), ("the truth stream", args.truth), ("--config", args.config)]
     _refuse_aliases(inputs, [("--report", args.report)])
-    tracked = read_tracked_objects(args.tracked)
-    truth = read_truth_records(args.truth)
+    tracked = list(read_records(args.tracked, decode_tracked_object))
+    truth = list(read_records(args.truth, decode_truth_record))
     bands = None
     if args.bands:
         try:

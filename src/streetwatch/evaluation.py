@@ -10,7 +10,7 @@ never as 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .camera import HeightTable
@@ -80,15 +80,7 @@ class EvalReport:
     assumptions: Dict[str, object]
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "category_accuracy": self.category_accuracy,
-            "direction_accuracy_overall": self.direction_accuracy_overall,
-            "direction_accuracy_by_band": dict(self.direction_accuracy_by_band),
-            "matched_fraction": self.matched_fraction,
-            "id_switches": self.id_switches,
-            "counts": self.counts,
-            "assumptions": self.assumptions,
-        }
+        return asdict(self)
 
     def render_text(self) -> str:
         def fmt(v: Optional[float]) -> str:

@@ -13,7 +13,7 @@ import json
 import math
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, List, Optional, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
 
 from .alarm import AlarmEvent, _checked_event
 from .direction import DirectionLabel
@@ -84,54 +84,37 @@ def _expect_keys(data: dict, expected: frozenset, what: str) -> None:
         raise ParseError(f"{what}: {key_mismatch(data, expected)}")
 
 
-def _int_field(data: dict, key: str, minimum: int = 0) -> int:
+def _field_error(key: str, want: str, v) -> ParseError:
+    return ParseError(f"{key} must be {want}, got {v!r}")
+
+
+# Each decoder states a field's rule once, inline: an exact type and
+# range, or a table lookup. A value that misses raises _field_error, except
+# where a second read still gives a value: _num_field turns an int in a
+# float field into a float, and _category_field makes an unknown non-empty
+# label its own Category. _int_field checks the detection frame's stamps.
+
+def _int_field(data: dict, key: str) -> int:
     v = data[key]
-    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-        raise ParseError(f"{key} must be an integer >= {minimum}, got {v!r}")
+    if type(v) is not int or v < 0:
+        raise _field_error(key, "an integer >= 0", v)
     return v
 
 
 def _num_field(data: dict, key: str) -> float:
     v = data[key]
     if not _is_finite_number(v):
-        raise ParseError(f"{key} must be a finite number, got {v!r}")
+        raise _field_error(key, "a finite number", v)
     return float(v)
 
 
-def _str_field(data: dict, key: str) -> str:
-    v = data[key]
-    if not isinstance(v, str) or not v:
-        raise ParseError(f"{key} must be a non-empty string, got {v!r}")
-    return v
-
-
 def _category_field(data: dict, key: str) -> Category:
+    """The label under key when it is not a known one: a non-empty string
+    becomes its own Category."""
     v = data[key]
-    # type check first: an unhashable value must reach the ParseError below
-    if type(v) is str:
-        known = _KNOWN_CATEGORY.get(v)
-        if known is not None:
-            return known
-    return Category(_str_field(data, key))
-
-
-def _bool_field(data: dict, key: str) -> bool:
-    v = data[key]
-    if not isinstance(v, bool):
-        raise ParseError(f"{key} must be a boolean, got {v!r}")
-    return v
-
-
-def _direction_field(data: dict, key: str) -> Optional[DirectionLabel]:
-    v = data[key]
-    if v is None:
-        return None
-    # type check first: an unhashable value must reach the ParseError below
-    if type(v) is str:
-        label = _DIRECTION.get(v)
-        if label is not None:
-            return label
-    raise ParseError(f"{key} must be left/right/forward or null, got {v!r}")
+    if type(v) is not str or not v:
+        raise _field_error(key, "a non-empty string", v)
+    return Category(v)
 
 
 def _bbox_field(data: dict, key: str) -> BoundingBox:
@@ -140,7 +123,7 @@ def _bbox_field(data: dict, key: str) -> BoundingBox:
     _num_field, which words the error and turns ints into floats."""
     box = data[key]
     if type(box) is not dict:
-        raise ParseError(f"{key} must be an object, got {box!r}")
+        raise _field_error(key, "an object", box)
     # _expect_keys inline: a call per box shows in the decode time
     if box.keys() != _BBOX_KEYS:
         raise ParseError(f"{key}: {key_mismatch(box, _BBOX_KEYS)}")
@@ -201,7 +184,7 @@ def decode_detection_frame(line: str) -> DetectionFrame:
     _expect_keys(data, _FRAME_KEYS, "detection frame")
     raw = data["detections"]
     if not isinstance(raw, list):
-        raise ParseError(f"detections must be an array, got {raw!r}")
+        raise _field_error("detections", "an array", raw)
     detections = tuple([_decode_detection(k, item) for k, item in enumerate(raw)])
     # every value is checked by now, so the frame is marked for
     # validate_frame to trust
@@ -225,31 +208,31 @@ def encode_truth_record(rec: TruthRecord) -> str:
 def decode_truth_record(line: str) -> TruthRecord:
     data = _loads(line)
     _expect_keys(data, _TRUTH_KEYS, "truth record")
-    # One pass. Each value is checked once, by exact type and range or by
-    # label lookup; one that fails goes to its field's reader, which words
-    # the error or returns what to use (a float for an int, a new Category).
+    # one pass: each value is checked once, and a miss raises or goes to
+    # _num_field or _category_field
     direction = data["true_direction"]
     if type(direction) is not str or (direction := _DIRECTION.get(direction)) is None:
-        direction = _direction_field(data, "true_direction")
-        if direction is None:
+        raw = data["true_direction"]
+        if raw is None:
             raise ParseError("true_direction cannot be null")
+        raise _field_error("true_direction", "left/right/forward or null", raw)
     depth = data["true_depth_cm"]
     if type(depth) is not float or not 0.0 < depth < _INF:
         depth = _num_field(data, "true_depth_cm")
         if not depth > 0:
-            raise ParseError(f"true_depth_cm must be positive, got {depth!r}")
+            raise _field_error("true_depth_cm", "positive", depth)
     frame_id = data["frame_id"]
     if type(frame_id) is not int or frame_id < 0:
-        frame_id = _int_field(data, "frame_id")
+        raise _field_error("frame_id", "an integer >= 0", frame_id)
     actor_id = data["actor_id"]
     if type(actor_id) is not int or actor_id < 0:
-        actor_id = _int_field(data, "actor_id")
+        raise _field_error("actor_id", "an integer >= 0", actor_id)
     lateral = data["true_lateral_cm"]
     if type(lateral) is not float or not -_INF < lateral < _INF:
         lateral = _num_field(data, "true_lateral_cm")
     emitted = data["emitted"]
     if type(emitted) is not bool:
-        emitted = _bool_field(data, "emitted")
+        raise _field_error("emitted", "a boolean", emitted)
     category = data["true_category"]
     if type(category) is not str or (category := _KNOWN_CATEGORY.get(category)) is None:
         category = _category_field(data, "true_category")
@@ -298,23 +281,23 @@ def decode_tracked_object(line: str) -> TrackedObject:
     if distance is not None and (type(distance) is not float or not 0.0 < distance < _INF):
         distance = _num_field(data, "distance_cm")
         if not distance > 0:
-            raise ParseError(f"distance_cm must be positive or null, got {distance!r}")
+            raise _field_error("distance_cm", "positive or null", distance)
     matched_from = data["matched_from"]
     if matched_from is not None and (type(matched_from) is not int or matched_from < 0):
-        raise ParseError(f"matched_from must be a non-negative integer or null, got {matched_from!r}")
+        raise _field_error("matched_from", "a non-negative integer or null", matched_from)
     object_id = data["object_id"]
     if type(object_id) is not int or object_id < 0:
-        object_id = _int_field(data, "object_id")
+        raise _field_error("object_id", "an integer >= 0", object_id)
     frame_id = data["frame_id"]
     if type(frame_id) is not int or frame_id < 0:
-        frame_id = _int_field(data, "frame_id")
+        raise _field_error("frame_id", "an integer >= 0", frame_id)
     category = data["category"]
     if type(category) is not str or (category := _KNOWN_CATEGORY.get(category)) is None:
         category = _category_field(data, "category")
     bbox = _bbox_field(data, "bbox")
     direction = data["direction"]
     if direction is not None and (type(direction) is not str or (direction := _DIRECTION.get(direction)) is None):
-        direction = _direction_field(data, "direction")
+        raise _field_error("direction", "left/right/forward or null", data["direction"])
     if text := _match_error(direction, matched_from):
         raise ParseError(text)
     return _checked_tracked(object_id, frame_id, category, bbox, distance, direction, matched_from)
@@ -339,30 +322,30 @@ def decode_alarm_event(line: str) -> AlarmEvent:
     if type(vibration) is not float or not 0.0 < vibration < _INF:
         vibration = _num_field(data, "vibration_s")
         if not vibration > 0:
-            raise ParseError(f"vibration_s must be positive, got {vibration!r}")
+            raise _field_error("vibration_s", "positive", vibration)
     distance = data["distance_cm"]
     if type(distance) is not float or not 0.0 < distance < _INF:
         distance = _num_field(data, "distance_cm")
         if not distance > 0:
-            raise ParseError(f"distance_cm must be positive, got {distance!r}")
+            raise _field_error("distance_cm", "positive", distance)
     t_ms = data["t_ms"]
     if type(t_ms) is not int or t_ms < 0:
-        t_ms = _int_field(data, "t_ms")
+        raise _field_error("t_ms", "an integer >= 0", t_ms)
     object_id = data["object_id"]
     if type(object_id) is not int or object_id < 0:
-        object_id = _int_field(data, "object_id")
+        raise _field_error("object_id", "an integer >= 0", object_id)
     category = data["category"]
     if type(category) is not str or (category := _KNOWN_CATEGORY.get(category)) is None:
         category = _category_field(data, "category")
     stage = data["stage"]
     if type(stage) is not int or stage < 1:
-        stage = _int_field(data, "stage", minimum=1)
+        raise _field_error("stage", "an integer >= 1", stage)
     direction = data["direction"]
     if direction is not None and (type(direction) is not str or (direction := _DIRECTION.get(direction)) is None):
-        direction = _direction_field(data, "direction")
+        raise _field_error("direction", "left/right/forward or null", data["direction"])
     message = data["message"]
     if type(message) is not str or not message:
-        message = _str_field(data, "message")
+        raise _field_error("message", "a non-empty string", message)
     return _checked_event(t_ms, object_id, category, stage, vibration, distance, direction, message)
 
 
@@ -436,15 +419,3 @@ def write_lines(path: PathLike, lines: Iterable[str]) -> int:
             fh.write("\n")
             n += 1
     return n
-
-
-def read_truth_records(path: PathLike) -> List[TruthRecord]:
-    return list(read_records(path, decode_truth_record))
-
-
-def read_tracked_objects(path: PathLike) -> List[TrackedObject]:
-    return list(read_records(path, decode_tracked_object))
-
-
-def read_alarm_events(path: PathLike) -> List[AlarmEvent]:
-    return list(read_records(path, decode_alarm_event))

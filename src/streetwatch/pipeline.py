@@ -72,7 +72,7 @@ def _match_error(direction: Optional[DirectionLabel], matched_from: Optional[Obj
 _checked_tracked = _slot_builder(TrackedObject)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     """Everything one stream needs: camera, heights, association, alarms."""
 

@@ -6,11 +6,11 @@ import sys
 import pytest
 
 from streetwatch.jsonl import (
+    decode_alarm_event,
     decode_detection_frame,
+    decode_tracked_object,
     encode_detection_frame,
-    read_alarm_events,
     read_records,
-    read_tracked_objects,
     write_lines,
 )
 from streetwatch.simulator import scenario_by_name, scenario_to_dict
@@ -169,10 +169,10 @@ def test_replay_produces_tracks_and_events(tmp_path):
     assert "frames: 40" in proc.stdout
     assert "stage 1 events: 3" in proc.stdout
     assert "total events: 3\nno-height detections: 0\n" in proc.stdout
-    objs = read_tracked_objects(tracked)
+    objs = list(read_records(tracked, decode_tracked_object))
     assert len(objs) == 40
     assert {o.object_id for o in objs} == {0}
-    evs = read_alarm_events(events)
+    evs = list(read_records(events, decode_alarm_event))
     assert [e.t_ms for e in evs] == [0, 1500, 3000]
     assert [e.message for e in evs] == ["Car ahead", "Car moving right", "Car moving right"]
 
@@ -371,7 +371,7 @@ def test_replay_counts_detections_without_a_height(tmp_path):
     proc = run_cli("replay", str(det), "--out-tracked", str(tracked), "--out-events", str(tmp_path / "e.jsonl"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("total events: 0\nno-height detections: 3\n")
-    assert [o.distance_cm is None for o in read_tracked_objects(tracked)] == [True, False] * 3
+    assert [o.distance_cm is None for o in read_records(tracked, decode_tracked_object)] == [True, False] * 3
 
 
 def test_replay_with_config_file(tmp_path):

@@ -226,6 +226,9 @@ dog = 50.0
         ("alarm", "cooldown_ms", "-1", "cooldown_ms"),
         ("alarm", "max_events_per_frame", "0", "max_events_per_frame"),
         ("heights", "car", "0.0", "car"),
+        ("direction", "gap", "two", "gap: not an integer"),
+        ("alarm", "cooldown_ms", "1.5", "cooldown_ms: not an integer"),
+        ("alarm", "cumulative_bands", "maybe", "cumulative_bands: not a boolean"),
     ],
 )
 def test_out_of_range_values_are_fatal(tmp_path, section, key, value, hint):

@@ -1,11 +1,12 @@
 """Golden streams: committed bytes must be reproducible end to end."""
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from streetwatch.jsonl import read_alarm_events, read_tracked_objects, read_truth_records
+from streetwatch.jsonl import decode_alarm_event, decode_tracked_object, decode_truth_record, read_records
 from streetwatch.evaluation import score
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -46,8 +47,8 @@ def test_replay_reproduces_the_committed_streams(tmp_path, name):
 
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_committed_streams_score_perfectly(name):
-    tracked = read_tracked_objects(GOLDEN / f"{name}.tracked.jsonl")
-    truth = read_truth_records(GOLDEN / f"{name}.truth.jsonl")
+    tracked = list(read_records(GOLDEN / f"{name}.tracked.jsonl", decode_tracked_object))
+    truth = list(read_records(GOLDEN / f"{name}.truth.jsonl", decode_truth_record))
     report = score(tracked, truth)
     assert report.category_accuracy == 1.0
     assert report.direction_accuracy_overall == 1.0
@@ -55,13 +56,13 @@ def test_committed_streams_score_perfectly(name):
 
 
 def test_committed_event_sequences():
-    single = read_alarm_events(GOLDEN / "single-crosser.events.jsonl")
+    single = list(read_records(GOLDEN / "single-crosser.events.jsonl", decode_alarm_event))
     assert [(e.t_ms, e.stage, e.message) for e in single] == [
         (0, 1, "Car ahead"),
         (1500, 1, "Car moving right"),
         (3000, 1, "Car moving right"),
     ]
-    approach = read_alarm_events(GOLDEN / "approach-head-on.events.jsonl")
+    approach = list(read_records(GOLDEN / "approach-head-on.events.jsonl", decode_alarm_event))
     # the walker reaches each band's far edge exactly at 600, 300 and 150 cm
     assert [(e.t_ms, e.stage, round(e.distance_cm, 6)) for e in approach] == [
         (2000, 1, 600.0),
@@ -69,3 +70,21 @@ def test_committed_event_sequences():
         (6500, 3, 150.0),
     ]
     assert all(e.message == "Person moving forward" for e in approach)
+
+
+# sha256 of the `eval --report` file for each committed tracked/truth pair:
+# the report's key order, indentation and number forms are part of its output
+EVAL_REPORT_DIGESTS = {
+    "single-crosser": "977a3174c88e731713340c224b3fd253d76fe068f70da4941db2191f6bc1b263",
+    "approach-head-on": "9315a1c6ffd18c1e4219f555661a58ae13229591e376275e836460808cb3facb",
+}
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_eval_report_bytes_are_pinned(tmp_path, name):
+    report = tmp_path / "report.json"
+    run_cli(
+        "eval", str(GOLDEN / f"{name}.tracked.jsonl"), str(GOLDEN / f"{name}.truth.jsonl"),
+        "--report", str(report),
+    )
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == EVAL_REPORT_DIGESTS[name]

@@ -1,4 +1,5 @@
-"""Every imported name is used in the module that imports it."""
+"""Every imported name is used in the module that imports it, and every
+private function in src/ is used somewhere in src/."""
 import ast
 from pathlib import Path
 
@@ -56,3 +57,52 @@ def test_a_quoted_annotation_uses_its_names_and_a_bare_import_does_not():
     )
     used = used_names(tree)
     assert [name for name, _ in imported_names(tree) if name not in used] == ["List", "os"]
+
+
+SRC_TREES = {p: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES if ROOT / "src" in p.parents}
+
+
+def private_functions(tree: ast.Module):
+    """Each module-level function whose name starts with an underscore, dunders excepted."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name.startswith("_") and not node.name.endswith("__"):
+                yield node
+
+
+def referenced_names(tree: ast.AST, skip: ast.AST = None):
+    """Every name tree reads, as a bare name or an attribute, outside skip."""
+    names = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(SRC_TREES), ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_private_function_is_called_from_src(path):
+    orphans = []
+    for fn in private_functions(SRC_TREES[path]):
+        # a reference from inside the function itself does not count
+        if not any(fn.name in referenced_names(tree, skip=fn) for tree in SRC_TREES.values()):
+            orphans.append(f"line {fn.lineno}: {fn.name}")
+    assert orphans == []
+
+
+def test_a_private_function_used_only_by_itself_is_an_orphan():
+    tree = ast.parse(
+        "def _used(): ...\n"
+        "def _recursive(n): return _recursive(n - 1)\n"
+        "def __getattr__(name): ...\n"
+        "def public(): return _used()\n"
+    )
+    fns = list(private_functions(tree))
+    assert [fn.name for fn in fns] == ["_used", "_recursive"]
+    assert [fn.name for fn in fns if fn.name not in referenced_names(tree, skip=fn)] == ["_recursive"]

@@ -462,6 +462,13 @@ def test_shared_encoder_still_refuses_unknown_objects():
             encode_alarm_event(smuggled(sample_event(), "vibration_s", value))
 
 
+@pytest.mark.parametrize("value", [1, 0, None, "true"])
+def test_truth_writer_refuses_an_emitted_that_is_not_a_bool(value):
+    with pytest.raises(TypeError) as info:
+        encode_truth_record(smuggled(sample_truth(), "emitted", value))
+    assert str(info.value) == f"emitted must be a bool, got {value!r}"
+
+
 def test_float_subclass_is_written_as_the_float_it_holds():
     class Sub(float):
         def __repr__(self):
@@ -560,6 +567,7 @@ CANONICAL = '{"frame_id":3,"t_ms":99,"detections":[{"category":"car","bbox":{"x"
         ('{"x":80.0,"y":35.25,"w":40.0,"h":30.0}', "[80.0,35.25,40.0,30.0]", "detection 0: bbox must be an object, got [80.0, 35.25, 40.0, 30.0]"),
         ('[{"category"', '[7,{"category"', "detection 0: must be an object"),
         ('"frame_id":3', '"frame_id":3.0', "frame_id must be an integer >= 0, got 3.0"),
+        ('[{"category":"car","bbox":{"x":80.0,"y":35.25,"w":40.0,"h":30.0},"confidence":0.875}]', "null", "detections must be an array, got None"),
     ],
 )
 def test_bad_detection_lines_name_what_is_wrong(old, new, text):
@@ -678,6 +686,29 @@ def test_bad_alarm_events_name_what_is_wrong(old, new, text):
     with pytest.raises(ParseError) as info:
         decode_alarm_event(EVENT.replace(old, new, 1))
     assert str(info.value) == text
+
+
+@pytest.mark.parametrize(
+    "line,key,label,decode,encode",
+    [
+        (TRACKED, "category", "person", decode_tracked_object, encode_tracked_object),
+        (TRUTH, "true_category", "car", decode_truth_record, encode_truth_record),
+        (EVENT, "category", "person", decode_alarm_event, encode_alarm_event),
+    ],
+    ids=["tracked", "truth", "event"],
+)
+def test_every_record_decoder_reads_open_set_labels(line, key, label, decode, encode):
+    old = f'"{key}":"{label}"'
+    assert old in line
+    scooter = line.replace(old, f'"{key}":"e-scooter"', 1)
+    record = decode(scooter)
+    assert getattr(record, key) == Category("e-scooter")
+    assert "e-scooter" not in KNOWN_CATEGORIES
+    assert encode(record) == scooter
+    for bad in ('""', "7"):
+        with pytest.raises(ParseError) as info:
+            decode(line.replace(old, f'"{key}":{bad}', 1))
+        assert str(info.value) == f"{key} must be a non-empty string, got {json.loads(bad)!r}"
 
 
 def test_loose_alarm_event_values_decode_as_their_canonical_form():

@@ -268,6 +268,15 @@ def test_gap_cannot_exceed_the_window():
         make_config(direction=DirectionConfig(gap=WINDOW_DEPTH + 1, dead_zone_px=8.0))
 
 
+def test_config_fields_cannot_be_assigned_past_the_window_check():
+    cfg = make_config()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.direction = DirectionConfig(gap=WINDOW_DEPTH + 1)
+    assert cfg.direction.gap == 2
+    with pytest.raises(ValueError):
+        dataclasses.replace(cfg, direction=DirectionConfig(gap=WINDOW_DEPTH + 1))
+
+
 def test_config_for_camera_scales_with_width():
     heights = HeightTable({"car": 140.0})
     for width, gate, dead_zone in ((640.0, 160.0, 8.0), (1280.0, 320.0, 16.0), (320.0, 80.0, 4.0)):

@@ -2,9 +2,10 @@
 
 Three distance bands map to vibration pulses of increasing length; the
 message names the category and, when known, the moving direction. Bands
-are deliberately narrow and disjoint: an object sweeping inward fires
-once per stage instead of buzzing continuously, and the per-object
-cooldown keeps a loiterer at a band edge quiet.
+are deliberately narrow and disjoint, so an object sweeping inward fires
+once per stage instead of buzzing continuously. The per-object,
+per-stage cooldown only spaces repeats: an object that stays inside a
+band fires again every cooldown_ms for as long as it stays.
 """
 from __future__ import annotations
 

@@ -184,7 +184,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     tracked = list(read_records(args.tracked, decode_tracked_object))
     truth = list(read_records(args.truth, decode_truth_record))
     bands = None
-    if args.bands:
+    if args.bands is not None:
         try:
             boundaries = tuple(float(part) for part in args.bands.split(","))
         except ValueError:

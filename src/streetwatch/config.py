@@ -11,10 +11,11 @@ configured image width.
 from __future__ import annotations
 
 import configparser
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional, Union
 
-from .alarm import AlarmPolicy, AlarmStage
+from .alarm import DEFAULT_STAGES, AlarmPolicy, AlarmStage
 from .camera import SUITE_CAMERA, SUITE_HEIGHTS_CM, CameraIntrinsics, HeightTable
 from .direction import DirectionConfig
 from .matcher import MatchConfig
@@ -25,17 +26,20 @@ class ConfigError(ValueError):
     """A configuration file is malformed or out of range."""
 
 
+def _stage_key(stage: int, name: str) -> str:
+    """The [alarm] key of an AlarmStage field: stage2_lo_cm for band_lo_cm."""
+    return f"stage{stage}_{name.removeprefix('band_')}"
+
+
+# A section's keys are its type's field names; [alarm] spells each stage's
+# fields with _stage_key.
 _KNOWN_KEYS = {
-    "camera": {"focal_px", "image_w", "image_h"},
+    "camera": {f.name for f in fields(CameraIntrinsics)},
     "heights": None,  # any category label is a legal key
-    "matcher": {"max_center_dist_px"},
-    "direction": {"gap", "dead_zone_px"},
-    "alarm": {
-        "stage1_lo_cm", "stage1_hi_cm", "stage1_vibration_s",
-        "stage2_lo_cm", "stage2_hi_cm", "stage2_vibration_s",
-        "stage3_lo_cm", "stage3_hi_cm", "stage3_vibration_s",
-        "cooldown_ms", "max_events_per_frame", "cumulative_bands",
-    },
+    "matcher": {f.name for f in fields(MatchConfig)},
+    "direction": {f.name for f in fields(DirectionConfig)},
+    "alarm": {f.name for f in fields(AlarmPolicy) if f.name != "stages"}
+    | {_stage_key(s.stage, f.name) for s in DEFAULT_STAGES for f in fields(AlarmStage) if f.name != "stage"},
 }
 
 
@@ -65,31 +69,42 @@ def _check_known(parser: configparser.ConfigParser, source: str) -> None:
                 raise ConfigError(f"{source}: unknown key {key!r} in [{section}]")
 
 
-def _get_float(parser, section: str, key: str, default: float) -> float:
+# how a value is parsed, by the type of the field's default
+_PARSERS = {
+    float: (configparser.ConfigParser.getfloat, "a number"),
+    int: (configparser.ConfigParser.getint, "an integer"),
+    bool: (configparser.ConfigParser.getboolean, "a boolean"),
+}
+
+
+def _get(parser, section: str, key: str, default):
+    """The file's value of key in section, parsed as the type of default, or
+    default when the file leaves it out. Its range is the constructor's to check."""
+    get, kind = _PARSERS[type(default)]
     try:
-        value = parser.getfloat(section, key, fallback=default)
+        return get(parser, section, key, fallback=default)
     except (configparser.Error, ValueError) as exc:
-        raise ConfigError(f"[{section}] {key}: not a number ({exc})") from None
-    if not value > 0:
-        raise ConfigError(f"[{section}] {key}: must be positive, got {value}")
-    return value
+        raise ConfigError(f"[{section}] {key}: not {kind} ({exc})") from None
 
 
-def _get_int(parser, section: str, key: str, default: int, *, minimum: int) -> int:
+def _refused_in(where: str, build, *args, **values):
+    """build(*args, **values), a refused value re-raised as a ConfigError
+    that starts with where it sits."""
     try:
-        value = parser.getint(section, key, fallback=default)
-    except (configparser.Error, ValueError) as exc:
-        raise ConfigError(f"[{section}] {key}: not an integer ({exc})") from None
-    if value < minimum:
-        raise ConfigError(f"[{section}] {key}: must be >= {minimum}, got {value}")
-    return value
+        return build(*args, **values)
+    except ValueError as exc:
+        raise ConfigError(f"{where} {exc}") from None
 
 
-def _get_bool(parser, section: str, key: str, default: bool) -> bool:
-    try:
-        return parser.getboolean(section, key, fallback=default)
-    except (configparser.Error, ValueError) as exc:
-        raise ConfigError(f"[{section}] {key}: not a boolean ({exc})") from None
+def _overlay(parser, section: str, base, stage: Optional[int] = None, **values):
+    """base with each field that section names replaced by the file's value.
+    With a stage number, base is that AlarmStage and its keys are _stage_key's."""
+    for f in fields(base):
+        key = f.name if stage is None else _stage_key(stage, f.name)
+        if key in _KNOWN_KEYS[section]:
+            values[f.name] = _get(parser, section, key, getattr(base, f.name))
+    where = f"[{section}]" if stage is None else f"[{section}] stage {stage}:"
+    return _refused_in(where, replace, base, **values)
 
 
 def load_config(path: Optional[Union[str, Path]] = None) -> PipelineConfig:
@@ -106,57 +121,25 @@ def load_config(path: Optional[Union[str, Path]] = None) -> PipelineConfig:
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse config {path}: {exc}") from None
         _check_known(parser, str(path))
-    try:
-        camera = CameraIntrinsics(
-            focal_px=_get_float(parser, "camera", "focal_px", SUITE_CAMERA.focal_px),
-            image_w=_get_float(parser, "camera", "image_w", SUITE_CAMERA.image_w),
-            image_h=_get_float(parser, "camera", "image_h", SUITE_CAMERA.image_h),
-        )
-
-        # the shipped labels in their order, then the file's new ones
-        shipped = SUITE_HEIGHTS_CM
-        named = parser["heights"] if parser.has_section("heights") else {}
-        heights = HeightTable(
-            {label: _get_float(parser, "heights", label, shipped.get(label)) for label in {**shipped, **named}}
-        )
-
-        # what the file leaves out below comes from this camera's config
-        base = config_for_camera(camera, heights)
-        matcher = MatchConfig(
-            max_center_dist_px=_get_float(parser, "matcher", "max_center_dist_px", base.matcher.max_center_dist_px)
-        )
-
-        direction = DirectionConfig(
-            gap=_get_int(parser, "direction", "gap", base.direction.gap, minimum=1),
-            dead_zone_px=_get_float(parser, "direction", "dead_zone_px", base.direction.dead_zone_px),
-        )
-
-        stages = tuple(
-            AlarmStage(
-                stage=s.stage,
-                band_lo_cm=_get_float(parser, "alarm", f"stage{s.stage}_lo_cm", s.band_lo_cm),
-                band_hi_cm=_get_float(parser, "alarm", f"stage{s.stage}_hi_cm", s.band_hi_cm),
-                vibration_s=_get_float(parser, "alarm", f"stage{s.stage}_vibration_s", s.vibration_s),
-            )
-            for s in base.alarm.stages
-        )
-        alarm = AlarmPolicy(
-            stages=stages,
-            cooldown_ms=_get_int(parser, "alarm", "cooldown_ms", base.alarm.cooldown_ms, minimum=0),
-            max_events_per_frame=_get_int(
-                parser, "alarm", "max_events_per_frame", base.alarm.max_events_per_frame, minimum=1
-            ),
-            cumulative_bands=_get_bool(parser, "alarm", "cumulative_bands", base.alarm.cumulative_bands),
-        )
-        # PipelineConfig checks gap against the window depth
-        return PipelineConfig(
-            camera=camera,
-            heights=heights,
-            matcher=matcher,
-            direction=direction,
-            alarm=alarm,
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    camera = _overlay(parser, "camera", SUITE_CAMERA)
+    # the shipped labels in their order, then the file's new ones; the file
+    # has every new label, so its 0.0 only says that a height is a float
+    shipped = SUITE_HEIGHTS_CM
+    named = parser["heights"] if parser.has_section("heights") else {}
+    heights = _refused_in(
+        "[heights]",
+        HeightTable,
+        {label: _get(parser, "heights", label, shipped.get(label, 0.0)) for label in {**shipped, **named}},
+    )
+    # what the file leaves out below comes from this camera's config
+    base = config_for_camera(camera, heights)
+    stages = tuple(_overlay(parser, "alarm", s, s.stage) for s in base.alarm.stages)
+    # PipelineConfig's one check is the direction gap against the window depth
+    return _refused_in(
+        "[direction]",
+        replace,
+        base,
+        matcher=_overlay(parser, "matcher", base.matcher),
+        direction=_overlay(parser, "direction", base.direction),
+        alarm=_overlay(parser, "alarm", base.alarm, stages=stages),
+    )

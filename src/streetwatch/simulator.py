@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from hashlib import blake2b
 from typing import List, Optional, Tuple
 
@@ -126,9 +126,9 @@ class ActorSpec:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """A full scenario: camera, actors, noise, seed."""
+    """A full scenario: camera, actors, noise, seed, and a keyword-only name."""
 
-    name: str
+    name: str = field(default="scenario", kw_only=True)
     duration_s: float
     frame_rate_hz: float
     camera: CameraIntrinsics
@@ -138,6 +138,8 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.name, str) or not self.name:
+            raise ScenarioError(f"name must be a non-empty string, got {self.name!r}")
         if not isinstance(self.actors, tuple):
             object.__setattr__(self, "actors", tuple(self.actors))
         for name in ("duration_s", "frame_rate_hz", "camera_height_cm"):
@@ -321,7 +323,6 @@ def _suite_spec(name: str, duration_s: float, actors: Tuple[ActorSpec, ...], see
         camera=SUITE_CAMERA,
         camera_height_cm=SUITE_CAMERA_HEIGHT_CM,
         actors=actors,
-        noise=NoiseSpec(),
         seed=seed,
     )
 
@@ -442,101 +443,65 @@ def with_seed(spec: ScenarioSpec, seed: int) -> ScenarioSpec:
 
 # --- declarative scenario files ------------------------------------------
 
-def _check_keys(data: dict, required: Tuple[str, ...], optional: Tuple[str, ...], what: str) -> None:
-    problems = key_mismatch(data, required, optional)
+def scenario_to_dict(spec: ScenarioSpec) -> dict:
+    """The spec as plain JSON values, keyed by field name; a Category is its
+    label, and an enter_s or exit_s of None is left out."""
+    return _plain(spec)
+
+
+def _plain(value):
+    if isinstance(value, Category):
+        return value.label
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if not is_dataclass(value):
+        return value
+    pairs = ((f, getattr(value, f.name)) for f in fields(value))
+    return {f.name: _plain(v) for f, v in pairs if not (v is None and f.default is None)}
+
+
+def _fields_of(cls, data, what: str) -> dict:
+    """data, once it is a JSON object whose keys are cls's field names: every
+    field without a default, and any of the others."""
+    if not isinstance(data, dict):
+        raise ScenarioError(f"{what} must be a JSON object, got {type(data).__name__}")
+    required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+    problems = key_mismatch(data, required, [f.name for f in fields(cls)])
     if problems:
         raise ScenarioError(f"{what}: {problems}")
+    return data
 
 
-def scenario_to_dict(spec: ScenarioSpec) -> dict:
-    return {
-        "name": spec.name,
-        "duration_s": spec.duration_s,
-        "frame_rate_hz": spec.frame_rate_hz,
-        "camera": {
-            "focal_px": spec.camera.focal_px,
-            "image_w": spec.camera.image_w,
-            "image_h": spec.camera.image_h,
-        },
-        "camera_height_cm": spec.camera_height_cm,
-        "actors": [
-            {
-                "actor_id": a.actor_id,
-                "category": a.category.label,
-                "real_height_cm": a.real_height_cm,
-                "aspect_ratio": a.aspect_ratio,
-                "trajectory": {
-                    "kind": a.trajectory.kind,
-                    "x0_cm": a.trajectory.x0_cm,
-                    "z0_cm": a.trajectory.z0_cm,
-                    "vx_cm_s": a.trajectory.vx_cm_s,
-                    "vz_cm_s": a.trajectory.vz_cm_s,
-                },
-                **({} if a.enter_s is None else {"enter_s": a.enter_s}),
-                **({} if a.exit_s is None else {"exit_s": a.exit_s}),
-            }
-            for a in spec.actors
-        ],
-        "noise": {
-            "center_jitter_px": spec.noise.center_jitter_px,
-            "height_jitter_frac": spec.noise.height_jitter_frac,
-            "drop_prob": spec.noise.drop_prob,
-            "label_flip_prob": spec.noise.label_flip_prob,
-        },
-        "seed": spec.seed,
-    }
+def _built(what: str, cls, *args, **values):
+    """cls(*args, **values), its refusal prefixed with where the values sit."""
+    try:
+        return cls(*args, **values)
+    except ValueError as exc:
+        raise ScenarioError(f"{what}: {exc}") from None
+
+
+def _object(cls, data, what: str):
+    return _built(what, cls, **_fields_of(cls, data, what))
 
 
 def scenario_from_dict(data: dict) -> ScenarioSpec:
-    """Build a ScenarioSpec from parsed JSON, rejecting unknown keys."""
-    if not isinstance(data, dict):
-        raise ScenarioError(f"scenario must be a JSON object, got {type(data).__name__}")
-    _check_keys(
-        data,
-        required=("duration_s", "frame_rate_hz", "camera", "camera_height_cm", "actors"),
-        optional=("name", "noise", "seed"),
-        what="scenario",
-    )
-    cam = data["camera"]
-    if not isinstance(cam, dict):
-        raise ScenarioError("camera must be an object")
-    _check_keys(cam, required=("focal_px", "image_w", "image_h"), optional=(), what="camera")
+    """Build a ScenarioSpec from parsed JSON, as scenario_to_dict writes it.
+
+    A key left out takes its field's default. Each object is built before
+    the one that holds it, and a refused value is reported with where it
+    sits: "actor 3 trajectory: ...".
+    """
+    _fields_of(ScenarioSpec, data, "scenario")
+    camera = _object(CameraIntrinsics, data["camera"], "camera")
     if not isinstance(data["actors"], list) or not data["actors"]:
         raise ScenarioError("actors must be a non-empty array")
-
     actors = []
     for k, raw in enumerate(data["actors"]):
         what = f"actor {raw.get('actor_id', k) if isinstance(raw, dict) else k}"
-        if not isinstance(raw, dict):
-            raise ScenarioError(f"{what}: must be an object")
-        _check_keys(
-            raw,
-            required=("actor_id", "category", "real_height_cm", "aspect_ratio", "trajectory"),
-            optional=("enter_s", "exit_s"),
-            what=what,
-        )
-        traj_raw = raw["trajectory"]
-        if not isinstance(traj_raw, dict):
-            raise ScenarioError(f"{what}: trajectory must be an object")
-        _check_keys(
-            traj_raw,
-            required=("kind", "x0_cm", "z0_cm"),
-            optional=("vx_cm_s", "vz_cm_s"),
-            what=f"{what} trajectory",
-        )
-        # the key checks leave only field names; a key left out takes its default
-        trajectory = Trajectory(**traj_raw)
-        actors.append(ActorSpec(**dict(raw, category=Category(raw["category"]), trajectory=trajectory)))
-
-    noise_raw = data.get("noise", {})
-    if not isinstance(noise_raw, dict):
-        raise ScenarioError("noise must be an object")
-    _check_keys(
-        noise_raw,
-        required=(),
-        optional=("center_jitter_px", "height_jitter_frac", "drop_prob", "label_flip_prob"),
-        what="noise",
-    )
-    noise = NoiseSpec(**noise_raw)
-    camera = CameraIntrinsics(**cam)
-    return ScenarioSpec(**dict(data, name=data.get("name", "scenario"), camera=camera, actors=tuple(actors), noise=noise))
+        _fields_of(ActorSpec, raw, what)
+        trajectory = _object(Trajectory, raw["trajectory"], f"{what} trajectory")
+        category = _built(what, Category, raw["category"])
+        # ActorSpec and ScenarioSpec name the actor in what they refuse
+        actors.append(ActorSpec(**dict(raw, category=category, trajectory=trajectory)))
+    noise = _object(NoiseSpec, data.get("noise", {}), "noise")
+    return ScenarioSpec(**dict(data, camera=camera, actors=tuple(actors), noise=noise))

@@ -137,14 +137,18 @@ HUGE = 10**400  # an integer too large for a float
         (("camera_height_cm",), "4", "camera_height_cm must be positive, got '4'"),
         (("actors", 0, "real_height_cm"), "140", "actor 0: real_height_cm must be positive"),
         (("actors", 0, "enter_s"), "1", "actor 0: enter_s must be a finite number, got '1'"),
+        (("actors", 3, "category"), "", "actor 3: category label must be a non-empty string"),
+        (("actors", 3, "trajectory", "x0_cm"), "0", "actor 3 trajectory: x0_cm must be a finite number, got '0'"),
     ],
     ids=[
         "negative-z0_cm", "huge-x0_cm", "bool-x0_cm", "huge-focal_px", "huge-center_jitter_px", "str-duration_s",
-        "str-frame_rate_hz", "str-camera_height_cm", "str-real_height_cm", "str-enter_s",
+        "str-frame_rate_hz", "str-camera_height_cm", "str-real_height_cm", "str-enter_s", "empty-category-actor-3",
+        "str-x0_cm-actor-3",
     ],
 )
 def test_simulate_rejects_invalid_scenario_values(tmp_path, path, value, text):
-    spec = scenario_to_dict(scenario_by_name("single-crosser"))
+    # six actors, so that a value of a later one can be spoiled
+    spec = scenario_to_dict(scenario_by_name("crowded-midrange"))
     node = spec
     for key in path[:-1]:
         node = node[key]
@@ -472,6 +476,19 @@ def test_eval_bad_bands_exit_one(tmp_path):
     assert proc.returncode == 1
     proc = run_cli("eval", str(tracked), str(truth), "--bands", "abc", "--report", str(tmp_path / "r.json"))
     assert proc.returncode == 1
+
+
+def test_eval_empty_bands_exit_one(tmp_path):
+    # an empty --bands is refused like a blank one, not read as "use the defaults"
+    det, truth, _ = simulate(tmp_path)
+    tracked = tmp_path / "tracked.jsonl"
+    proc = run_cli("replay", str(det), "--out-tracked", str(tracked), "--out-events", str(tmp_path / "e.jsonl"))
+    assert proc.returncode == 0, proc.stderr
+    report = tmp_path / "r.json"
+    proc = run_cli("eval", str(tracked), str(truth), "--bands", "", "--report", str(report))
+    assert proc.returncode == 1
+    assert "--bands must be comma-separated numbers, got ''" in proc.stderr
+    assert not report.exists()
 
 
 @pytest.mark.parametrize(

@@ -238,6 +238,28 @@ def test_out_of_range_values_are_fatal(tmp_path, section, key, value, hint):
 
 
 @pytest.mark.parametrize(
+    "section,key,value,start",
+    [
+        ("camera", "focal_px", "-5", "[camera] focal_px must be a positive finite number, got -5.0"),
+        ("camera", "focal_px", "inf", "[camera] focal_px must be a positive finite number, got inf"),
+        ("camera", "image_h", "abc", "[camera] image_h: not a number"),
+        ("heights", "car", "0", "[heights] height for 'car' must be a positive finite number, got 0.0"),
+        ("heights", "dog", "nan", "[heights] height for 'dog' must be a positive finite number, got nan"),
+        ("matcher", "max_center_dist_px", "inf", "[matcher] max_center_dist_px must be positive, got inf"),
+        ("direction", "gap", "4", "[direction] gap 4 exceeds the 3-frame window"),
+        ("alarm", "stage2_lo_cm", "-5", "[alarm] stage 2: band_lo_cm must be positive and finite, got -5.0"),
+        ("alarm", "stage3_vibration_s", "1.0", "[alarm] a higher stage must vibrate strictly longer"),
+        ("alarm", "cooldown_ms", "-1", "[alarm] cooldown_ms must be a non-negative integer, got -1"),
+        ("alarm", "max_events_per_frame", "0", "[alarm] max_events_per_frame must be an integer >= 1, got 0"),
+    ],
+)
+def test_refused_values_name_their_section(tmp_path, section, key, value, start):
+    with pytest.raises(ConfigError) as info:
+        load_config(write_config(tmp_path, f"[{section}]\n{key} = {value}\n"))
+    assert str(info.value).startswith(start)
+
+
+@pytest.mark.parametrize(
     "section,key,value",
     [("matcher", "strategy", "euclidean"), ("matcher", "min_iou", "0.1"), ("camera", "camera_height_cm", "140")],
     ids=["strategy-euclidean", "min_iou-0.1", "camera_height_cm-140"],

@@ -1,5 +1,6 @@
 """Every imported name is used in the module that imports it, and every
-private function in src/ is used somewhere in src/."""
+private function and module-level private name in src/ is used somewhere
+in src/."""
 import ast
 from pathlib import Path
 
@@ -106,3 +107,43 @@ def test_a_private_function_used_only_by_itself_is_an_orphan():
     fns = list(private_functions(tree))
     assert [fn.name for fn in fns] == ["_used", "_recursive"]
     assert [fn.name for fn in fns if fn.name not in referenced_names(tree, skip=fn)] == ["_recursive"]
+
+
+def private_assignments(tree: ast.Module):
+    """(name, statement) for each name that a module-level assignment binds
+    and that starts with an underscore, dunders excepted."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name) and sub.id.startswith("_") and not sub.id.endswith("__"):
+                        yield sub.id, node
+
+
+@pytest.mark.parametrize("path", sorted(SRC_TREES), ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_private_assignment_is_read_from_src(path):
+    orphans = []
+    for name, node in private_assignments(SRC_TREES[path]):
+        # a reference from inside the assignment itself does not count
+        if not any(name in referenced_names(tree, skip=node) for tree in SRC_TREES.values()):
+            orphans.append(f"line {node.lineno}: {name}")
+    assert orphans == []
+
+
+def test_a_private_table_read_only_by_its_own_assignment_is_an_orphan():
+    tree = ast.parse(
+        "_TABLE = {'a': 1}\n"
+        "_LEFT: int = 0\n"
+        "_pair, _other = 1, 2\n"
+        "_SELF = [_SELF for _ in ()]\n"
+        "__all__ = ['public']\n"
+        "def public(): return _TABLE['a'] + _pair\n"
+    )
+    names = list(private_assignments(tree))
+    assert [name for name, _ in names] == ["_TABLE", "_LEFT", "_pair", "_other", "_SELF"]
+    assert [name for name, node in names if name not in referenced_names(tree, skip=node)] == [
+        "_LEFT",
+        "_other",
+        "_SELF",
+    ]

@@ -1,19 +1,23 @@
 """Synthetic scenario generation: determinism, noise knobs, bundled suite."""
 import dataclasses
 import hashlib
+import json
 import math
+import re
 import struct
 
 import pytest
+from hypothesis import given, strategies as st
 
 from streetwatch import simulator
-from streetwatch.camera import estimate_distance
+from streetwatch.camera import CameraIntrinsics, estimate_distance
 from streetwatch.direction import DirectionLabel
 from streetwatch.jsonl import encode_detection_frame, encode_truth_record
 from streetwatch.simulator import (
     SUITE_CAMERA,
     SUITE_CAMERA_HEIGHT_CM,
     SUITE_HEIGHTS_CM,
+    TRAJECTORY_KINDS,
     ActorSpec,
     NoiseSpec,
     ScenarioError,
@@ -440,6 +444,90 @@ def test_scenario_dict_round_trip():
     spec = scenario_by_name("enter-exit-churn")
     clone = scenario_from_dict(scenario_to_dict(spec))
     assert clone == spec
+
+
+def positive(hi=1e4):
+    return st.floats(min_value=0.01, max_value=hi)
+
+
+@st.composite
+def scenario_specs(draw):
+    duration = draw(positive(20.0))
+    actors = []
+    for actor_id in draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=4, unique=True)):
+        kind = draw(st.sampled_from(TRAJECTORY_KINDS))
+        z0 = draw(st.floats(1.0, 5000.0))
+        vx = vz = 0.0
+        if kind == "linear":
+            # the depth falls at most to half of z0 within the scenario
+            vx = draw(st.floats(-500.0, 500.0))
+            vz = draw(st.floats(-z0 / (2 * duration), 500.0))
+        enter = draw(st.none() | st.floats(0.0, duration))
+        exit_ = draw(st.none() | st.floats(0.0 if enter is None else enter, duration))
+        actors.append(
+            ActorSpec(
+                actor_id=actor_id,
+                category=Category(draw(st.sampled_from(KNOWN_CATEGORIES) | st.text(min_size=1))),
+                real_height_cm=draw(positive()),
+                aspect_ratio=draw(positive(10.0)),
+                trajectory=Trajectory(kind, draw(st.floats(-1e4, 1e4)), z0, vx, vz),
+                enter_s=enter,
+                exit_s=exit_,
+            )
+        )
+    probability = st.floats(0.0, 1.0)
+    noise = st.just(NoiseSpec()) | st.builds(NoiseSpec, st.floats(0.0, 10.0), st.floats(0.0, 1.0), probability, probability)
+    return ScenarioSpec(
+        name=draw(st.text(min_size=1)),
+        duration_s=duration,
+        frame_rate_hz=draw(positive(100.0)),
+        camera=CameraIntrinsics(draw(positive()), draw(positive()), draw(positive())),
+        camera_height_cm=draw(positive(1000.0)),
+        actors=tuple(actors),
+        noise=draw(noise),
+        seed=draw(st.integers(0, 2**63 - 1)),
+    )
+
+
+@given(spec=scenario_specs())
+def test_scenario_json_round_trip(spec):
+    assert scenario_from_dict(json.loads(json.dumps(scenario_to_dict(spec)))) == spec
+
+
+# sha256 of json.dumps(scenario_to_dict(spec)): the scenario file bytes of
+# the bundled scenarios, key order included
+SCENARIO_JSON_DIGESTS = {
+    "single-crosser": "8f83b384ef315cc4066d59e5e63e3a25ad3704ecfe2213f54c1f48c88f120a89",
+    "approach-head-on": "82701fe6c30e75b477a84681cc873af92f1b55bce70227036e935270a82fd23c",
+    "two-crossers-opposite": "6aa170467d8b7762c09a30521afdc3d9360ef3490df25cbe8534e575dbf33f2d",
+    "crowded-midrange": "82c50a55a8bf95d1757c78de25d647d84c75c1271e755854e96b50c2fa923588",
+    "stationary-clutter": "3b26a6f0a3d140a8df746e539116a2e7ccba2e7884da8bd27ce10a8ace96c6e3",
+    "enter-exit-churn": "0a3b810881b1ede381aec2c0ab19c0294ebd18ec5116dc884b6059814ee63a14",
+    "slow-crosser": "66c359fd5c701d7a7ab68ec454bbc3123ccd3b92786f1548d321a34fab8dd12e",
+}
+
+
+def test_scenario_json_bytes_are_pinned():
+    specs = {spec.name: spec for spec in standard_suite() + [slow_crosser()]}
+    digests = {name: hashlib.sha256(json.dumps(scenario_to_dict(spec)).encode()).hexdigest() for name, spec in specs.items()}
+    assert digests == SCENARIO_JSON_DIGESTS
+
+
+@pytest.mark.parametrize("name", [5, None, "", ["single-crosser"]])
+def test_scenario_name_must_be_a_non_empty_string(name):
+    with pytest.raises(ScenarioError, match=f"name must be a non-empty string, got {re.escape(repr(name))}"):
+        dataclasses.replace(small_scenario(), name=name)
+    data = scenario_to_dict(small_scenario())
+    data["name"] = name
+    with pytest.raises(ScenarioError, match="name must be a non-empty string"):
+        scenario_from_dict(data)
+
+
+def test_a_scenario_without_a_name_is_named_scenario():
+    data = scenario_to_dict(small_scenario())
+    del data["name"]
+    assert scenario_from_dict(data).name == "scenario"
+    assert dataclasses.replace(small_scenario(), name="scenario") == scenario_from_dict(data)
 
 
 def test_scenario_from_dict_rejects_unknown_keys():

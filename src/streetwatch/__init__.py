@@ -48,7 +48,6 @@ _EXPORTS = {
         "StreamOrderError",
         "TrackedObject",
         "WINDOW_DEPTH",
-        "config_for_camera",
     ),
     "simulator": (
         "ActorSpec",

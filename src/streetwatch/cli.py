@@ -125,6 +125,14 @@ def _open_outputs(*paths: str) -> Iterator[List[TextIO]]:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from .simulator import ScenarioError, generate, scenario_by_name, scenario_from_dict, with_seed
 
+    def unique_keys(pairs: List[Tuple[str, object]]) -> dict:
+        # json alone keeps the last of a repeated key without a word
+        data = dict(pairs)
+        if len(data) < len(pairs):
+            key = next(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
+            raise ScenarioError(f"{args.scenario}: repeated key {key!r}")
+        return data
+
     inputs = [("the scenario", args.scenario)]
     _refuse_aliases(inputs, [("--out-detections", args.out_detections), ("--out-truth", args.out_truth)])
     if args.suite:
@@ -132,7 +140,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         try:
             with open(args.scenario, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+                data = json.load(fh, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{args.scenario}: invalid JSON: {exc}") from None
         except UnicodeDecodeError as exc:
@@ -190,7 +198,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         except ValueError:
             raise EvalError(f"--bands must be comma-separated numbers, got {args.bands!r}") from None
         bands = BandPartition(boundaries)
-    cfg = load_config(args.config) if args.config else None
+    cfg = None if args.config is None else load_config(args.config)
     try:
         report = score(tracked, truth, bands, excuse=cfg)
     except AlignmentError as exc:

@@ -1,12 +1,11 @@
 """Pipeline configuration files.
 
 The shipped defaults are the bundled scenarios' camera and height table
-(camera.SUITE_*) and what pipeline.config_for_camera builds on them;
-nothing else restates them. A user file of flat INI-style sections
-overlays them key by key; unknown sections or keys are fatal so typos
-cannot silently fall back to defaults. dead_zone_px and
-max_center_dist_px may be omitted, in which case they scale with the
-configured image width.
+(camera.SUITE_*) and what PipelineConfig builds on them; nothing else
+restates them. A user file of flat INI-style sections overlays them key
+by key; unknown sections or keys are fatal so typos cannot silently fall
+back to defaults. dead_zone_px and max_center_dist_px may be omitted, in
+which case PipelineConfig scales them with the configured image width.
 """
 from __future__ import annotations
 
@@ -19,7 +18,8 @@ from .alarm import DEFAULT_STAGES, AlarmPolicy, AlarmStage
 from .camera import SUITE_CAMERA, SUITE_HEIGHTS_CM, CameraIntrinsics, HeightTable
 from .direction import DirectionConfig
 from .matcher import MatchConfig
-from .pipeline import PipelineConfig, config_for_camera
+from .pipeline import PipelineConfig
+from .types import _refused_as
 
 
 class ConfigError(ValueError):
@@ -87,15 +87,6 @@ def _get(parser, section: str, key: str, default):
         raise ConfigError(f"[{section}] {key}: not {kind} ({exc})") from None
 
 
-def _refused_in(where: str, build, *args, **values):
-    """build(*args, **values), a refused value re-raised as a ConfigError
-    that starts with where it sits."""
-    try:
-        return build(*args, **values)
-    except ValueError as exc:
-        raise ConfigError(f"{where} {exc}") from None
-
-
 def _overlay(parser, section: str, base, stage: Optional[int] = None, **values):
     """base with each field that section names replaced by the file's value.
     With a stage number, base is that AlarmStage and its keys are _stage_key's."""
@@ -104,7 +95,7 @@ def _overlay(parser, section: str, base, stage: Optional[int] = None, **values):
         if key in _KNOWN_KEYS[section]:
             values[f.name] = _get(parser, section, key, getattr(base, f.name))
     where = f"[{section}]" if stage is None else f"[{section}] stage {stage}:"
-    return _refused_in(where, replace, base, **values)
+    return _refused_as(ConfigError, where, replace, base, **values)
 
 
 def load_config(path: Optional[Union[str, Path]] = None) -> PipelineConfig:
@@ -126,16 +117,18 @@ def load_config(path: Optional[Union[str, Path]] = None) -> PipelineConfig:
     # has every new label, so its 0.0 only says that a height is a float
     shipped = SUITE_HEIGHTS_CM
     named = parser["heights"] if parser.has_section("heights") else {}
-    heights = _refused_in(
+    heights = _refused_as(
+        ConfigError,
         "[heights]",
         HeightTable,
         {label: _get(parser, "heights", label, shipped.get(label, 0.0)) for label in {**shipped, **named}},
     )
     # what the file leaves out below comes from this camera's config
-    base = config_for_camera(camera, heights)
+    base = PipelineConfig(camera, heights)
     stages = tuple(_overlay(parser, "alarm", s, s.stage) for s in base.alarm.stages)
     # PipelineConfig's one check is the direction gap against the window depth
-    return _refused_in(
+    return _refused_as(
+        ConfigError,
         "[direction]",
         replace,
         base,

@@ -23,8 +23,8 @@ class DirectionLabel(str, Enum):
 class DirectionConfig:
     """Lookback gap in frames and the jitter dead zone in pixels.
 
-    The default dead zone of 8 px is sized for a 640 px wide image;
-    pipeline.config_for_camera scales it for other widths.
+    The default dead zone of 8 px is sized for a 640 px wide image; a
+    PipelineConfig built without a direction scales it to its camera's width.
     """
 
     gap: int = 2

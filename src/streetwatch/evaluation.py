@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .camera import HeightTable
 from .direction import DirectionLabel
-from .pipeline import Pipeline, PipelineConfig, TrackedObject, config_for_camera
+from .pipeline import Pipeline, PipelineConfig, TrackedObject
 from .simulator import ScenarioSpec, TruthRecord, generate
 from .types import DetectionFrame, _is_finite_number
 
@@ -209,21 +209,15 @@ def score(
     )
 
 
-def config_for_scenario(spec: ScenarioSpec, *, gap: Optional[int] = None) -> PipelineConfig:
-    """A pipeline config that mirrors a scenario: same camera, same heights.
-
-    gap, when given, replaces the camera's default lookback.
-    """
+def config_for_scenario(spec: ScenarioSpec) -> PipelineConfig:
+    """A pipeline config that mirrors a scenario: same camera, same heights."""
     heights: Dict[str, float] = {}
     for actor in spec.actors:
         label = actor.category.label
         if label in heights and heights[label] != actor.real_height_cm:
             raise EvalError(f"actors disagree on the height of {label!r}; cannot derive a height table")
         heights[label] = actor.real_height_cm
-    cfg = config_for_camera(spec.camera, HeightTable(heights))
-    if gap is None:
-        return cfg
-    return replace(cfg, direction=replace(cfg.direction, gap=gap))
+    return PipelineConfig(spec.camera, HeightTable(heights))
 
 
 @dataclass(frozen=True)
@@ -269,14 +263,14 @@ class GapComparison:
 def compare_gap_strategies(spec: ScenarioSpec) -> GapComparison:
     """Score the same run under a one-frame and a two-frame lookback.
 
-    Scoring is strict on purpose: the comparison exists to expose labels
-    that hide inside the dead zone, so the excusable-forward rule would
-    defeat its point.
+    Each gap is one strict run_scenario call; generation is deterministic,
+    so both see the same frames. Strict on purpose: the comparison exists
+    to expose labels that hide inside the dead zone, so the
+    excusable-forward rule would defeat its point.
     """
-    frames, truth = generate(spec)
-    reports: Dict[int, EvalReport] = {}
-    for gap in (1, 2):
-        pipeline = Pipeline(config_for_scenario(spec, gap=gap))
-        tracked = [obj for t, _ in pipeline.run(frames) for obj in t]
-        reports[gap] = score(tracked, truth)
-    return GapComparison(gap1=reports[1], gap2=reports[2])
+    cfg = config_for_scenario(spec)
+    gap1, gap2 = (
+        run_scenario(spec, config=replace(cfg, direction=replace(cfg.direction, gap=gap)), strict=True).report
+        for gap in (1, 2)
+    )
+    return GapComparison(gap1=gap1, gap2=gap2)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
@@ -67,15 +68,10 @@ _DIRECTION_JSON = {None: "null", **_LABEL_JSON}
 # re-checked one per record.
 _KNOWN_CATEGORY = {label: Category(label) for label in KNOWN_CATEGORIES}
 
-_FRAME_KEYS = frozenset(("frame_id", "t_ms", "detections"))
-_DETECTION_KEYS = frozenset(("category", "bbox", "confidence"))
-_BBOX_KEYS = frozenset(("x", "y", "w", "h"))
-_TRUTH_KEYS = frozenset(
-    ("frame_id", "actor_id", "true_depth_cm", "true_lateral_cm", "true_direction", "emitted", "true_category")
-)
-_TRACKED_KEYS = frozenset(("frame_id", "object_id", "category", "bbox", "distance_cm", "direction", "matched_from"))
-_EVENT_KEYS = frozenset(
-    ("t_ms", "object_id", "category", "stage", "vibration_s", "distance_cm", "direction", "message")
+# Each record's keys are its type's field names.
+_FRAME_KEYS, _DETECTION_KEYS, _BBOX_KEYS, _TRUTH_KEYS, _TRACKED_KEYS, _EVENT_KEYS = (
+    frozenset(f.name for f in fields(cls))
+    for cls in (DetectionFrame, Detection, BoundingBox, TruthRecord, TrackedObject, AlarmEvent)
 )
 
 

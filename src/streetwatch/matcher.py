@@ -23,8 +23,8 @@ from .types import DetectionFrame, _is_finite_number
 class MatchConfig:
     """Association gate: the largest center distance a pair may have.
 
-    The default is 25% of a 640 px image width;
-    pipeline.config_for_camera scales it for other widths.
+    The default is 25% of a 640 px image width; a PipelineConfig built
+    without a matcher scales it to its camera's width.
     """
 
     max_center_dist_px: float = 160.0

@@ -18,7 +18,7 @@ from .camera import CameraIntrinsics, HeightTable, estimate_distance
 from .direction import DirectionConfig, DirectionLabel, classify_direction
 from .matcher import MatchConfig, match_frames
 from .types import BoundingBox, Category, DetectionFrame, FrameValidationError, ObjectId, validate_frame
-from .types import _INF, _checked_frame, _slot_builder
+from .types import _INF, _checked_frame, _set, _slot_builder
 
 # Lookback window capacity in frames; gap must fit inside it.
 WINDOW_DEPTH = 3
@@ -74,30 +74,27 @@ _checked_tracked = _slot_builder(TrackedObject)
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything one stream needs: camera, heights, association, alarms."""
+    """Everything one stream needs: camera, heights, association, alarms.
+
+    A matcher or direction left out is its type's default, except the
+    match gate and the dead zone, whose defaults are sized for a 640 px
+    wide image and scale with the camera's width.
+    """
 
     camera: CameraIntrinsics
     heights: HeightTable
-    matcher: MatchConfig = field(default_factory=MatchConfig)
-    direction: DirectionConfig = field(default_factory=DirectionConfig)
+    matcher: Optional[MatchConfig] = None
+    direction: Optional[DirectionConfig] = None
     alarm: AlarmPolicy = field(default_factory=AlarmPolicy)
 
     def __post_init__(self):
+        scale = self.camera.image_w / 640.0
+        if self.matcher is None:
+            _set(self, "matcher", MatchConfig(max_center_dist_px=MatchConfig.max_center_dist_px * scale))
+        if self.direction is None:
+            _set(self, "direction", DirectionConfig(dead_zone_px=DirectionConfig.dead_zone_px * scale))
         if self.direction.gap > WINDOW_DEPTH:
             raise ValueError(f"gap {self.direction.gap} exceeds the {WINDOW_DEPTH}-frame window")
-
-
-def config_for_camera(camera: CameraIntrinsics, heights: HeightTable) -> PipelineConfig:
-    """The config for one camera: every field at its type's default, except
-    the dead zone and the match gate, whose defaults are sized for a 640 px
-    wide image and scale with the camera's width."""
-    scale = camera.image_w / 640.0
-    return PipelineConfig(
-        camera=camera,
-        heights=heights,
-        matcher=MatchConfig(max_center_dist_px=MatchConfig.max_center_dist_px * scale),
-        direction=DirectionConfig(dead_zone_px=DirectionConfig.dead_zone_px * scale),
-    )
 
 
 @dataclass

@@ -32,6 +32,7 @@ from .camera import SUITE_CAMERA, SUITE_HEIGHTS_CM, CameraIntrinsics, _ground_bo
 from .direction import DirectionConfig, DirectionLabel
 from .types import Category, Detection, DetectionFrame, KNOWN_CATEGORIES, TruthRecord, key_mismatch
 from .types import _box_error, _checked_box, _checked_detection, _checked_frame, _checked_truth, _is_finite_number
+from .types import _refused_as
 
 TRAJECTORY_KINDS = ("linear", "stationary")
 
@@ -472,16 +473,8 @@ def _fields_of(cls, data, what: str) -> dict:
     return data
 
 
-def _built(what: str, cls, *args, **values):
-    """cls(*args, **values), its refusal prefixed with where the values sit."""
-    try:
-        return cls(*args, **values)
-    except ValueError as exc:
-        raise ScenarioError(f"{what}: {exc}") from None
-
-
 def _object(cls, data, what: str):
-    return _built(what, cls, **_fields_of(cls, data, what))
+    return _refused_as(ScenarioError, f"{what}:", cls, **_fields_of(cls, data, what))
 
 
 def scenario_from_dict(data: dict) -> ScenarioSpec:
@@ -500,7 +493,7 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
         what = f"actor {raw.get('actor_id', k) if isinstance(raw, dict) else k}"
         _fields_of(ActorSpec, raw, what)
         trajectory = _object(Trajectory, raw["trajectory"], f"{what} trajectory")
-        category = _built(what, Category, raw["category"])
+        category = _refused_as(ScenarioError, f"{what}:", Category, raw["category"])
         # ActorSpec and ScenarioSpec name the actor in what they refuse
         actors.append(ActorSpec(**dict(raw, category=category, trajectory=trajectory)))
     noise = _object(NoiseSpec, data.get("noise", {}), "noise")

@@ -182,6 +182,15 @@ def key_mismatch(keys: Iterable[str], required: Collection[str], optional: Colle
     return ", ".join(problems)
 
 
+def _refused_as(error, prefix: str, build, *args, **values):
+    """build(*args, **values), a ValueError it raises re-raised as error
+    with prefix, which says where the refused value sits, before its text."""
+    try:
+        return build(*args, **values)
+    except ValueError as exc:
+        raise error(f"{prefix} {exc}") from None
+
+
 def validate_frame(frame: DetectionFrame) -> None:
     """Re-check every invariant of a frame and its detections.
 

@@ -108,6 +108,26 @@ def test_simulate_rejects_bad_scenario_json(tmp_path):
     assert "invalid JSON" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "old,new,key",
+    [
+        ('"seed": 101}', '"seed": 101, "seed": 7}', "seed"),
+        ('"vx_cm_s": 150.0', '"vx_cm_s": 150.0, "vx_cm_s": -150.0', "vx_cm_s"),
+    ],
+    ids=["top-level", "in-trajectory"],
+)
+def test_simulate_refuses_a_repeated_scenario_key(tmp_path, old, new, key):
+    text = json.dumps(scenario_to_dict(scenario_by_name("single-crosser")))
+    assert text.count(old) == 1
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(text.replace(old, new), encoding="utf-8")
+    det = tmp_path / "d.jsonl"
+    proc = run_cli("simulate", str(scenario_path), "--out-detections", str(det), "--out-truth", str(tmp_path / "t.jsonl"))
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {scenario_path}: repeated key {key!r}\n"
+    assert not det.exists()
+
+
 def test_simulate_non_utf8_scenario_names_the_file_and_line(tmp_path):
     scenario_path = tmp_path / "scenario.json"
     text = json.dumps(scenario_to_dict(scenario_by_name("single-crosser")), indent=1)
@@ -440,6 +460,19 @@ def test_eval_with_config_enables_only_the_excuse(tmp_path):
     assert report["direction_accuracy_overall"] == 1.0
 
 
+def test_eval_with_an_empty_config_path_is_refused(tmp_path):
+    det, truth, _ = simulate(tmp_path)
+    tracked = tmp_path / "tracked.jsonl"
+    proc = run_cli("replay", str(det), "--out-tracked", str(tracked), "--out-events", str(tmp_path / "e.jsonl"))
+    assert proc.returncode == 0, proc.stderr
+    report_path = tmp_path / "report.json"
+    # as replay refuses it: an empty path names no file, not the defaults
+    proc = run_cli("eval", str(tracked), str(truth), "--config", "", "--report", str(report_path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot read config : "), proc.stderr
+    assert not report_path.exists()
+
+
 def test_eval_custom_bands(tmp_path):
     det, truth, _ = simulate(tmp_path)
     tracked = tmp_path / "tracked.jsonl"
@@ -570,7 +603,7 @@ PACKAGE_NAMES = {
     "evaluation": "AlignmentError BandPartition EvalError EvalReport GapComparison ScenarioRun "
     "compare_gap_strategies config_for_scenario run_scenario score",
     "matcher": "MatchConfig MatchResult match_frames",
-    "pipeline": "Pipeline PipelineConfig StreamOrderError TrackedObject WINDOW_DEPTH config_for_camera",
+    "pipeline": "Pipeline PipelineConfig StreamOrderError TrackedObject WINDOW_DEPTH",
     "simulator": "ActorSpec NoiseSpec ScenarioError ScenarioSpec Trajectory TruthRecord generate scenario_by_name "
     "scenario_from_dict scenario_to_dict slow_crosser standard_suite true_direction_of with_seed",
     "types": "BoundingBox Category Detection DetectionFrame FrameValidationError KNOWN_CATEGORIES ObjectId "
@@ -588,7 +621,7 @@ def test_package_names_resolve_to_their_modules_objects():
         " for m, line in names.items() for n in line.split())\n"
         "from streetwatch import evaluation, simulator\n"
         "missing = []\n"
-        "for name in ('no_such_name', 'project_ground_point', 'with_noise'):\n"
+        "for name in ('no_such_name', 'project_ground_point', 'with_noise', 'config_for_camera'):\n"
         "    try:\n"
         "        getattr(streetwatch, name)\n"
         "        missing.append('resolved')\n"
@@ -609,5 +642,6 @@ def test_package_names_resolve_to_their_modules_objects():
             # retired names stay retired
             "module 'streetwatch' has no attribute 'project_ground_point'",
             "module 'streetwatch' has no attribute 'with_noise'",
+            "module 'streetwatch' has no attribute 'config_for_camera'",
         ],
     ]

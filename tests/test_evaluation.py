@@ -1,4 +1,6 @@
 """Scoring harness: alignment, bands, excusable-forward, gap comparison."""
+from dataclasses import replace
+
 import pytest
 
 from streetwatch.direction import DirectionLabel
@@ -6,6 +8,7 @@ from streetwatch.evaluation import (
     AlignmentError,
     BandPartition,
     EvalError,
+    GapComparison,
     compare_gap_strategies,
     config_for_scenario,
     run_scenario,
@@ -20,6 +23,7 @@ from streetwatch.simulator import (
     generate,
     scenario_by_name,
     slow_crosser,
+    standard_suite,
 )
 from streetwatch.types import BoundingBox
 
@@ -158,7 +162,8 @@ def test_unemitted_truth_rows_are_skipped():
 
 def test_excusable_forward_rule():
     spec = slow_crosser(dead_zone_px=8.0)
-    cfg = config_for_scenario(spec, gap=1)
+    base = config_for_scenario(spec)
+    cfg = replace(base, direction=replace(base.direction, gap=1))
     frames, truth = generate(spec)
     pipeline = Pipeline(cfg)
     tracked = []
@@ -173,7 +178,7 @@ def test_excusable_forward_rule():
     # those same labels are excusable
     assert excused.direction_accuracy_overall == 1.0
     # over two frames the displacement clears the zone: no excuse
-    wide = score(tracked, truth, excuse=config_for_scenario(spec, gap=2))
+    wide = score(tracked, truth, excuse=replace(base, direction=replace(base.direction, gap=2)))
     assert wide.direction_accuracy_overall == 0.0
 
 
@@ -181,6 +186,17 @@ def test_gap_comparison_on_the_slow_crosser():
     comparison = compare_gap_strategies(slow_crosser(8.0))
     assert comparison.gap2.direction_accuracy_overall == 1.0
     assert comparison.gap1.direction_accuracy_overall == 0.0
+
+
+@pytest.mark.parametrize("spec", [slow_crosser()] + standard_suite(), ids=lambda spec: spec.name)
+def test_gap_comparison_is_two_strict_runs(spec):
+    cfg = config_for_scenario(spec)
+    gap1, gap2 = (
+        run_scenario(spec, config=replace(cfg, direction=replace(cfg.direction, gap=gap)), strict=True).report
+        for gap in (1, 2)
+    )
+    assert compare_gap_strategies(spec) == GapComparison(gap1=gap1, gap2=gap2)
+    assert gap1.assumptions["direction_scoring"] == gap2.assumptions["direction_scoring"] == "strict"
 
 
 def test_gap_comparison_ties_on_fast_and_stationary_motion():

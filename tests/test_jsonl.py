@@ -776,6 +776,22 @@ def test_lines_are_compact_single_objects():
     assert json.loads(line)["frame_id"] == 3
 
 
+def test_each_writer_writes_its_record_types_field_names():
+    frame = json.loads(encode_detection_frame(sample_frame()))
+    tracked = json.loads(encode_tracked_object(sample_tracked()))
+    written = [
+        (frame, DetectionFrame),
+        (frame["detections"][0], Detection),
+        (frame["detections"][0]["bbox"], BoundingBox),
+        (tracked["bbox"], BoundingBox),
+        (json.loads(encode_truth_record(sample_truth())), TruthRecord),
+        (tracked, TrackedObject),
+        (json.loads(encode_alarm_event(sample_event())), AlarmEvent),
+    ]
+    for data, cls in written:
+        assert set(data) == {f.name for f in dataclasses.fields(cls)}, cls.__name__
+
+
 def test_detection_frame_key_order_is_stable():
     line = encode_detection_frame(sample_frame())
     assert line.index('"frame_id"') < line.index('"t_ms"') < line.index('"detections"')

@@ -21,7 +21,6 @@ from streetwatch.pipeline import (
     PipelineConfig,
     StreamOrderError,
     TrackedObject,
-    config_for_camera,
 )
 from streetwatch.simulator import NoiseSpec, generate, scenario_by_name
 from streetwatch.types import BoundingBox, Category, DetectionFrame
@@ -277,11 +276,11 @@ def test_config_fields_cannot_be_assigned_past_the_window_check():
         dataclasses.replace(cfg, direction=DirectionConfig(gap=WINDOW_DEPTH + 1))
 
 
-def test_config_for_camera_scales_with_width():
+def test_pipeline_config_scales_with_width():
     heights = HeightTable({"car": 140.0})
     for width, gate, dead_zone in ((640.0, 160.0, 8.0), (1280.0, 320.0, 16.0), (320.0, 80.0, 4.0)):
         camera = CameraIntrinsics(focal_px=1000.0, image_w=width, image_h=480.0)
-        cfg = config_for_camera(camera, heights)
+        cfg = PipelineConfig(camera, heights)
         assert cfg.matcher == MatchConfig(max_center_dist_px=gate)
         assert cfg.direction == DirectionConfig(dead_zone_px=dead_zone)
         assert cfg.camera == camera and cfg.heights is heights and cfg.alarm == AlarmPolicy()
@@ -289,7 +288,31 @@ def test_config_for_camera_scales_with_width():
         # a width the intrinsics refuse scales to a gate the matcher refuses
         camera = types.SimpleNamespace(focal_px=1000.0, image_w=width, image_h=480.0)
         with pytest.raises(ValueError, match="max_center_dist_px must be positive"):
-            config_for_camera(camera, heights)
+            PipelineConfig(camera, heights)
+
+
+def test_pipeline_config_keeps_a_matcher_or_direction_it_is_given():
+    wide = CameraIntrinsics(focal_px=1000.0, image_w=1280.0, image_h=480.0)
+    heights = HeightTable({"car": 140.0})
+    matcher = MatchConfig(max_center_dist_px=100.0)
+    direction = DirectionConfig(gap=1, dead_zone_px=5.0)
+    cfg = PipelineConfig(wide, heights, matcher=matcher)
+    assert cfg.matcher is matcher and cfg.direction == DirectionConfig(dead_zone_px=16.0)
+    cfg = PipelineConfig(wide, heights, direction=direction)
+    assert cfg.direction is direction and cfg.matcher == MatchConfig(max_center_dist_px=320.0)
+    # the 640 px defaults, given outright, are kept too
+    cfg = PipelineConfig(wide, heights, matcher=MatchConfig(), direction=DirectionConfig())
+    assert (cfg.matcher, cfg.direction) == (MatchConfig(), DirectionConfig())
+
+
+def test_replacing_the_camera_keeps_the_fields_already_set():
+    heights = HeightTable({"car": 140.0})
+    cfg = PipelineConfig(CameraIntrinsics(focal_px=1000.0, image_w=640.0, image_h=480.0), heights)
+    wide = CameraIntrinsics(focal_px=1000.0, image_w=1280.0, image_h=480.0)
+    moved = dataclasses.replace(cfg, camera=wide)
+    assert moved.camera == wide
+    assert (moved.matcher, moved.direction, moved.alarm) == (cfg.matcher, cfg.direction, cfg.alarm)
+    assert moved.matcher == MatchConfig(max_center_dist_px=160.0)
 
 
 def test_replaying_a_stream_is_deterministic():

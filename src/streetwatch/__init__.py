@@ -63,7 +63,6 @@ _EXPORTS = {
         "slow_crosser",
         "standard_suite",
         "true_direction_of",
-        "with_seed",
     ),
     "types": (
         "BoundingBox",

@@ -13,14 +13,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 from .direction import DirectionLabel
-from .types import Category, ObjectId, _is_finite_number, _slot_builder
+from .types import Category, ObjectId, _check, _slot_builder
 
 if TYPE_CHECKING:  # pragma: no cover
     from .pipeline import TrackedObject
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -33,14 +29,10 @@ class AlarmStage:
     vibration_s: float
 
     def __post_init__(self):
-        if not _is_int(self.stage) or self.stage < 1:
-            raise ValueError(f"stage must be an integer >= 1, got {self.stage!r}")
-        if not (_is_finite_number(self.band_lo_cm) and self.band_lo_cm > 0):
-            raise ValueError(f"band_lo_cm must be positive and finite, got {self.band_lo_cm!r}")
-        if not (_is_finite_number(self.band_hi_cm) and self.band_hi_cm > self.band_lo_cm):
+        _check(self, "int>=1", "stage")
+        _check(self, "positive", "band_lo_cm", "band_hi_cm", "vibration_s")
+        if not self.band_hi_cm > self.band_lo_cm:
             raise ValueError("band_hi_cm must exceed band_lo_cm")
-        if not (_is_finite_number(self.vibration_s) and self.vibration_s > 0):
-            raise ValueError(f"vibration_s must be positive, got {self.vibration_s!r}")
 
     def contains(self, distance_cm: float) -> bool:
         return self.band_lo_cm <= distance_cm <= self.band_hi_cm
@@ -83,12 +75,9 @@ class AlarmPolicy:
                 raise ValueError("a higher stage must cover a strictly nearer band")
             if not nearer.vibration_s > earlier.vibration_s:
                 raise ValueError("a higher stage must vibrate strictly longer")
-        if not _is_int(self.cooldown_ms) or self.cooldown_ms < 0:
-            raise ValueError(f"cooldown_ms must be a non-negative integer, got {self.cooldown_ms!r}")
-        if not _is_int(self.max_events_per_frame) or self.max_events_per_frame < 1:
-            raise ValueError(f"max_events_per_frame must be an integer >= 1, got {self.max_events_per_frame!r}")
-        if not isinstance(self.cumulative_bands, bool):
-            raise ValueError(f"cumulative_bands must be a bool, got {self.cumulative_bands!r}")
+        _check(self, "int>=0", "cooldown_ms")
+        _check(self, "int>=1", "max_events_per_frame")
+        _check(self, "bool", "cumulative_bands")
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
-from .types import Category, Detection, _is_finite_number
+from .types import Category, Detection, _check, _refusal
 
 
 @dataclass(frozen=True)
@@ -21,10 +21,7 @@ class CameraIntrinsics:
     image_h: float
 
     def __post_init__(self):
-        for name in ("focal_px", "image_w", "image_h"):
-            v = getattr(self, name)
-            if not (_is_finite_number(v) and v > 0):
-                raise ValueError(f"{name} must be a positive finite number, got {v!r}")
+        _check(self, "positive", "focal_px", "image_w", "image_h")
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,10 +38,9 @@ class HeightTable:
     def __post_init__(self):
         copied: Dict[str, float] = {}
         for label, height in dict(self.entries).items():
-            if not isinstance(label, str) or not label:
-                raise ValueError(f"height table key must be a non-empty string, got {label!r}")
-            if not (_is_finite_number(height) and height > 0):
-                raise ValueError(f"height for {label!r} must be a positive finite number, got {height!r}")
+            text = _refusal("text", "height table key", label) or _refusal("positive", f"height for {label!r}", height)
+            if text:
+                raise ValueError(text)
             copied[label] = float(height)
         object.__setattr__(self, "entries", copied)
 
@@ -69,8 +65,9 @@ SUITE_HEIGHTS_CM: Dict[str, float] = {
 
 def focal_px_from_mm(focal_mm: float, sensor_height_mm: float, image_h_px: float) -> float:
     """Convert a metric focal length to pixel units for a given sensor."""
-    if not all(_is_finite_number(v) and v > 0 for v in (focal_mm, sensor_height_mm, image_h_px)):
-        raise ValueError("focal_mm, sensor_height_mm and image_h_px must all be positive")
+    for name, v in (("focal_mm", focal_mm), ("sensor_height_mm", sensor_height_mm), ("image_h_px", image_h_px)):
+        if text := _refusal("positive", name, v):
+            raise ValueError(text)
     return focal_mm * image_h_px / sensor_height_mm
 
 

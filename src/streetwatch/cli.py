@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from collections import Counter
+from dataclasses import replace
 from typing import Iterator, List, Optional, TextIO, Tuple
 
 from .alarm import stage_for_distance
@@ -123,7 +124,7 @@ def _open_outputs(*paths: str) -> Iterator[List[TextIO]]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from .simulator import ScenarioError, generate, scenario_by_name, scenario_from_dict, with_seed
+    from .simulator import ScenarioError, generate, scenario_by_name, scenario_from_dict
 
     def unique_keys(pairs: List[Tuple[str, object]]) -> dict:
         # json alone keeps the last of a repeated key without a word
@@ -148,7 +149,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             raise ScenarioError(f"{args.scenario}: {where}") from None
         spec = scenario_from_dict(data)
     if args.seed is not None:
-        spec = with_seed(spec, args.seed)
+        spec = replace(spec, seed=args.seed)
     frames, truth = generate(spec)
     with _open_outputs(args.out_detections, args.out_truth) as (detections_out, truth_out):
         for frame in frames:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .types import _is_finite_number
+from .types import _check
 
 
 class DirectionLabel(str, Enum):
@@ -31,10 +31,8 @@ class DirectionConfig:
     dead_zone_px: float = 8.0
 
     def __post_init__(self):
-        if not isinstance(self.gap, int) or isinstance(self.gap, bool) or self.gap < 1:
-            raise ValueError(f"gap must be an integer >= 1, got {self.gap!r}")
-        if not (_is_finite_number(self.dead_zone_px) and self.dead_zone_px > 0):
-            raise ValueError(f"dead_zone_px must be positive, got {self.dead_zone_px!r}")
+        _check(self, "int>=1", "gap")
+        _check(self, "positive", "dead_zone_px")
 
 
 def classify_direction(x_current: float, x_reference: float, cfg: DirectionConfig) -> DirectionLabel:

@@ -20,8 +20,7 @@ from .alarm import AlarmEvent, _checked_event
 from .direction import DirectionLabel
 from .pipeline import TrackedObject, _checked_tracked, _match_error
 from .types import KNOWN_CATEGORIES, BoundingBox, Category, Detection, DetectionFrame, TruthRecord, key_mismatch
-from .types import _box_error, _checked_box, _checked_detection, _checked_frame, _checked_truth
-from .types import _confidence_error, _is_finite_number
+from .types import _box_error, _checked_box, _checked_detection, _checked_frame, _checked_truth, _refusal
 
 T = TypeVar("T")
 PathLike = Union[str, Path]
@@ -80,27 +79,35 @@ def _expect_keys(data: dict, expected: frozenset, what: str) -> None:
         raise ParseError(f"{what}: {key_mismatch(data, expected)}")
 
 
-def _field_error(key: str, want: str, v) -> ParseError:
+def _field_error(key: str, rule: str, v, nullable: bool = False) -> ParseError:
+    """v under key refused by the types rule named rule."""
+    return ParseError(_refusal(rule, key, v, nullable))
+
+
+def _shape_error(key: str, want: str, v) -> ParseError:
+    """v under key refused by a rule the types table does not hold: a JSON
+    array or object, or a direction label."""
     return ParseError(f"{key} must be {want}, got {v!r}")
 
 
 # Each decoder states a field's rule once, inline: an exact type and
-# range, or a table lookup. A value that misses raises _field_error, except
-# where a second read still gives a value: _num_field turns an int in a
-# float field into a float, and _category_field makes an unknown non-empty
-# label its own Category. _int_field checks the detection frame's stamps.
+# range, or a table lookup. A value that misses is refused in the words of
+# its types rule, except where a second read still gives a value:
+# _num_field turns an int in a float field into a float, and
+# _category_field makes an unknown non-empty label its own Category.
+# _int_field checks the detection frame's stamps.
 
 def _int_field(data: dict, key: str) -> int:
     v = data[key]
     if type(v) is not int or v < 0:
-        raise _field_error(key, "an integer >= 0", v)
+        raise _field_error(key, "int>=0", v)
     return v
 
 
-def _num_field(data: dict, key: str) -> float:
+def _num_field(data: dict, key: str, rule: str = "finite", nullable: bool = False) -> float:
     v = data[key]
-    if not _is_finite_number(v):
-        raise _field_error(key, "a finite number", v)
+    if text := _refusal(rule, key, v, nullable):
+        raise ParseError(text)
     return float(v)
 
 
@@ -109,7 +116,7 @@ def _category_field(data: dict, key: str) -> Category:
     becomes its own Category."""
     v = data[key]
     if type(v) is not str or not v:
-        raise _field_error(key, "a non-empty string", v)
+        raise _field_error(key, "text", v)
     return Category(v)
 
 
@@ -119,7 +126,7 @@ def _bbox_field(data: dict, key: str) -> BoundingBox:
     _num_field, which words the error and turns ints into floats."""
     box = data[key]
     if type(box) is not dict:
-        raise _field_error(key, "an object", box)
+        raise _shape_error(key, "an object", box)
     # _expect_keys inline: a call per box shows in the decode time
     if box.keys() != _BBOX_KEYS:
         raise ParseError(f"{key}: {key_mismatch(box, _BBOX_KEYS)}")
@@ -128,10 +135,8 @@ def _bbox_field(data: dict, key: str) -> BoundingBox:
         type(x) is not float or type(y) is not float or type(w) is not float or type(h) is not float
         or _box_error(x, y, w, h)
     ):
-        x, y, w, h = _num_field(box, "x"), _num_field(box, "y"), _num_field(box, "w"), _num_field(box, "h")
-        text = _box_error(x, y, w, h)
-        if text:
-            raise ParseError(text)
+        x, y = _num_field(box, "x"), _num_field(box, "y")
+        w, h = _num_field(box, "w", "positive"), _num_field(box, "h", "positive")
     return _checked_box(x, y, w, h)
 
 
@@ -166,10 +171,7 @@ def _decode_detection(k: int, item) -> Detection:
         bbox = _bbox_field(item, "bbox")
         confidence = item["confidence"]
         if type(confidence) is not float or not 0.0 <= confidence <= 1.0:
-            confidence = _num_field(item, "confidence")
-            text = _confidence_error(confidence)
-            if text:
-                raise ParseError(text)
+            confidence = _num_field(item, "confidence", "fraction")
     except ParseError as exc:
         raise ParseError(f"detection {k}: {exc}") from None
     return _checked_detection(category, bbox, confidence)
@@ -180,7 +182,7 @@ def decode_detection_frame(line: str) -> DetectionFrame:
     _expect_keys(data, _FRAME_KEYS, "detection frame")
     raw = data["detections"]
     if not isinstance(raw, list):
-        raise _field_error("detections", "an array", raw)
+        raise _shape_error("detections", "an array", raw)
     detections = tuple([_decode_detection(k, item) for k, item in enumerate(raw)])
     # every value is checked by now, so the frame is marked for
     # validate_frame to trust
@@ -192,7 +194,7 @@ def decode_detection_frame(line: str) -> DetectionFrame:
 def encode_truth_record(rec: TruthRecord) -> str:
     emitted = rec.emitted
     if type(emitted) is not bool:
-        raise TypeError(f"emitted must be a bool, got {emitted!r}")
+        raise TypeError(_refusal("bool", "emitted", emitted))
     return (
         f'{{"frame_id":{_num(rec.frame_id)},"actor_id":{_num(rec.actor_id)},'
         f'"true_depth_cm":{_num(rec.true_depth_cm)},"true_lateral_cm":{_num(rec.true_lateral_cm)},'
@@ -208,27 +210,22 @@ def decode_truth_record(line: str) -> TruthRecord:
     # _num_field or _category_field
     direction = data["true_direction"]
     if type(direction) is not str or (direction := _DIRECTION.get(direction)) is None:
-        raw = data["true_direction"]
-        if raw is None:
-            raise ParseError("true_direction cannot be null")
-        raise _field_error("true_direction", "left/right/forward or null", raw)
+        raise _shape_error("true_direction", "left/right/forward", data["true_direction"])
     depth = data["true_depth_cm"]
     if type(depth) is not float or not 0.0 < depth < _INF:
-        depth = _num_field(data, "true_depth_cm")
-        if not depth > 0:
-            raise _field_error("true_depth_cm", "positive", depth)
+        depth = _num_field(data, "true_depth_cm", "positive")
     frame_id = data["frame_id"]
     if type(frame_id) is not int or frame_id < 0:
-        raise _field_error("frame_id", "an integer >= 0", frame_id)
+        raise _field_error("frame_id", "int>=0", frame_id)
     actor_id = data["actor_id"]
     if type(actor_id) is not int or actor_id < 0:
-        raise _field_error("actor_id", "an integer >= 0", actor_id)
+        raise _field_error("actor_id", "int>=0", actor_id)
     lateral = data["true_lateral_cm"]
     if type(lateral) is not float or not -_INF < lateral < _INF:
         lateral = _num_field(data, "true_lateral_cm")
     emitted = data["emitted"]
     if type(emitted) is not bool:
-        raise _field_error("emitted", "a boolean", emitted)
+        raise _field_error("emitted", "bool", emitted)
     category = data["true_category"]
     if type(category) is not str or (category := _KNOWN_CATEGORY.get(category)) is None:
         category = _category_field(data, "true_category")
@@ -275,25 +272,23 @@ def decode_tracked_object(line: str) -> TrackedObject:
     # one pass, as in decode_truth_record; _bbox_field checks the box once
     distance = data["distance_cm"]
     if distance is not None and (type(distance) is not float or not 0.0 < distance < _INF):
-        distance = _num_field(data, "distance_cm")
-        if not distance > 0:
-            raise _field_error("distance_cm", "positive or null", distance)
+        distance = _num_field(data, "distance_cm", "positive", nullable=True)
     matched_from = data["matched_from"]
     if matched_from is not None and (type(matched_from) is not int or matched_from < 0):
-        raise _field_error("matched_from", "a non-negative integer or null", matched_from)
+        raise _field_error("matched_from", "int>=0", matched_from, nullable=True)
     object_id = data["object_id"]
     if type(object_id) is not int or object_id < 0:
-        raise _field_error("object_id", "an integer >= 0", object_id)
+        raise _field_error("object_id", "int>=0", object_id)
     frame_id = data["frame_id"]
     if type(frame_id) is not int or frame_id < 0:
-        raise _field_error("frame_id", "an integer >= 0", frame_id)
+        raise _field_error("frame_id", "int>=0", frame_id)
     category = data["category"]
     if type(category) is not str or (category := _KNOWN_CATEGORY.get(category)) is None:
         category = _category_field(data, "category")
     bbox = _bbox_field(data, "bbox")
     direction = data["direction"]
     if direction is not None and (type(direction) is not str or (direction := _DIRECTION.get(direction)) is None):
-        raise _field_error("direction", "left/right/forward or null", data["direction"])
+        raise _shape_error("direction", "left/right/forward or null", data["direction"])
     if text := _match_error(direction, matched_from):
         raise ParseError(text)
     return _checked_tracked(object_id, frame_id, category, bbox, distance, direction, matched_from)
@@ -316,32 +311,28 @@ def decode_alarm_event(line: str) -> AlarmEvent:
     # one pass, as in decode_truth_record
     vibration = data["vibration_s"]
     if type(vibration) is not float or not 0.0 < vibration < _INF:
-        vibration = _num_field(data, "vibration_s")
-        if not vibration > 0:
-            raise _field_error("vibration_s", "positive", vibration)
+        vibration = _num_field(data, "vibration_s", "positive")
     distance = data["distance_cm"]
     if type(distance) is not float or not 0.0 < distance < _INF:
-        distance = _num_field(data, "distance_cm")
-        if not distance > 0:
-            raise _field_error("distance_cm", "positive", distance)
+        distance = _num_field(data, "distance_cm", "positive")
     t_ms = data["t_ms"]
     if type(t_ms) is not int or t_ms < 0:
-        raise _field_error("t_ms", "an integer >= 0", t_ms)
+        raise _field_error("t_ms", "int>=0", t_ms)
     object_id = data["object_id"]
     if type(object_id) is not int or object_id < 0:
-        raise _field_error("object_id", "an integer >= 0", object_id)
+        raise _field_error("object_id", "int>=0", object_id)
     category = data["category"]
     if type(category) is not str or (category := _KNOWN_CATEGORY.get(category)) is None:
         category = _category_field(data, "category")
     stage = data["stage"]
     if type(stage) is not int or stage < 1:
-        raise _field_error("stage", "an integer >= 1", stage)
+        raise _field_error("stage", "int>=1", stage)
     direction = data["direction"]
     if direction is not None and (type(direction) is not str or (direction := _DIRECTION.get(direction)) is None):
-        raise _field_error("direction", "left/right/forward or null", data["direction"])
+        raise _shape_error("direction", "left/right/forward or null", data["direction"])
     message = data["message"]
     if type(message) is not str or not message:
-        raise _field_error("message", "a non-empty string", message)
+        raise _field_error("message", "text", message)
     return _checked_event(t_ms, object_id, category, stage, vibration, distance, direction, message)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
-from .types import DetectionFrame, _is_finite_number
+from .types import DetectionFrame, _check
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,7 @@ class MatchConfig:
     max_center_dist_px: float = 160.0
 
     def __post_init__(self):
-        if not (_is_finite_number(self.max_center_dist_px) and self.max_center_dist_px > 0):
-            raise ValueError(f"max_center_dist_px must be positive, got {self.max_center_dist_px!r}")
+        _check(self, "positive", "max_center_dist_px")
 
 
 @dataclass(frozen=True)

@@ -24,15 +24,14 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from hashlib import blake2b
 from typing import List, Optional, Tuple
 
 from .camera import SUITE_CAMERA, SUITE_HEIGHTS_CM, CameraIntrinsics, _ground_box
 from .direction import DirectionConfig, DirectionLabel
 from .types import Category, Detection, DetectionFrame, KNOWN_CATEGORIES, TruthRecord, key_mismatch
-from .types import _box_error, _checked_box, _checked_detection, _checked_frame, _checked_truth, _is_finite_number
-from .types import _refused_as
+from .types import _box_error, _check, _checked_box, _checked_detection, _checked_frame, _checked_truth, _refused_as
 
 TRAJECTORY_KINDS = ("linear", "stationary")
 
@@ -59,14 +58,8 @@ class NoiseSpec:
     label_flip_prob: float = 0.0
 
     def __post_init__(self):
-        for name in ("center_jitter_px", "height_jitter_frac"):
-            v = getattr(self, name)
-            if not (_is_finite_number(v) and v >= 0):
-                raise ScenarioError(f"{name} must be non-negative and finite, got {v!r}")
-        for name in ("drop_prob", "label_flip_prob"):
-            v = getattr(self, name)
-            if not (_is_finite_number(v) and 0.0 <= v <= 1.0):
-                raise ScenarioError(f"{name} must lie in [0, 1], got {v!r}")
+        _check(self, "non-negative", "center_jitter_px", "height_jitter_frac", error=ScenarioError)
+        _check(self, "fraction", "drop_prob", "label_flip_prob", error=ScenarioError)
 
 
 @dataclass(frozen=True)
@@ -84,10 +77,7 @@ class Trajectory:
             raise ScenarioError(f"trajectory kind must be one of {TRAJECTORY_KINDS}, got {self.kind!r}")
         if self.kind == "stationary" and (self.vx_cm_s != 0.0 or self.vz_cm_s != 0.0):
             raise ScenarioError("a stationary trajectory cannot carry a velocity")
-        for name in ("x0_cm", "z0_cm", "vx_cm_s", "vz_cm_s"):
-            v = getattr(self, name)
-            if not _is_finite_number(v):
-                raise ScenarioError(f"{name} must be a finite number, got {v!r}")
+        _check(self, "finite", "x0_cm", "z0_cm", "vx_cm_s", "vz_cm_s", error=ScenarioError)
 
     def position(self, t_s: float) -> Tuple[float, float]:
         return (self.x0_cm + self.vx_cm_s * t_s, self.z0_cm + self.vz_cm_s * t_s)
@@ -106,18 +96,12 @@ class ActorSpec:
     exit_s: Optional[float] = None
 
     def __post_init__(self):
-        if not isinstance(self.actor_id, int) or isinstance(self.actor_id, bool) or self.actor_id < 0:
-            raise ScenarioError(f"actor_id must be a non-negative integer, got {self.actor_id!r}")
+        _check(self, "int>=0", "actor_id", error=ScenarioError)
+        where = f"actor {self.actor_id}: "
         if not isinstance(self.category, Category):
-            raise ScenarioError(f"actor {self.actor_id}: category must be a Category, got {self.category!r}")
-        for name in ("real_height_cm", "aspect_ratio"):
-            v = getattr(self, name)
-            if not (_is_finite_number(v) and v > 0):
-                raise ScenarioError(f"actor {self.actor_id}: {name} must be positive")
-        for name in ("enter_s", "exit_s"):
-            v = getattr(self, name)
-            if v is not None and not _is_finite_number(v):
-                raise ScenarioError(f"actor {self.actor_id}: {name} must be a finite number, got {v!r}")
+            raise ScenarioError(f"{where}category must be a Category, got {self.category!r}")
+        _check(self, "positive", "real_height_cm", "aspect_ratio", error=ScenarioError, where=where)
+        _check(self, "finite", "enter_s", "exit_s", nullable=True, error=ScenarioError, where=where)
 
     def span(self, duration_s: float) -> Tuple[float, float]:
         enter = 0.0 if self.enter_s is None else self.enter_s
@@ -139,15 +123,12 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.name, str) or not self.name:
-            raise ScenarioError(f"name must be a non-empty string, got {self.name!r}")
+        _check(self, "text", "name", error=ScenarioError)
         if not isinstance(self.actors, tuple):
             object.__setattr__(self, "actors", tuple(self.actors))
-        for name in ("duration_s", "frame_rate_hz", "camera_height_cm"):
-            v = getattr(self, name)
-            if not (_is_finite_number(v) and v > 0):
-                raise ScenarioError(f"{name} must be positive, got {v!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed <= _MAX_SEED:
+        _check(self, "positive", "duration_s", "frame_rate_hz", "camera_height_cm", error=ScenarioError)
+        _check(self, "int>=0", "seed", error=ScenarioError)
+        if self.seed > _MAX_SEED:
             raise ScenarioError(f"seed must be an integer in [0, 2**63), got {self.seed!r}")
         seen = set()
         for actor in self.actors:
@@ -436,10 +417,6 @@ def slow_crosser(dead_zone_px: float = DirectionConfig.dead_zone_px) -> Scenario
         (_actor(0, "car", 2.0, Trajectory("linear", x0_cm=x0, z0_cm=depth, vx_cm_s=vx)),),
         seed=107,
     )
-
-
-def with_seed(spec: ScenarioSpec, seed: int) -> ScenarioSpec:
-    return replace(spec, seed=seed)
 
 
 # --- declarative scenario files ------------------------------------------

@@ -44,21 +44,49 @@ def _is_finite_number(v) -> bool:
         return False
 
 
-# Each invariant is checked in one place: these return the error text, or
-# "" when the value is valid. The constructors raise ValueError with it and
-# validate_frame raises FrameValidationError with it, so both say the same.
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
-def _stamp_error(name: str, v) -> str:
-    if isinstance(v, int) and not isinstance(v, bool) and v >= 0:
+
+# Each single-value rule once: its test and its wording. Every constructor,
+# the frame check and every decoder's miss path refuse a value by naming
+# its rule here, so a refusal always reads "<field> must be <wording>, got
+# <value!r>"; a field that may be None adds "or null" to the wording.
+_RULES = {
+    "finite": (_is_finite_number, "a finite number"),
+    "positive": (lambda v: _is_finite_number(v) and v > 0, "a positive finite number"),
+    "non-negative": (lambda v: _is_finite_number(v) and v >= 0, "a non-negative finite number"),
+    "fraction": (lambda v: _is_finite_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
+    "int>=0": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "int>=1": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
+    "text": (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
+}
+
+
+def _refusal(rule: str, name: str, v, nullable: bool = False) -> str:
+    """The text refusing v as field name under rule, or "" when v passes
+    (None passes a nullable field)."""
+    test, wording = _RULES[rule]
+    if test(v) or (nullable and v is None):
         return ""
-    return f"{name} must be a non-negative integer, got {v!r}"
+    return f"{name} must be {wording}{' or null' if nullable else ''}, got {v!r}"
 
 
-def _label_error(label) -> str:
-    if isinstance(label, str) and label:
-        return ""
-    return "category label must be a non-empty string"
+def _check(obj, rule: str, *names: str, nullable: bool = False, error=ValueError, where: str = "") -> None:
+    """Raise error, with where before the text, for the first of obj's
+    fields names that rule refuses."""
+    for name in names:
+        text = _refusal(rule, name, getattr(obj, name), nullable)
+        if text:
+            raise error(where + text)
 
+
+# Each record invariant is checked in one place: these return the error
+# text, or "" when the values are valid. The constructors raise ValueError
+# with it and validate_frame raises FrameValidationError with it, so both
+# say the same. The exact-float test before each slow path is the decode
+# hot path's.
 
 def _box_error(x, y, w, h) -> str:
     if (
@@ -66,22 +94,16 @@ def _box_error(x, y, w, h) -> str:
         and -_INF < x < _INF and -_INF < y < _INF and 0.0 < w < _INF and 0.0 < h < _INF
     ):
         return ""
-    for name, v in (("x", x), ("y", y), ("w", w), ("h", h)):
-        if not _is_finite_number(v):
-            return f"box {name} must be a finite number, got {v!r}"
-    if not w > 0 or not h > 0:
-        return f"box needs w > 0 and h > 0, got w={w}, h={h}"
-    return ""
+    return (
+        _refusal("finite", "box x", x) or _refusal("finite", "box y", y)
+        or _refusal("positive", "box w", w) or _refusal("positive", "box h", h)
+    )
 
 
 def _confidence_error(c) -> str:
     if type(c) is float and 0.0 <= c <= 1.0:
         return ""
-    if not _is_finite_number(c):
-        return f"confidence must be a finite number, got {c!r}"
-    if not 0.0 <= c <= 1.0:
-        return f"confidence must lie in [0, 1], got {c}"
-    return ""
+    return _refusal("fraction", "confidence", c)
 
 
 def _parts_error(category, bbox) -> str:
@@ -104,9 +126,7 @@ class Category:
     label: str
 
     def __post_init__(self):
-        text = _label_error(self.label)
-        if text:
-            raise ValueError(text)
+        _check(self, "text", "label", where="category ")
 
     def display(self) -> str:
         """Message form of the label: 'car' -> 'Car'."""
@@ -158,9 +178,7 @@ class DetectionFrame:
     detections: Tuple[Detection, ...]
 
     def __post_init__(self):
-        text = _stamp_error("frame_id", self.frame_id) or _stamp_error("t_ms", self.t_ms)
-        if text:
-            raise ValueError(text)
+        _check(self, "int>=0", "frame_id", "t_ms")
         if not isinstance(self.detections, tuple):
             object.__setattr__(self, "detections", tuple(self.detections))
 
@@ -204,9 +222,7 @@ def validate_frame(frame: DetectionFrame) -> None:
     """
     if getattr(frame, "_checked", False):
         return
-    text = _stamp_error("frame_id", frame.frame_id) or _stamp_error("t_ms", frame.t_ms)
-    if text:
-        raise FrameValidationError(text)
+    _check(frame, "int>=0", "frame_id", "t_ms", error=FrameValidationError)
     for i, det in enumerate(frame.detections):
         if not isinstance(det, Detection):
             text = f"must be a Detection, got {det!r}"
@@ -214,7 +230,7 @@ def validate_frame(frame: DetectionFrame) -> None:
             box = det.bbox
             text = (
                 _parts_error(det.category, box)
-                or _label_error(det.category.label)
+                or _refusal("text", "category label", det.category.label)
                 or _box_error(box.x, box.y, box.w, box.h)
                 or _confidence_error(det.confidence)
             )
@@ -271,7 +287,7 @@ _checked_truth = _slot_builder(TruthRecord)
 
 
 def _checked_frame(frame_id: int, t_ms: int, detections: Tuple[Detection, ...]) -> DetectionFrame:
-    """A DetectionFrame of two stamps that pass _stamp_error and a tuple of
+    """A DetectionFrame of two stamps that pass the "int>=0" rule and a tuple of
     detections from _checked_detection or from a frame that validate_frame
     has passed, marked so that validate_frame trusts it. The mark is an
     instance attribute, not a field: ==, hash and repr ignore it, and

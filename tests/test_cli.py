@@ -151,13 +151,13 @@ HUGE = 10**400  # an integer too large for a float
         (("actors", 0, "trajectory", "x0_cm"), HUGE, "x0_cm must be a finite number"),
         (("actors", 0, "trajectory", "x0_cm"), True, "x0_cm must be a finite number, got True"),
         (("camera", "focal_px"), HUGE, "focal_px must be a positive finite number"),
-        (("noise", "center_jitter_px"), HUGE, "center_jitter_px must be non-negative and finite"),
-        (("duration_s",), "4", "duration_s must be positive, got '4'"),
-        (("frame_rate_hz",), "4", "frame_rate_hz must be positive, got '4'"),
-        (("camera_height_cm",), "4", "camera_height_cm must be positive, got '4'"),
-        (("actors", 0, "real_height_cm"), "140", "actor 0: real_height_cm must be positive"),
-        (("actors", 0, "enter_s"), "1", "actor 0: enter_s must be a finite number, got '1'"),
-        (("actors", 3, "category"), "", "actor 3: category label must be a non-empty string"),
+        (("noise", "center_jitter_px"), HUGE, "center_jitter_px must be a non-negative finite number"),
+        (("duration_s",), "4", "duration_s must be a positive finite number, got '4'"),
+        (("frame_rate_hz",), "4", "frame_rate_hz must be a positive finite number, got '4'"),
+        (("camera_height_cm",), "4", "camera_height_cm must be a positive finite number, got '4'"),
+        (("actors", 0, "real_height_cm"), "140", "actor 0: real_height_cm must be a positive finite number, got '140'"),
+        (("actors", 0, "enter_s"), "1", "actor 0: enter_s must be a finite number or null, got '1'"),
+        (("actors", 3, "category"), "", "actor 3: category label must be a non-empty string, got ''"),
         (("actors", 3, "trajectory", "x0_cm"), "0", "actor 3 trajectory: x0_cm must be a finite number, got '0'"),
     ],
     ids=[
@@ -302,7 +302,8 @@ def test_replay_integer_too_large_for_a_float_is_a_parse_error(tmp_path, field):
     events = tmp_path / "e.jsonl"
     proc = run_cli("replay", str(det), "--out-tracked", str(tracked), "--out-events", str(events))
     assert proc.returncode == 1
-    assert proc.stderr.startswith(f"error: line 1: detection 0: {field} must be a finite number"), proc.stderr
+    rule = {"x": "a finite number", "confidence": "a number in [0, 1]"}[field]
+    assert proc.stderr.startswith(f"error: line 1: detection 0: {field} must be {rule}, got 1000"), proc.stderr
     assert not tracked.exists()
     assert not events.exists()
 
@@ -605,7 +606,7 @@ PACKAGE_NAMES = {
     "matcher": "MatchConfig MatchResult match_frames",
     "pipeline": "Pipeline PipelineConfig StreamOrderError TrackedObject WINDOW_DEPTH",
     "simulator": "ActorSpec NoiseSpec ScenarioError ScenarioSpec Trajectory TruthRecord generate scenario_by_name "
-    "scenario_from_dict scenario_to_dict slow_crosser standard_suite true_direction_of with_seed",
+    "scenario_from_dict scenario_to_dict slow_crosser standard_suite true_direction_of",
     "types": "BoundingBox Category Detection DetectionFrame FrameValidationError KNOWN_CATEGORIES ObjectId "
     "validate_frame",
 }
@@ -621,7 +622,7 @@ def test_package_names_resolve_to_their_modules_objects():
         " for m, line in names.items() for n in line.split())\n"
         "from streetwatch import evaluation, simulator\n"
         "missing = []\n"
-        "for name in ('no_such_name', 'project_ground_point', 'with_noise', 'config_for_camera'):\n"
+        "for name in ('no_such_name', 'project_ground_point', 'with_noise', 'config_for_camera', 'with_seed'):\n"
         "    try:\n"
         "        getattr(streetwatch, name)\n"
         "        missing.append('resolved')\n"
@@ -643,5 +644,6 @@ def test_package_names_resolve_to_their_modules_objects():
             "module 'streetwatch' has no attribute 'project_ground_point'",
             "module 'streetwatch' has no attribute 'with_noise'",
             "module 'streetwatch' has no attribute 'config_for_camera'",
+            "module 'streetwatch' has no attribute 'with_seed'",
         ],
     ]

@@ -245,11 +245,11 @@ def test_out_of_range_values_are_fatal(tmp_path, section, key, value, hint):
         ("camera", "image_h", "abc", "[camera] image_h: not a number"),
         ("heights", "car", "0", "[heights] height for 'car' must be a positive finite number, got 0.0"),
         ("heights", "dog", "nan", "[heights] height for 'dog' must be a positive finite number, got nan"),
-        ("matcher", "max_center_dist_px", "inf", "[matcher] max_center_dist_px must be positive, got inf"),
+        ("matcher", "max_center_dist_px", "inf", "[matcher] max_center_dist_px must be a positive finite number, got inf"),
         ("direction", "gap", "4", "[direction] gap 4 exceeds the 3-frame window"),
-        ("alarm", "stage2_lo_cm", "-5", "[alarm] stage 2: band_lo_cm must be positive and finite, got -5.0"),
+        ("alarm", "stage2_lo_cm", "-5", "[alarm] stage 2: band_lo_cm must be a positive finite number, got -5.0"),
         ("alarm", "stage3_vibration_s", "1.0", "[alarm] a higher stage must vibrate strictly longer"),
-        ("alarm", "cooldown_ms", "-1", "[alarm] cooldown_ms must be a non-negative integer, got -1"),
+        ("alarm", "cooldown_ms", "-1", "[alarm] cooldown_ms must be an integer >= 0, got -1"),
         ("alarm", "max_events_per_frame", "0", "[alarm] max_events_per_frame must be an integer >= 1, got 0"),
     ],
 )
@@ -365,21 +365,21 @@ def test_malformed_ini_is_a_config_error(tmp_path):
 # Bools, NaN/inf, ints too large for a float and strings are refused with
 # the text each constructor gives any other bad value.
 REFUSALS = {
-    "stage-vibration-inf": (lambda: AlarmStage(1, 570.0, 600.0, math.inf), "vibration_s must be positive, got inf"),
-    "stage-vibration-str": (lambda: AlarmStage(1, 570.0, 600.0, "0.8"), "vibration_s must be positive, got '0.8'"),
-    "stage-band-lo-bool": (lambda: AlarmStage(1, True, 600.0, 0.8), "band_lo_cm must be positive and finite, got True"),
-    "stage-band-lo-str": (lambda: AlarmStage(1, "570", 600.0, 0.8), "band_lo_cm must be positive and finite, got '570'"),
-    "stage-band-lo-huge": (lambda: AlarmStage(1, 10**400, 10**401, 0.8), "band_lo_cm must be positive and finite, got 1000"),
-    "stage-band-hi-huge": (lambda: AlarmStage(1, 570.0, 10**400, 0.8), "band_hi_cm must exceed band_lo_cm"),
-    "policy-cooldown-bool": (lambda: AlarmPolicy(cooldown_ms=True), "cooldown_ms must be a non-negative integer, got True"),
+    "stage-vibration-inf": (lambda: AlarmStage(1, 570.0, 600.0, math.inf), "vibration_s must be a positive finite number, got inf"),
+    "stage-vibration-str": (lambda: AlarmStage(1, 570.0, 600.0, "0.8"), "vibration_s must be a positive finite number, got '0.8'"),
+    "stage-band-lo-bool": (lambda: AlarmStage(1, True, 600.0, 0.8), "band_lo_cm must be a positive finite number, got True"),
+    "stage-band-lo-str": (lambda: AlarmStage(1, "570", 600.0, 0.8), "band_lo_cm must be a positive finite number, got '570'"),
+    "stage-band-lo-huge": (lambda: AlarmStage(1, 10**400, 10**401, 0.8), "band_lo_cm must be a positive finite number, got 1000"),
+    "stage-band-hi-huge": (lambda: AlarmStage(1, 570.0, 10**400, 0.8), "band_hi_cm must be a positive finite number, got 1000"),
+    "policy-cooldown-bool": (lambda: AlarmPolicy(cooldown_ms=True), "cooldown_ms must be an integer >= 0, got True"),
     "policy-cap-bool": (lambda: AlarmPolicy(max_events_per_frame=True), "max_events_per_frame must be an integer >= 1, got True"),
-    "policy-cumulative-str": (lambda: AlarmPolicy(cumulative_bands="no"), "cumulative_bands must be a bool, got 'no'"),
-    "policy-cumulative-int": (lambda: AlarmPolicy(cumulative_bands=1), "cumulative_bands must be a bool, got 1"),
-    "policy-cumulative-none": (lambda: AlarmPolicy(cumulative_bands=None), "cumulative_bands must be a bool, got None"),
-    "match-dist-bool": (lambda: MatchConfig(max_center_dist_px=True), "max_center_dist_px must be positive, got True"),
-    "match-dist-inf": (lambda: MatchConfig(max_center_dist_px=math.inf), "max_center_dist_px must be positive, got inf"),
-    "direction-dead-zone-inf": (lambda: DirectionConfig(dead_zone_px=math.inf), "dead_zone_px must be positive, got inf"),
-    "direction-dead-zone-str": (lambda: DirectionConfig(dead_zone_px="8"), "dead_zone_px must be positive, got '8'"),
+    "policy-cumulative-str": (lambda: AlarmPolicy(cumulative_bands="no"), "cumulative_bands must be a boolean, got 'no'"),
+    "policy-cumulative-int": (lambda: AlarmPolicy(cumulative_bands=1), "cumulative_bands must be a boolean, got 1"),
+    "policy-cumulative-none": (lambda: AlarmPolicy(cumulative_bands=None), "cumulative_bands must be a boolean, got None"),
+    "match-dist-bool": (lambda: MatchConfig(max_center_dist_px=True), "max_center_dist_px must be a positive finite number, got True"),
+    "match-dist-inf": (lambda: MatchConfig(max_center_dist_px=math.inf), "max_center_dist_px must be a positive finite number, got inf"),
+    "direction-dead-zone-inf": (lambda: DirectionConfig(dead_zone_px=math.inf), "dead_zone_px must be a positive finite number, got inf"),
+    "direction-dead-zone-str": (lambda: DirectionConfig(dead_zone_px="8"), "dead_zone_px must be a positive finite number, got '8'"),
 }
 
 

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -307,6 +308,11 @@ def decodable_tracked(draw):
     )
 
 
+decodable_events = st.builds(
+    AlarmEvent, count, count, category, count.filter(bool), positive, positive, st.none() | direction, text.filter(bool)
+)
+
+
 def integral_floats_as_ints(value):
     """value with every integer-valued float, nested ones too, as an int."""
     if type(value) is float and value.is_integer():
@@ -371,6 +377,11 @@ CHECK_ORDER = {
         decode_tracked_object,
         ("keys", "distance_cm", "matched_from", "object_id", "frame_id", "category", "bbox", "direction"),
     ),
+    AlarmEvent: (
+        encode_alarm_event,
+        decode_alarm_event,
+        ("keys", "vibration_s", "distance_cm", "t_ms", "object_id", "category", "stage", "direction", "message"),
+    ),
 }
 NO_MATCH = "direction requires a match; matched_from is None"
 
@@ -397,7 +408,7 @@ def error_text(decode, line):
     return None
 
 
-@given(record=decodable_truth | decodable_tracked(), data=st.data())
+@given(record=decodable_truth | decodable_tracked() | decodable_events, data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_the_earliest_failing_field_words_the_error(record, data):
     encode, decode, order = CHECK_ORDER[type(record)]
@@ -466,7 +477,7 @@ def test_shared_encoder_still_refuses_unknown_objects():
 def test_truth_writer_refuses_an_emitted_that_is_not_a_bool(value):
     with pytest.raises(TypeError) as info:
         encode_truth_record(smuggled(sample_truth(), "emitted", value))
-    assert str(info.value) == f"emitted must be a bool, got {value!r}"
+    assert str(info.value) == f"emitted must be a boolean, got {value!r}"
 
 
 def test_float_subclass_is_written_as_the_float_it_holds():
@@ -522,7 +533,8 @@ def test_canonical_known_label_lines_skip_the_constructor_checks(monkeypatch):
 def test_integer_too_large_for_a_float_is_a_parse_error(encode, decode, record, key):
     data = json.loads(encode(record))
     data[key] = 10**400
-    with pytest.raises(ParseError, match=f"^{key} must be a finite number, got 1000"):
+    rule = {"distance_cm": "a positive finite number or null", "true_depth_cm": "a positive finite number"}[key]
+    with pytest.raises(ParseError, match=f"^{key} must be {re.escape(rule)}, got 1000"):
         decode(json.dumps(data))
 
 
@@ -550,13 +562,13 @@ CANONICAL = '{"frame_id":3,"t_ms":99,"detections":[{"category":"car","bbox":{"x"
     [
         ('"x":80.0', '"x":NaN', "detection 0: x must be a finite number, got nan"),
         ('"y":35.25', '"y":Infinity', "detection 0: y must be a finite number, got inf"),
-        ('"w":40.0', '"w":-Infinity', "detection 0: w must be a finite number, got -inf"),
-        ('"h":30.0', '"h":true', "detection 0: h must be a finite number, got True"),
+        ('"w":40.0', '"w":-Infinity', "detection 0: w must be a positive finite number, got -inf"),
+        ('"h":30.0', '"h":true', "detection 0: h must be a positive finite number, got True"),
         ('"x":80.0', '"x":"80"', "detection 0: x must be a finite number, got '80'"),
-        ('"w":40.0', '"w":0', "detection 0: box needs w > 0 and h > 0, got w=0.0, h=30.0"),
-        ('"h":30.0', '"h":-30.0', "detection 0: box needs w > 0 and h > 0, got w=40.0, h=-30.0"),
-        ('"confidence":0.875', '"confidence":1.5', "detection 0: confidence must lie in [0, 1], got 1.5"),
-        ('"confidence":0.875', '"confidence":false', "detection 0: confidence must be a finite number, got False"),
+        ('"w":40.0', '"w":0', "detection 0: w must be a positive finite number, got 0"),
+        ('"h":30.0', '"h":-30.0', "detection 0: h must be a positive finite number, got -30.0"),
+        ('"confidence":0.875', '"confidence":1.5', "detection 0: confidence must be a number in [0, 1], got 1.5"),
+        ('"confidence":0.875', '"confidence":false', "detection 0: confidence must be a number in [0, 1], got False"),
         ('"category":"car"', '"category":""', "detection 0: category must be a non-empty string, got ''"),
         ('"category":"car"', '"category":["car"]', "detection 0: category must be a non-empty string, got ['car']"),
         ('"category":"car"', '"category":7', "detection 0: category must be a non-empty string, got 7"),
@@ -587,25 +599,25 @@ HUGE = "1" * 401  # an integer too large for a float
     [
         ('"x":10.0', '"x":NaN', "x must be a finite number, got nan"),
         ('"y":20.0', '"y":true', "y must be a finite number, got True"),
-        ('"w":30.0', '"w":"1"', "w must be a finite number, got '1'"),
-        ('"w":30.0', '"w":0', "box needs w > 0 and h > 0, got w=0.0, h=40.0"),
+        ('"w":30.0', '"w":"1"', "w must be a positive finite number, got '1'"),
+        ('"w":30.0', '"w":0', "w must be a positive finite number, got 0"),
         ('{"x":10.0,"y":20.0,"w":30.0,"h":40.0}', "[10.0,20.0,30.0,40.0]", "bbox must be an object, got [10.0, 20.0, 30.0, 40.0]"),
         (',"h":40.0', "", "bbox: missing ['h']"),
-        ('"h":40.0', f'"h":{HUGE}', f"h must be a finite number, got {HUGE}"),
+        ('"h":40.0', f'"h":{HUGE}', f"h must be a positive finite number, got {HUGE}"),
         ('"object_id":4', '"object_id":4.0', "object_id must be an integer >= 0, got 4.0"),
         ('"object_id":4', '"object_id":true', "object_id must be an integer >= 0, got True"),
         ('"object_id":4', '"object_id":-1', "object_id must be an integer >= 0, got -1"),
         ('"frame_id":3', '"frame_id":3.0', "frame_id must be an integer >= 0, got 3.0"),
         ('"frame_id":3', '"frame_id":false', "frame_id must be an integer >= 0, got False"),
         ('"frame_id":3', '"frame_id":-1', "frame_id must be an integer >= 0, got -1"),
-        ('"matched_from":4', '"matched_from":4.0', "matched_from must be a non-negative integer or null, got 4.0"),
-        ('"matched_from":4', '"matched_from":true', "matched_from must be a non-negative integer or null, got True"),
-        ('"matched_from":4', '"matched_from":-1', "matched_from must be a non-negative integer or null, got -1"),
+        ('"matched_from":4', '"matched_from":4.0', "matched_from must be an integer >= 0 or null, got 4.0"),
+        ('"matched_from":4', '"matched_from":true', "matched_from must be an integer >= 0 or null, got True"),
+        ('"matched_from":4', '"matched_from":-1', "matched_from must be an integer >= 0 or null, got -1"),
         ('"matched_from":4', '"matched_from":null', "direction requires a match; matched_from is None"),
-        ('"distance_cm":412.5', '"distance_cm":0', "distance_cm must be positive or null, got 0.0"),
-        ('"distance_cm":412.5', '"distance_cm":0.0', "distance_cm must be positive or null, got 0.0"),
-        ('"distance_cm":412.5', '"distance_cm":NaN', "distance_cm must be a finite number, got nan"),
-        ('"distance_cm":412.5', '"distance_cm":"412.5"', "distance_cm must be a finite number, got '412.5'"),
+        ('"distance_cm":412.5', '"distance_cm":0', "distance_cm must be a positive finite number or null, got 0"),
+        ('"distance_cm":412.5', '"distance_cm":0.0', "distance_cm must be a positive finite number or null, got 0.0"),
+        ('"distance_cm":412.5', '"distance_cm":NaN', "distance_cm must be a positive finite number or null, got nan"),
+        ('"distance_cm":412.5', '"distance_cm":"412.5"', "distance_cm must be a positive finite number or null, got '412.5'"),
         ('"direction":"left"', '"direction":"up"', "direction must be left/right/forward or null, got 'up'"),
         ('"direction":"left"', '"direction":{}', "direction must be left/right/forward or null, got {}"),
         ('"category":"person"', '"category":""', "category must be a non-empty string, got ''"),
@@ -630,16 +642,16 @@ TRUTH = '{"frame_id":3,"actor_id":1,"true_depth_cm":580.0,"true_lateral_cm":-35.
         ('"frame_id":3', '"frame_id":-1', "frame_id must be an integer >= 0, got -1"),
         ('"actor_id":1', '"actor_id":true', "actor_id must be an integer >= 0, got True"),
         ('"actor_id":1', '"actor_id":1.5', "actor_id must be an integer >= 0, got 1.5"),
-        ('"true_depth_cm":580.0', '"true_depth_cm":0', "true_depth_cm must be positive, got 0.0"),
-        ('"true_depth_cm":580.0', '"true_depth_cm":0.0', "true_depth_cm must be positive, got 0.0"),
-        ('"true_depth_cm":580.0', '"true_depth_cm":-1.5', "true_depth_cm must be positive, got -1.5"),
-        ('"true_depth_cm":580.0', '"true_depth_cm":NaN', "true_depth_cm must be a finite number, got nan"),
-        ('"true_depth_cm":580.0', f'"true_depth_cm":{HUGE}', f"true_depth_cm must be a finite number, got {HUGE}"),
+        ('"true_depth_cm":580.0', '"true_depth_cm":0', "true_depth_cm must be a positive finite number, got 0"),
+        ('"true_depth_cm":580.0', '"true_depth_cm":0.0', "true_depth_cm must be a positive finite number, got 0.0"),
+        ('"true_depth_cm":580.0', '"true_depth_cm":-1.5', "true_depth_cm must be a positive finite number, got -1.5"),
+        ('"true_depth_cm":580.0', '"true_depth_cm":NaN', "true_depth_cm must be a positive finite number, got nan"),
+        ('"true_depth_cm":580.0', f'"true_depth_cm":{HUGE}', f"true_depth_cm must be a positive finite number, got {HUGE}"),
         ('"true_lateral_cm":-35.5', '"true_lateral_cm":-Infinity', "true_lateral_cm must be a finite number, got -inf"),
         ('"true_lateral_cm":-35.5', '"true_lateral_cm":"x"', "true_lateral_cm must be a finite number, got 'x'"),
-        ('"true_direction":"right"', '"true_direction":"up"', "true_direction must be left/right/forward or null, got 'up'"),
-        ('"true_direction":"right"', '"true_direction":null', "true_direction cannot be null"),
-        ('"true_direction":"right"', '"true_direction":[]', "true_direction must be left/right/forward or null, got []"),
+        ('"true_direction":"right"', '"true_direction":"up"', "true_direction must be left/right/forward, got 'up'"),
+        ('"true_direction":"right"', '"true_direction":null', "true_direction must be left/right/forward, got None"),
+        ('"true_direction":"right"', '"true_direction":[]', "true_direction must be left/right/forward, got []"),
         ('"emitted":true', '"emitted":1', "emitted must be a boolean, got 1"),
         ('"emitted":true', '"emitted":null', "emitted must be a boolean, got None"),
         ('"true_category":"car"', '"true_category":""', "true_category must be a non-empty string, got ''"),
@@ -668,11 +680,11 @@ EVENT = '{"t_ms":1500,"object_id":4,"category":"person","stage":2,"vibration_s":
         ('"category":"person"', '"category":7', "category must be a non-empty string, got 7"),
         ('"stage":2', '"stage":0', "stage must be an integer >= 1, got 0"),
         ('"stage":2', '"stage":2.0', "stage must be an integer >= 1, got 2.0"),
-        ('"vibration_s":1.2', '"vibration_s":0', "vibration_s must be positive, got 0.0"),
-        ('"vibration_s":1.2', '"vibration_s":NaN', "vibration_s must be a finite number, got nan"),
-        ('"vibration_s":1.2', '"vibration_s":"1.2"', "vibration_s must be a finite number, got '1.2'"),
-        ('"distance_cm":290.0', '"distance_cm":-1.5', "distance_cm must be positive, got -1.5"),
-        ('"distance_cm":290.0', '"distance_cm":Infinity', "distance_cm must be a finite number, got inf"),
+        ('"vibration_s":1.2', '"vibration_s":0', "vibration_s must be a positive finite number, got 0"),
+        ('"vibration_s":1.2', '"vibration_s":NaN', "vibration_s must be a positive finite number, got nan"),
+        ('"vibration_s":1.2', '"vibration_s":"1.2"', "vibration_s must be a positive finite number, got '1.2'"),
+        ('"distance_cm":290.0', '"distance_cm":-1.5', "distance_cm must be a positive finite number, got -1.5"),
+        ('"distance_cm":290.0', '"distance_cm":Infinity', "distance_cm must be a positive finite number, got inf"),
         ('"direction":"left"', '"direction":"up"', "direction must be left/right/forward or null, got 'up'"),
         ('"direction":"left"', '"direction":[]', "direction must be left/right/forward or null, got []"),
         ('"message":"Person moving left"', '"message":""', "message must be a non-empty string, got ''"),

@@ -5,6 +5,7 @@ import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
 
 import streetwatch.pipeline as sw_pipeline
 import streetwatch.types as sw_types
@@ -287,7 +288,7 @@ def test_pipeline_config_scales_with_width():
     for width in (0.0, -640.0):
         # a width the intrinsics refuse scales to a gate the matcher refuses
         camera = types.SimpleNamespace(focal_px=1000.0, image_w=width, image_h=480.0)
-        with pytest.raises(ValueError, match="max_center_dist_px must be positive"):
+        with pytest.raises(ValueError, match="max_center_dist_px must be a positive finite number, got "):
             PipelineConfig(camera, heights)
 
 
@@ -355,18 +356,19 @@ def test_the_decoded_mark_leaves_equality_hash_and_repr_alone():
 def test_process_frame_does_not_check_a_decoded_frame_again(monkeypatch):
     frames = [make_frame(i, 100 * i, [car_at(100.0 + 7.0 * i), make_det("person", cx=400.0)]) for i in range(3)]
     twins = [decoded(f) for f in frames]
+    # built first: their configs' constructors check values through _refusal too
+    twin_pipeline, pipeline = Pipeline(make_config()), Pipeline(make_config())
     calls = []
-    for name in ("_label_error", "_box_error", "_confidence_error"):
+    for name in ("_refusal", "_box_error", "_confidence_error"):
         check = getattr(sw_types, name)
         monkeypatch.setattr(sw_types, name, lambda *args, check=check, name=name: calls.append(name) or check(*args))
-    pipeline = Pipeline(make_config())
     for twin in twins:
-        pipeline.process_frame(twin)
+        twin_pipeline.process_frame(twin)
     assert calls == []
-    pipeline = Pipeline(make_config())
     for frame in frames:
         pipeline.process_frame(frame)
-    assert calls == ["_label_error", "_box_error", "_confidence_error"] * 6
+    # the two stamps, then each detection's label, box and confidence
+    assert calls == (["_refusal"] * 2 + ["_refusal", "_box_error", "_confidence_error"] * 2) * 3
 
 
 def test_a_generated_box_is_checked_once_where_the_simulator_builds_it(monkeypatch):
@@ -389,7 +391,7 @@ def test_a_replaced_generated_frame_is_checked_again():
     Pipeline(config_for_scenario(spec)).process_frame(frame)
     with pytest.raises(sw_types.FrameValidationError) as info:
         Pipeline(config_for_scenario(spec)).process_frame(bad)
-    assert str(info.value) == f"detection 0: box needs w > 0 and h > 0, got w=-1.0, h={det.bbox.h}"
+    assert str(info.value) == "detection 0: box w must be a positive finite number, got -1.0"
 
 
 def noisy_churn():
@@ -526,3 +528,86 @@ def test_association_invariants_hold_on_random_streams(gap, actors, shown):
                 assert len(history) >= gap and o.matched_from in history[-gap]
             top = max(top, o.object_id)
         history.append(ids)
+
+
+# --- the pipeline as a state machine ----------------------------------------
+
+HEIGHT_CM = {"car": 140.0, "person": 165.0}  # make_config's table; "dog" has no height
+# depths on and around the three alarm bands, so events fire, repeat and get capped
+depths = st.sampled_from([120.0, 135.0, 150.0, 270.0, 285.0, 300.0, 570.0, 585.0, 600.0]) | st.floats(100.0, 700.0)
+detections = st.lists(st.tuples(st.sampled_from(["car", "person", "dog"]), st.floats(-200.0, 200.0), depths), max_size=5)
+
+
+class PipelineMachine(RuleBasedStateMachine):
+    """Valid and invalid frames into one Pipeline. Every valid frame's
+    events keep to the cap, the cooldown and their band; every refused
+    frame leaves the pipeline as it was."""
+
+    @initialize(cooldown_ms=st.sampled_from([0, 200, 1500]), cap=st.integers(1, 3), cumulative=st.booleans())
+    def start(self, cooldown_ms, cap, cumulative):
+        self.policy = AlarmPolicy(cooldown_ms=cooldown_ms, max_events_per_frame=cap, cumulative_bands=cumulative)
+        self.pipeline = Pipeline(make_config(alarm=self.policy))
+        self.frame_id, self.t_ms = -1, 0
+        self.last_fired = {}  # (object_id, stage) -> t_ms of its last event
+
+    def state(self):
+        p = self.pipeline
+        window = [(e.frame, e.ids, tuple(e.centers)) for e in p._window]
+        return p.no_height, p._next_id, dict(p._ledger.last_emitted), window
+
+    def in_band(self, event) -> bool:
+        band = self.policy.stages[event.stage - 1]
+        if not self.policy.cumulative_bands:
+            return band.band_lo_cm <= event.distance_cm <= band.band_hi_cm
+        floor = self.policy.stages[event.stage].band_hi_cm if event.stage < 3 else 0.0
+        return floor < event.distance_cm <= band.band_hi_cm
+
+    @rule(step=st.integers(1, 3), dt_ms=st.integers(0, 400), objects=detections)
+    def valid_frame(self, step, dt_ms, objects):
+        self.frame_id += step
+        self.t_ms += dt_ms
+        dets = [
+            make_det(label, cx=320.0 + x, cy=240.0, w=40.0, h=1000.0 * HEIGHT_CM.get(label, 50.0) / depth)
+            for label, x, depth in objects
+        ]
+        _, events = self.pipeline.process_frame(make_frame(self.frame_id, self.t_ms, dets))
+        assert len(events) <= self.policy.max_events_per_frame
+        for event in events:
+            last = self.last_fired.get((event.object_id, event.stage))
+            assert last is None or event.t_ms - last >= self.policy.cooldown_ms
+            self.last_fired[event.object_id, event.stage] = event.t_ms
+            assert self.in_band(event), event
+
+    @precondition(lambda self: self.frame_id >= 0)
+    @rule(back=st.integers(0, 2), t_back=st.booleans())
+    def out_of_order_frame(self, back, t_back):
+        before = self.state()
+        if t_back and self.t_ms > 0:
+            frame = make_frame(self.frame_id + 1, self.t_ms - 1, [car_at(100.0)])
+        else:
+            frame = make_frame(max(self.frame_id - back, 0), self.t_ms, [car_at(100.0)])
+        with pytest.raises(StreamOrderError):
+            self.pipeline.process_frame(frame)
+        assert self.state() == before
+
+    @rule(kind=st.sampled_from(["box", "confidence", "stamp", "overflow"]))
+    def invalid_frame(self, kind):
+        before = self.state()
+        det = car_at(100.0)
+        frame = make_frame(self.frame_id + 1, self.t_ms, [car_at(300.0), det])
+        if kind == "box":
+            object.__setattr__(det.bbox, "w", -1.0)
+        elif kind == "confidence":
+            object.__setattr__(det, "confidence", 1.5)
+        elif kind == "stamp":
+            object.__setattr__(frame, "t_ms", -1)
+        else:
+            # a valid box so flat that f * H / h overflows, after one with no height
+            frame = make_frame(self.frame_id + 1, self.t_ms, [make_det("dog"), make_det("car", h=5e-324)])
+        with pytest.raises(sw_types.FrameValidationError):
+            self.pipeline.process_frame(frame)
+        assert self.state() == before
+
+
+PipelineMachine.TestCase.settings = settings(max_examples=40, stateful_step_count=20, deadline=None)
+TestPipelineMachine = PipelineMachine.TestCase

@@ -30,7 +30,6 @@ from streetwatch.simulator import (
     slow_crosser,
     standard_suite,
     true_direction_of,
-    with_seed,
 )
 from streetwatch.types import KNOWN_CATEGORIES, Category
 from streetwatch.camera import HeightTable
@@ -360,17 +359,20 @@ HUGE = 10**400  # an int too large for a float
         (lambda: HeightTable({"car": HUGE}), "height for 'car' must be a positive finite number"),
         (lambda: Trajectory("linear", HUGE, 500.0), "x0_cm must be a finite number"),
         (lambda: Trajectory("linear", True, 500.0), "x0_cm must be a finite number, got True"),
-        (lambda: NoiseSpec(center_jitter_px=HUGE), "center_jitter_px must be non-negative and finite"),
-        (lambda: NoiseSpec(drop_prob=True), "drop_prob must lie in \\[0, 1\\], got True"),
-        (lambda: small_scenario(duration_s="4"), "duration_s must be positive, got '4'"),
-        (lambda: ActorSpec(0, Category("car"), "140", 2.0, Trajectory("stationary", 0.0, 500.0)), "real_height_cm"),
+        (lambda: NoiseSpec(center_jitter_px=HUGE), "center_jitter_px must be a non-negative finite number"),
+        (lambda: NoiseSpec(drop_prob=True), "drop_prob must be a number in \\[0, 1\\], got True"),
+        (lambda: small_scenario(duration_s="4"), "duration_s must be a positive finite number, got '4'"),
+        (
+            lambda: ActorSpec(0, Category("car"), "140", 2.0, Trajectory("stationary", 0.0, 500.0)),
+            "actor 0: real_height_cm must be a positive finite number, got '140'",
+        ),
         (
             lambda: ActorSpec(0, "car", 140.0, 2.0, Trajectory("stationary", 0.0, 500.0)),
             "actor 0: category must be a Category, got 'car'",
         ),
         (
             lambda: ActorSpec(0, Category("car"), 140.0, 2.0, Trajectory("stationary", 0.0, 500.0), enter_s="1"),
-            "actor 0: enter_s must be a finite number, got '1'",
+            "actor 0: enter_s must be a finite number or null, got '1'",
         ),
     ],
 )
@@ -578,7 +580,7 @@ def test_with_helpers_replace_one_field():
     noisy = dataclasses.replace(spec, noise=NoiseSpec(drop_prob=0.1))
     assert noisy.noise.drop_prob == 0.1
     assert noisy.actors == spec.actors
-    reseeded = with_seed(spec, 777)
+    reseeded = dataclasses.replace(spec, seed=777)
     assert reseeded.seed == 777
 
 

@@ -3,13 +3,17 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 
 import pytest
 
-from streetwatch.alarm import AlarmEvent, _checked_event
-from streetwatch.direction import DirectionLabel
+from streetwatch.alarm import AlarmEvent, AlarmPolicy, AlarmStage, _checked_event
+from streetwatch.camera import CameraIntrinsics, HeightTable
+from streetwatch.direction import DirectionConfig, DirectionLabel
 from streetwatch.jsonl import decode_detection_frame, encode_detection_frame
+from streetwatch.matcher import MatchConfig
 from streetwatch.pipeline import Pipeline, PipelineConfig, TrackedObject, _checked_tracked
+from streetwatch.simulator import ActorSpec, NoiseSpec, ScenarioSpec, Trajectory
 from streetwatch.types import (
     KNOWN_CATEGORIES,
     BoundingBox,
@@ -242,3 +246,114 @@ def test_built_records_are_slotted_and_equal_constructed_ones(cls, build, args):
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(built, names[0], args[0])
 
+
+
+# --- one refusal table ------------------------------------------------------
+#
+# Every single-value rule of a constructor reads "<field> must be <rule>,
+# got <value!r>", with "or null" for a field that may be None and the actor
+# named before an actor's field, and <rule> is one of these.
+RULE_WORDINGS = (
+    "a finite number",
+    "a positive finite number",
+    "a non-negative finite number",
+    "a number in [0, 1]",
+    "an integer >= 0",
+    "an integer >= 1",
+    "a boolean",
+    "a non-empty string",
+)
+CAMERA = CameraIntrinsics(focal_px=1000.0, image_w=640.0, image_h=480.0)
+# valid keyword arguments for each constructor type
+VALID = {
+    CameraIntrinsics: dict(focal_px=1000.0, image_w=640.0, image_h=480.0),
+    MatchConfig: {},
+    DirectionConfig: {},
+    AlarmStage: dict(stage=1, band_lo_cm=570.0, band_hi_cm=600.0, vibration_s=0.8),
+    AlarmPolicy: {},
+    NoiseSpec: {},
+    Trajectory: dict(kind="linear", x0_cm=0.0, z0_cm=500.0),
+    ActorSpec: dict(
+        actor_id=3, category=Category("car"), real_height_cm=140.0, aspect_ratio=2.0,
+        trajectory=Trajectory("stationary", 0.0, 500.0),
+    ),
+    ScenarioSpec: dict(duration_s=2.0, frame_rate_hz=10.0, camera=CAMERA, camera_height_cm=140.0, actors=()),
+}
+# (type, field): a value the field's rule refuses
+REFUSED = {
+    (CameraIntrinsics, "focal_px"): 0.0,
+    (CameraIntrinsics, "image_w"): math.inf,
+    (CameraIntrinsics, "image_h"): "480",
+    (MatchConfig, "max_center_dist_px"): True,
+    (DirectionConfig, "gap"): 0,
+    (DirectionConfig, "dead_zone_px"): math.nan,
+    (AlarmStage, "stage"): 1.0,
+    (AlarmStage, "band_lo_cm"): -5.0,
+    (AlarmStage, "band_hi_cm"): math.inf,
+    (AlarmStage, "vibration_s"): 10**400,
+    (AlarmPolicy, "cooldown_ms"): -1,
+    (AlarmPolicy, "max_events_per_frame"): True,
+    (AlarmPolicy, "cumulative_bands"): 1,
+    (NoiseSpec, "center_jitter_px"): -0.5,
+    (NoiseSpec, "height_jitter_frac"): math.inf,
+    (NoiseSpec, "drop_prob"): 1.5,
+    (NoiseSpec, "label_flip_prob"): "0.1",
+    (Trajectory, "x0_cm"): math.nan,
+    (Trajectory, "z0_cm"): "500",
+    (Trajectory, "vx_cm_s"): 10**400,
+    (Trajectory, "vz_cm_s"): True,
+    (ActorSpec, "actor_id"): -1,
+    (ActorSpec, "real_height_cm"): 0,
+    (ActorSpec, "aspect_ratio"): "2",
+    (ActorSpec, "enter_s"): "1",
+    (ActorSpec, "exit_s"): math.inf,
+    (ScenarioSpec, "name"): "",
+    (ScenarioSpec, "duration_s"): 0,
+    (ScenarioSpec, "frame_rate_hz"): -10.0,
+    (ScenarioSpec, "camera_height_cm"): None,
+    (ScenarioSpec, "seed"): -1,
+}
+# the fields whose rule is not a single-value one: a type, a set of names,
+# a rule across fields or no rule at all
+NOT_A_VALUE_RULE = {
+    (HeightTable, "entries"),  # a mapping; its keys and heights are checked below
+    (Trajectory, "kind"),
+    (ActorSpec, "category"),
+    (ActorSpec, "trajectory"),
+    (AlarmPolicy, "stages"),
+    (ScenarioSpec, "camera"),
+    (ScenarioSpec, "actors"),
+    (ScenarioSpec, "noise"),
+}
+REFUSAL = re.compile(
+    rf"(actor \d+: )?(?P<field>.+) must be (?:{'|'.join(map(re.escape, RULE_WORDINGS))})( or null)?, got (?P<value>.+)"
+)
+
+
+def refusal_of(build) -> re.Match:
+    with pytest.raises(ValueError) as info:
+        build()
+    match = REFUSAL.fullmatch(str(info.value))
+    assert match, str(info.value)
+    return match
+
+
+def test_every_constructor_field_has_a_value_rule_or_is_named_as_having_none():
+    classes = [*VALID, HeightTable]
+    assert {(cls, f.name) for cls in classes for f in dataclasses.fields(cls)} == set(REFUSED) | NOT_A_VALUE_RULE
+
+
+@pytest.mark.parametrize("cls,name", REFUSED, ids=[f"{cls.__name__}.{name}" for cls, name in REFUSED])
+def test_each_constructor_refuses_a_value_in_the_words_of_the_rule_table(cls, name):
+    value = REFUSED[cls, name]
+    match = refusal_of(lambda: cls(**dict(VALID[cls], **{name: value})))
+    assert (match["field"], match["value"]) == (name, repr(value))
+
+
+@pytest.mark.parametrize(
+    "entries,field,value",
+    [({"": 140.0}, "height table key", ""), ({"car": 0}, "height for 'car'", 0), ({"dog": "80"}, "height for 'dog'", "80")],
+)
+def test_the_height_table_refuses_a_key_or_height_in_the_words_of_the_rule_table(entries, field, value):
+    match = refusal_of(lambda: HeightTable(entries))
+    assert (match["field"], match["value"]) == (field, repr(value))

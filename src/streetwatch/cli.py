@@ -19,9 +19,8 @@ from dataclasses import replace
 from typing import Iterator, List, Optional, TextIO, Tuple
 
 from .alarm import stage_for_distance
-from .config import ConfigError, load_config
+from .config import load_config
 from .jsonl import (
-    ParseError,
     _undecodable_line,
     decode_detection_frame,
     decode_tracked_object,
@@ -33,7 +32,6 @@ from .jsonl import (
     read_records,
 )
 from .pipeline import Pipeline, StreamOrderError
-from .types import FrameValidationError
 
 # simulate and eval import the simulator and the scorer when they run, so
 # that replay and stage load neither.
@@ -242,9 +240,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except StreamOrderError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # simulator.ScenarioError and evaluation.EvalError are ValueErrors too;
-    # an AlignmentError exits 2 from _cmd_eval
-    except (ConfigError, ParseError, FrameValidationError, ValueError, OSError) as exc:
+    # every refusal (ConfigError, ParseError, FrameValidationError,
+    # ScenarioError, EvalError) is a ValueError; an AlignmentError exits 2
+    # from _cmd_eval
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -31,7 +31,8 @@ from typing import List, Optional, Tuple
 from .camera import SUITE_CAMERA, SUITE_HEIGHTS_CM, CameraIntrinsics, _ground_box
 from .direction import DirectionConfig, DirectionLabel
 from .types import Category, Detection, DetectionFrame, KNOWN_CATEGORIES, TruthRecord, key_mismatch
-from .types import _box_error, _check, _checked_box, _checked_detection, _checked_frame, _checked_truth, _refused_as
+from .types import _box_error, _check, _checked_box, _checked_detection, _checked_frame, _checked_truth
+from .types import _refusal, _refused_as
 
 TRAJECTORY_KINDS = ("linear", "stationary")
 
@@ -403,8 +404,9 @@ def slow_crosser(dead_zone_px: float = DirectionConfig.dead_zone_px) -> Scenario
     one-frame lookback reads 'forward' while a two-frame lookback sees
     1.5 * dead_zone_px and correctly reads 'right'.
     """
-    if not dead_zone_px > 0:
-        raise ScenarioError(f"dead_zone_px must be positive, got {dead_zone_px!r}")
+    text = _refusal("positive", "dead_zone_px", dead_zone_px)
+    if text:
+        raise ScenarioError(text)
     depth = 1000.0
     fps = SUITE_FRAME_RATE_HZ
     # dx_px = f * vx * dt / z  =>  vx = dx_px * z / (f * dt)

@@ -1,5 +1,6 @@
 """Wire formats: byte-exact round trips and strict decoding."""
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -433,6 +434,23 @@ def test_the_earliest_failing_field_words_the_error(record, data):
             expected = NO_MATCH
     assert error_text(decode, line) == expected
 
+
+
+@pytest.mark.parametrize("record", [sample_truth(), sample_tracked(direction=None), sample_event()], ids=lambda record: type(record).__name__)
+def test_of_any_two_broken_fields_the_error_names_the_one_checked_first(record):
+    encode, decode, order = CHECK_ORDER[type(record)]
+    base = json.loads(encode(record))
+    # an empty list breaks every field's rule; the key set breaks on an extra key
+    broken = {name: EXTRA if name == "keys" else [] for name in order}
+    alone = {name: error_text(decode, replaced(base, [(name, broken[name])])) for name in order}
+    for name, text in alone.items():
+        assert text.endswith("unexpected ['extra']") if name == "keys" else text.startswith(f"{name} must be ")
+    wrong = []
+    for a, b in itertools.combinations(order, 2):
+        text = error_text(decode, replaced(base, [(a, broken[a]), (b, broken[b])]))
+        if text != alone[a]:
+            wrong.append((a, b, text))
+    assert wrong == []
 
 def smuggled(record, name, value):
     """A copy of record with value in field name, past the constructor's checks."""

@@ -442,6 +442,20 @@ def test_slow_crosser_displacement_straddles_the_dead_zone():
         assert abs(c - a) > 8.0
 
 
+
+@pytest.mark.parametrize("dead_zone_px", [math.inf, math.nan, True, "8", 0, -1], ids=repr)
+def test_slow_crosser_refuses_a_dead_zone_that_is_not_a_positive_finite_number(dead_zone_px):
+    with pytest.raises(ScenarioError) as caught:
+        slow_crosser(dead_zone_px)
+    assert str(caught.value) == f"dead_zone_px must be a positive finite number, got {dead_zone_px!r}"
+
+
+def test_slow_crosser_with_a_huge_dead_zone_is_refused_by_its_trajectory():
+    # 1e308 passes the dead-zone rule, but the crosser's speed overflows to
+    # inf, which the trajectory's own rule refuses
+    with pytest.raises(ScenarioError, match="^x0_cm must be a finite number, got -inf$"):
+        slow_crosser(1e308)
+
 def test_scenario_dict_round_trip():
     spec = scenario_by_name("enter-exit-churn")
     clone = scenario_from_dict(scenario_to_dict(spec))

@@ -7,7 +7,7 @@ relation runs both directions: estimation divides, projection multiplies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 from .types import Category, Detection, _check, _refusal
 
@@ -91,29 +91,3 @@ def project_height(intr: CameraIntrinsics, real_height_cm: float, depth_cm: floa
         raise ValueError(f"real_height_cm must be positive, got {real_height_cm!r}")
     return intr.focal_px * real_height_cm / depth_cm
 
-
-def _ground_box(
-    intr: CameraIntrinsics,
-    lateral_cm: float,
-    depth_cm: float,
-    real_height_cm: float,
-    aspect_ratio: float,
-    camera_height_cm: float,
-) -> Tuple[float, float, float, float]:
-    """Project a ground-standing object into a pixel box (x, y, w, h), not
-    yet checked as a box.
-
-    The camera sits camera_height_cm above the ground with a level optical
-    axis, so the box bottom lands at image_h/2 + f * camera_height / Z and
-    the horizontal center at image_w/2 + f * X / Z. Width is
-    aspect_ratio * height. The box may extend past the frame edges.
-    """
-    h = project_height(intr, real_height_cm, depth_cm)
-    if not aspect_ratio > 0:
-        raise ValueError(f"aspect_ratio must be positive, got {aspect_ratio!r}")
-    if camera_height_cm < 0:
-        raise ValueError(f"camera_height_cm must be non-negative, got {camera_height_cm!r}")
-    w = aspect_ratio * h
-    center_x = intr.image_w / 2.0 + intr.focal_px * lateral_cm / depth_cm
-    bottom_y = intr.image_h / 2.0 + intr.focal_px * camera_height_cm / depth_cm
-    return center_x - w / 2.0, bottom_y - h, w, h

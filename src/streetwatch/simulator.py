@@ -28,7 +28,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from hashlib import blake2b
 from typing import List, Optional, Tuple
 
-from .camera import SUITE_CAMERA, SUITE_HEIGHTS_CM, CameraIntrinsics, _ground_box
+from .camera import SUITE_CAMERA, SUITE_HEIGHTS_CM, CameraIntrinsics
 from .direction import DirectionConfig, DirectionLabel
 from .types import Category, Detection, DetectionFrame, KNOWN_CATEGORIES, TruthRecord, key_mismatch
 from .types import _box_error, _check, _checked_box, _checked_detection, _checked_frame, _checked_truth
@@ -205,6 +205,14 @@ def generate(spec: ScenarioSpec) -> Tuple[List[DetectionFrame], List[TruthRecord
     emitted=False when noise dropped the detection. Within a frame both
     detections and truth records follow the actor order of the spec, so
     the k-th detection corresponds to the k-th emitted truth record.
+
+    Each box is projected as README's Simulator section states, with no
+    check of its own on the numbers the spec constructors have refused
+    already: CameraIntrinsics a focal length, ActorSpec a real height or
+    aspect ratio, and ScenarioSpec a camera height that is not positive.
+    ScenarioSpec also checks the depth z0 + vz * t at both ends of each
+    span, and that depth is monotone in t, so every frame's depth lies
+    between two positive ones. What the noise makes of a box is checked.
     """
     frames: List[DetectionFrame] = []
     truth: List[TruthRecord] = []
@@ -215,7 +223,9 @@ def generate(spec: ScenarioSpec) -> Tuple[List[DetectionFrame], List[TruthRecord
     drawing = noise != NoiseSpec()
     jitter, height_jitter = noise.center_jitter_px, noise.height_jitter_frac
     flip_prob, drop_prob = noise.label_flip_prob, noise.drop_prob
-    seed, camera, camera_height = spec.seed, spec.camera, spec.camera_height_cm
+    seed, focal = spec.seed, spec.camera.focal_px
+    half_w, half_h = spec.camera.image_w / 2.0, spec.camera.image_h / 2.0
+    focal_camera_height = focal * spec.camera_height_cm
     cast = [
         (
             actor.actor_id,
@@ -224,7 +234,7 @@ def generate(spec: ScenarioSpec) -> Tuple[List[DetectionFrame], List[TruthRecord
             actor.trajectory.z0_cm,
             actor.trajectory.vx_cm_s,
             actor.trajectory.vz_cm_s,
-            actor.real_height_cm,
+            focal * actor.real_height_cm,
             actor.aspect_ratio,
             actor.category,
             true_direction_of(actor.trajectory),
@@ -237,13 +247,16 @@ def generate(spec: ScenarioSpec) -> Tuple[List[DetectionFrame], List[TruthRecord
         t_s = i / spec.frame_rate_hz
         t_ms = int(round(i * 1000.0 / spec.frame_rate_hz))
         detections: List[Detection] = []
-        for actor_id, enter, exit_, x0, z0, vx, vz, height, aspect, true_category, direction, others in cast:
+        for actor_id, enter, exit_, x0, z0, vx, vz, focal_height, aspect, true_category, direction, others in cast:
             if not enter <= t_s <= exit_:
                 continue
             # Trajectory.position
             x_cm = x0 + vx * t_s
             z_cm = z0 + vz * t_s
-            x, y, w, h = _ground_box(camera, x_cm, z_cm, height, aspect, camera_height)
+            h = focal_height / z_cm
+            w = aspect * h
+            x = half_w + focal * x_cm / z_cm - w / 2.0
+            y = half_h + focal_camera_height / z_cm - h
             # BoundingBox.center(); the box is checked once, after the noise
             cx, cy = x + w / 2.0, y + h / 2.0
             category = true_category
@@ -263,7 +276,7 @@ def generate(spec: ScenarioSpec) -> Tuple[List[DetectionFrame], List[TruthRecord
             y = cy - h / 2.0
             text = _box_error(x, y, w, h)
             if text:
-                raise ValueError(text)
+                raise ScenarioError(f"actor {actor_id}, frame {i}: {text}")
             if emitted:
                 detections.append(_checked_detection(category, _checked_box(x, y, w, h), 1.0))
             truth.append(_checked_truth(i, actor_id, z_cm, x_cm, direction, emitted, true_category))

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from streetwatch.camera import (
     CameraIntrinsics,
     HeightTable,
-    _ground_box,
     estimate_distance,
     focal_px_from_mm,
     project_height,
@@ -105,52 +104,6 @@ def test_focal_px_from_mm():
             args[pos] = bad
             with pytest.raises(ValueError):
                 focal_px_from_mm(*args)
-
-
-def test_ground_projection_centering(intrinsics):
-    x, y, w, h = _ground_box(
-        intrinsics, lateral_cm=0.0, depth_cm=1400.0, real_height_cm=140.0,
-        aspect_ratio=2.0, camera_height_cm=140.0,
-    )
-    assert x + w / 2.0 == pytest.approx(320.0)
-    assert h == pytest.approx(100.0)
-    assert w == pytest.approx(200.0)
-    # bottom edge: image_h/2 + f * camera_height / Z = 240 + 100
-    assert y + h == pytest.approx(340.0)
-
-
-def test_ground_projection_lateral_offset(intrinsics):
-    x, _, w, _ = _ground_box(
-        intrinsics, lateral_cm=140.0, depth_cm=1400.0, real_height_cm=140.0,
-        aspect_ratio=2.0, camera_height_cm=140.0,
-    )
-    assert x + w / 2.0 == pytest.approx(320.0 + 100.0)
-
-
-def test_ground_projection_mirrors_laterally(intrinsics):
-    lx, ly, lw, lh = _ground_box(intrinsics, -250.0, 900.0, 165.0, 0.4, 140.0)
-    rx, ry, rw, rh = _ground_box(intrinsics, 250.0, 900.0, 165.0, 0.4, 140.0)
-    assert lx + lw / 2.0 - 320.0 == pytest.approx(320.0 - (rx + rw / 2.0))
-    assert ly + lh / 2.0 == pytest.approx(ry + rh / 2.0)
-    assert lh == pytest.approx(rh)
-
-
-def test_ground_projection_scales_inversely_with_depth(intrinsics):
-    nx, _, nw, nh = _ground_box(intrinsics, 200.0, 700.0, 140.0, 2.0, 140.0)
-    fx, _, fw, fh = _ground_box(intrinsics, 200.0, 1400.0, 140.0, 2.0, 140.0)
-    assert nh == pytest.approx(2.0 * fh, rel=1e-12)
-    assert nx + nw / 2.0 - 320.0 == pytest.approx(2.0 * (fx + fw / 2.0 - 320.0), rel=1e-12)
-
-
-def test_ground_projection_rejects_bad_geometry(intrinsics):
-    with pytest.raises(ValueError):
-        _ground_box(intrinsics, 0.0, 0.0, 140.0, 2.0, 140.0)
-    with pytest.raises(ValueError):
-        _ground_box(intrinsics, 0.0, 500.0, -5.0, 2.0, 140.0)
-    with pytest.raises(ValueError):
-        _ground_box(intrinsics, 0.0, 500.0, 140.0, 0.0, 140.0)
-    with pytest.raises(ValueError):
-        _ground_box(intrinsics, 0.0, 500.0, 140.0, 2.0, -1.0)
 
 
 def test_intrinsics_validation():

@@ -159,11 +159,12 @@ HUGE = 10**400  # an integer too large for a float
         (("actors", 0, "enter_s"), "1", "actor 0: enter_s must be a finite number or null, got '1'"),
         (("actors", 3, "category"), "", "actor 3: category label must be a non-empty string, got ''"),
         (("actors", 3, "trajectory", "x0_cm"), "0", "actor 3 trajectory: x0_cm must be a finite number, got '0'"),
+        (("noise", "height_jitter_frac"), 1e308, "actor 2, frame 0: box x must be a finite number, got -inf"),
     ],
     ids=[
         "negative-z0_cm", "huge-x0_cm", "bool-x0_cm", "huge-focal_px", "huge-center_jitter_px", "str-duration_s",
         "str-frame_rate_hz", "str-camera_height_cm", "str-real_height_cm", "str-enter_s", "empty-category-actor-3",
-        "str-x0_cm-actor-3",
+        "str-x0_cm-actor-3", "overflowing-height_jitter_frac",
     ],
 )
 def test_simulate_rejects_invalid_scenario_values(tmp_path, path, value, text):

@@ -248,6 +248,99 @@ def test_noise_free_run_reprojects_exactly():
         assert abs(cx - expected_cx) <= 1e-9
 
 
+def one_box(lateral_cm, depth_cm, real_height_cm=140.0, aspect_ratio=2.0):
+    """The box of one standing, noise-free actor in a one-frame scenario,
+    seen by the suite camera (640x480, f = 1000 px) 140 cm above the ground."""
+    actor = ActorSpec(0, Category("car"), real_height_cm, aspect_ratio, Trajectory("stationary", lateral_cm, depth_cm))
+    frames, _ = generate(small_scenario(actors=(actor,), duration_s=0.1))
+    (frame,) = frames
+    box = frame.detections[0].bbox
+    return box.x, box.y, box.w, box.h
+
+
+def test_ground_projection_centering():
+    x, y, w, h = one_box(lateral_cm=0.0, depth_cm=1400.0)
+    assert x + w / 2.0 == pytest.approx(320.0)
+    assert h == pytest.approx(100.0)
+    assert w == pytest.approx(200.0)
+    # bottom edge: image_h/2 + f * camera_height / Z = 240 + 100
+    assert y + h == pytest.approx(340.0)
+
+
+def test_ground_projection_lateral_offset():
+    x, _, w, _ = one_box(lateral_cm=140.0, depth_cm=1400.0)
+    assert x + w / 2.0 == pytest.approx(320.0 + 100.0)
+
+
+def test_ground_projection_mirrors_laterally():
+    lx, ly, lw, lh = one_box(-250.0, 900.0, 165.0, 0.4)
+    rx, ry, rw, rh = one_box(250.0, 900.0, 165.0, 0.4)
+    assert lx + lw / 2.0 - 320.0 == pytest.approx(320.0 - (rx + rw / 2.0))
+    assert ly + lh / 2.0 == pytest.approx(ry + rh / 2.0)
+    assert lh == pytest.approx(rh)
+
+
+def test_ground_projection_scales_inversely_with_depth():
+    nx, _, nw, nh = one_box(200.0, 700.0)
+    fx, _, fw, fh = one_box(200.0, 1400.0)
+    assert nh == pytest.approx(2.0 * fh, rel=1e-12)
+    assert nx + nw / 2.0 - 320.0 == pytest.approx(2.0 * (fx + fw / 2.0 - 320.0), rel=1e-12)
+
+
+@given(
+    focal=st.floats(1.0, 1e4),
+    image_w=st.floats(1.0, 1e4),
+    image_h=st.floats(1.0, 1e4),
+    camera_height=st.floats(0.01, 1000.0),
+    real_height=st.floats(0.01, 1e4),
+    aspect=st.floats(0.01, 10.0),
+    x0=st.floats(-1e4, 1e4),
+    z0=st.floats(1.0, 5000.0),
+    vx=st.floats(-500.0, 500.0),
+    vz_frac=st.floats(-0.45, 1.0),
+    jitter=st.just(0.0) | st.floats(0.01, 10.0),
+)
+def test_boxes_follow_the_projection_in_its_operation_order(
+    focal, image_w, image_h, camera_height, real_height, aspect, x0, z0, vx, vz_frac, jitter
+):
+    # over the 2 s scenario the depth falls at most to a tenth of z0
+    vz = vz_frac * z0
+    spec = ScenarioSpec(
+        duration_s=2.0,
+        frame_rate_hz=10.0,
+        camera=CameraIntrinsics(focal, image_w, image_h),
+        camera_height_cm=camera_height,
+        actors=(ActorSpec(0, Category("car"), real_height, aspect, Trajectory("linear", x0, z0, vx, vz)),),
+        noise=NoiseSpec(center_jitter_px=jitter),
+    )
+    frames, _ = generate(spec)
+    assert len(frames) == 20
+    for i, frame in enumerate(frames):
+        t = i / 10.0
+        lateral, depth = x0 + vx * t, z0 + vz * t
+        # the ground projection: h = f * H / Z, w = aspect * h, the center
+        # at image_w/2 + f * X / Z and the bottom edge at image_h/2 + f * Hc / Z
+        h = focal * real_height / depth
+        w = aspect * h
+        x = image_w / 2.0 + focal * lateral / depth - w / 2.0
+        y = image_h / 2.0 + focal * camera_height / depth - h
+        # the round trip through the center that the jitter is added to; with
+        # no jitter, x comes back from it unchanged (2e6 random draws), y need not
+        cx, cy = x + w / 2.0, y + h / 2.0
+        if jitter:
+            n0, n1, _ = simulator._three_normals(*simulator._cell_uniforms(0, 0, i)[:4])
+            cx += jitter * n0
+            cy += jitter * n1
+        w = aspect * h
+        box = frame.detections[0].bbox
+        assert (box.x, box.y, box.w, box.h) == (cx - w / 2.0, cy - h / 2.0, w, h)
+
+
+def test_a_box_the_noise_overflows_is_refused_with_its_actor_and_frame():
+    with pytest.raises(ScenarioError, match=r"^actor 0, frame \d+: box x must be a finite number, got -inf$"):
+        generate(small_scenario(noise=NoiseSpec(height_jitter_frac=1e308)))
+
+
 def test_drop_probability_one_keeps_truth_but_no_detections():
     spec = small_scenario(noise=NoiseSpec(drop_prob=1.0))
     frames, truth = generate(spec)
@@ -348,6 +441,13 @@ def test_scenario_validation_errors():
         NoiseSpec(drop_prob=1.5)
     with pytest.raises(ScenarioError):
         NoiseSpec(center_jitter_px=-1.0)
+    # generate projects with these without checking them again
+    with pytest.raises(ScenarioError, match=r"^camera_height_cm must be a positive finite number, got -1\.0$"):
+        dataclasses.replace(small_scenario(), camera_height_cm=-1.0)
+    with pytest.raises(ScenarioError, match=r"^actor 0: real_height_cm must be a positive finite number, got -5\.0$"):
+        ActorSpec(0, Category("car"), -5.0, 2.0, Trajectory("stationary", 0.0, 500.0))
+    with pytest.raises(ScenarioError, match=r"^actor 0: aspect_ratio must be a positive finite number, got 0\.0$"):
+        ActorSpec(0, Category("car"), 140.0, 0.0, Trajectory("stationary", 0.0, 500.0))
 
 
 HUGE = 10**400  # an int too large for a float

@@ -1,8 +1,9 @@
-"""Pinhole-camera geometry: monocular distance from box height, and its inverse.
+"""Pinhole-camera geometry: monocular distance from box height.
 
 An object of real height H at depth D spans h = f * H / D pixels for a
-camera with focal length f (in pixel units). The same similar-triangles
-relation runs both directions: estimation divides, projection multiplies.
+camera with focal length f (in pixel units). Estimation divides by the box
+height; the simulator projects with the same relation, as README's
+Simulator section states.
 """
 from __future__ import annotations
 
@@ -81,13 +82,4 @@ def estimate_distance(intr: CameraIntrinsics, table: HeightTable, det: Detection
     if real_height is None:
         return None
     return intr.focal_px * real_height / det.bbox.h
-
-
-def project_height(intr: CameraIntrinsics, real_height_cm: float, depth_cm: float) -> float:
-    """Pixel height of an object of real height H at depth Z: h = f * H / Z."""
-    if not depth_cm > 0:
-        raise ValueError(f"depth_cm must be positive, got {depth_cm!r}")
-    if not real_height_cm > 0:
-        raise ValueError(f"real_height_cm must be positive, got {real_height_cm!r}")
-    return intr.focal_px * real_height_cm / depth_cm
 

@@ -21,7 +21,9 @@ from typing import Iterator, List, Optional, TextIO, Tuple
 from .alarm import stage_for_distance
 from .config import load_config
 from .jsonl import (
+    ParseError,
     _undecodable_line,
+    _unique_keys,
     decode_detection_frame,
     decode_tracked_object,
     decode_truth_record,
@@ -124,14 +126,6 @@ def _open_outputs(*paths: str) -> Iterator[List[TextIO]]:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from .simulator import ScenarioError, generate, scenario_by_name, scenario_from_dict
 
-    def unique_keys(pairs: List[Tuple[str, object]]) -> dict:
-        # json alone keeps the last of a repeated key without a word
-        data = dict(pairs)
-        if len(data) < len(pairs):
-            key = next(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
-            raise ScenarioError(f"{args.scenario}: repeated key {key!r}")
-        return data
-
     inputs = [("the scenario", args.scenario)]
     _refuse_aliases(inputs, [("--out-detections", args.out_detections), ("--out-truth", args.out_truth)])
     if args.suite:
@@ -139,7 +133,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         try:
             with open(args.scenario, "r", encoding="utf-8") as fh:
-                data = json.load(fh, object_pairs_hook=unique_keys)
+                data = json.load(fh, object_pairs_hook=_unique_keys)
+        except ParseError as exc:
+            raise ScenarioError(f"{args.scenario}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{args.scenario}: invalid JSON: {exc}") from None
         except UnicodeDecodeError as exc:

@@ -4,13 +4,14 @@ One record per line, compact separators, fixed key order. Encoding a
 decoded canonical line (one this module wrote) reproduces it byte for
 byte, so files can be diffed and golden-tested; any other valid line comes
 back in canonical form (an integer 1 in a float field re-encodes as 1.0).
-Decoders are strict: unknown or missing keys and out-of-range values are
-errors that cite the offending line.
+Decoders are strict: unknown, missing or repeated keys and out-of-range
+values are errors that cite the offending line.
 """
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -183,6 +184,8 @@ def decode_detection_frame(line: str) -> DetectionFrame:
     raw = data["detections"]
     if not isinstance(raw, list):
         raise _shape_error("detections", "an array", raw)
+    # three keys, and seven for each detection with its box
+    _refuse_repeats(line, 3 + 7 * len(raw))
     detections = tuple([_decode_detection(k, item) for k, item in enumerate(raw)])
     # every value is checked by now, so the frame is marked for
     # validate_frame to trust
@@ -206,6 +209,7 @@ def encode_truth_record(rec: TruthRecord) -> str:
 def decode_truth_record(line: str) -> TruthRecord:
     data = _loads(line)
     _expect_keys(data, _TRUTH_KEYS, "truth record")
+    _refuse_repeats(line, 7)
     # one pass: each value is checked once, and a miss raises or goes to
     # _num_field or _category_field
     direction = data["true_direction"]
@@ -269,6 +273,7 @@ def encode_tracked_object(obj: TrackedObject) -> str:
 def decode_tracked_object(line: str) -> TrackedObject:
     data = _loads(line)
     _expect_keys(data, _TRACKED_KEYS, "tracked object")
+    _refuse_repeats(line, 11)
     # one pass, as in decode_truth_record; _bbox_field checks the box once
     distance = data["distance_cm"]
     if distance is not None and (type(distance) is not float or not 0.0 < distance < _INF):
@@ -308,6 +313,7 @@ def encode_alarm_event(event: AlarmEvent) -> str:
 def decode_alarm_event(line: str) -> AlarmEvent:
     data = _loads(line)
     _expect_keys(data, _EVENT_KEYS, "alarm event")
+    _refuse_repeats(line, 8)
     # one pass, as in decode_truth_record
     vibration = data["vibration_s"]
     if type(vibration) is not float or not 0.0 < vibration < _INF:
@@ -337,6 +343,25 @@ def decode_alarm_event(line: str) -> AlarmEvent:
 
 
 # --- file helpers -------------------------------------------------------
+
+def _unique_keys(pairs: list) -> dict:
+    """The object_pairs_hook that refuses a key given twice in one object,
+    of which json alone keeps the last without a word."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        key = next(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
+        raise ParseError(f"repeated key {key!r}")
+    return data
+
+
+def _refuse_repeats(line, colons: int) -> None:
+    """Refuse a repeated key in line, whose record has colons keys at every
+    depth once its key sets check out. Without a repeat that record has
+    exactly one ":" per key, and a colon inside a string only adds to the
+    count, so only a line with more is read again, through _unique_keys."""
+    if not isinstance(line, str) or line.count(":") > colons:
+        json.loads(line, object_pairs_hook=_unique_keys)
+
 
 # The C scanner that json.loads runs, called directly
 _scan = json.decoder.JSONDecoder().scan_once

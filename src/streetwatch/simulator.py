@@ -8,11 +8,14 @@ a fixed order: center jitter, height jitter, label flip, drop.
 Every (seed, actor, frame) cell draws its noise from one keyed hash, a
 counter-based generator in the sense of Salmon et al. ("Parallel Random
 Numbers: As Easy as 1, 2, 3", SC 2011): the 56-byte BLAKE2b digest of
-"<seed>/<actor_id>/<frame>" is cut into seven little-endian 64-bit words,
-and each word's top 53 bits give a uniform in [0, 1), as random() builds
-its floats. The words have fixed roles: u0-u3 feed three Box-Muller
+"<seed>/<actor_id>/<frame>" (the "/" separators make the key injective)
+is cut into seven little-endian 64-bit words, and each word's top 53 bits
+give a uniform in [0, 1), as random() builds its floats. The words have fixed roles: u0-u3 feed three Box-Muller
 normals (center x, center y, height), u4 is the flip, u5 the drop and u6
-the replacement label, read only on a flip. A cell's draws depend on
+the replacement label, read only on a flip. Each actor's key prefix
+"<seed>/<actor_id>/" is hashed once and a copy of that state is extended
+by each frame's digits: BLAKE2b hashes a stream, so this is the same
+digest as the one-shot hash of the whole key. A cell's draws depend on
 nothing but its key, so adding or removing an actor never perturbs anyone
 else's noise, toggling one knob changes only what that knob does, and
 generation order cannot matter. BLAKE2b is a fixed standard (RFC 7693)
@@ -143,11 +146,9 @@ class ScenarioSpec:
                 )
             # linear depth is monotone, so checking the span ends suffices
             for t in (enter, exit_):
-                _, z = actor.trajectory.position(t)
-                if not z > 0:
-                    raise ScenarioError(
-                        f"actor {actor.actor_id}: depth becomes non-positive during its span (z={z} at t={t})"
-                    )
+                text = _refusal("positive", f"depth at t={t}", actor.trajectory.position(t)[1])
+                if text:
+                    raise ScenarioError(f"actor {actor.actor_id}: {text}")
 
     def frame_count(self) -> int:
         return max(1, int(round(self.duration_s * self.frame_rate_hz)))
@@ -162,40 +163,10 @@ def true_direction_of(trajectory: Trajectory) -> DirectionLabel:
     return DirectionLabel.FORWARD
 
 
+# A cell's digest as seven little-endian 64-bit words; each word's top 53
+# bits times 2**-53 is a uniform in [0, 1)
 _CELL_WORDS = struct.Struct("<7Q")
 _UNIT = 2.0**-53
-
-
-def _cell_uniforms(seed: int, actor_id: int, frame: int) -> Tuple[float, ...]:
-    """The seven uniforms in [0, 1) of one (seed, actor, frame) cell.
-
-    The "/" separators make the key injective; each 64-bit word keeps its
-    top 53 bits, so every uniform is a multiple of 2**-53 below 1.
-    """
-    digest = blake2b(f"{seed}/{actor_id}/{frame}".encode(), digest_size=56).digest()
-    q0, q1, q2, q3, q4, q5, q6 = _CELL_WORDS.unpack(digest)
-    # spelled out: a comprehension costs about 0.5 us more per cell
-    return (
-        (q0 >> 11) * _UNIT,
-        (q1 >> 11) * _UNIT,
-        (q2 >> 11) * _UNIT,
-        (q3 >> 11) * _UNIT,
-        (q4 >> 11) * _UNIT,
-        (q5 >> 11) * _UNIT,
-        (q6 >> 11) * _UNIT,
-    )
-
-
-def _three_normals(u0: float, u1: float, u2: float, u3: float) -> Tuple[float, float, float]:
-    """Three standard normals by Box-Muller from four uniforms in [0, 1).
-
-    1 - u lies in (0, 1], so the log is always finite.
-    """
-    r1 = math.sqrt(-2.0 * math.log(1.0 - u0))
-    a1 = 2.0 * math.pi * u1
-    r2 = math.sqrt(-2.0 * math.log(1.0 - u2))
-    a2 = 2.0 * math.pi * u3
-    return r1 * math.cos(a1), r1 * math.sin(a1), r2 * math.cos(a2)
 
 
 def generate(spec: ScenarioSpec) -> Tuple[List[DetectionFrame], List[TruthRecord]]:
@@ -222,13 +193,20 @@ def generate(spec: ScenarioSpec) -> Tuple[List[DetectionFrame], List[TruthRecord
     # exactly 1.0 and no uniform is below 0.0. So nothing is drawn.
     drawing = noise != NoiseSpec()
     jitter, height_jitter = noise.center_jitter_px, noise.height_jitter_frac
-    flip_prob, drop_prob = noise.label_flip_prob, noise.drop_prob
+    # u < p holds exactly when the word itself is below ceil(p * 2**53) << 11
+    # (u is the word's top 53 bits times 2**-53), so the flip and the drop
+    # compare the words
+    flip_cut, drop_cut = (math.ceil(p * 2.0**53) << 11 for p in (noise.label_flip_prob, noise.drop_prob))
     seed, focal = spec.seed, spec.camera.focal_px
     half_w, half_h = spec.camera.image_w / 2.0, spec.camera.image_h / 2.0
     focal_camera_height = focal * spec.camera_height_cm
+    unpack, unit, two_pi = _CELL_WORDS.unpack, _UNIT, 2.0 * math.pi
+    sqrt, log, cos, sin = math.sqrt, math.log, math.cos, math.sin
     cast = [
         (
             actor.actor_id,
+            # the actor's key prefix, hashed once; each cell extends a copy
+            blake2b(f"{seed}/{actor.actor_id}/".encode(), digest_size=56) if drawing else None,
             *actor.span(spec.duration_s),
             actor.trajectory.x0_cm,
             actor.trajectory.z0_cm,
@@ -246,8 +224,9 @@ def generate(spec: ScenarioSpec) -> Tuple[List[DetectionFrame], List[TruthRecord
     for i in range(spec.frame_count()):
         t_s = i / spec.frame_rate_hz
         t_ms = int(round(i * 1000.0 / spec.frame_rate_hz))
+        digits = b"%d" % i
         detections: List[Detection] = []
-        for actor_id, enter, exit_, x0, z0, vx, vz, focal_height, aspect, true_category, direction, others in cast:
+        for actor_id, prefix, enter, exit_, x0, z0, vx, vz, focal_height, aspect, true_category, direction, others in cast:
             if not enter <= t_s <= exit_:
                 continue
             # Trajectory.position
@@ -262,15 +241,21 @@ def generate(spec: ScenarioSpec) -> Tuple[List[DetectionFrame], List[TruthRecord
             category = true_category
             emitted = True
             if drawing:
-                u0, u1, u2, u3, flip_u, drop_u, label_u = _cell_uniforms(seed, actor_id, i)
-                n0, n1, n2 = _three_normals(u0, u1, u2, u3)
-                cx += jitter * n0
-                cy += jitter * n1
+                cell = prefix.copy()
+                cell.update(digits)
+                q0, q1, q2, q3, q4, q5, q6 = unpack(cell.digest())
+                # Box-Muller: u0, u1 give the center's two normals and u2, u3
+                # the height's; 1 - u lies in (0, 1], so each log is finite
+                r = sqrt(-2.0 * log(1.0 - (q0 >> 11) * unit))
+                a = two_pi * ((q1 >> 11) * unit)
+                cx += jitter * (r * cos(a))
+                cy += jitter * (r * sin(a))
+                n2 = sqrt(-2.0 * log(1.0 - (q2 >> 11) * unit)) * cos(two_pi * ((q3 >> 11) * unit))
                 # clamp so extreme jitter cannot produce a non-positive box
                 h *= max(1.0 + height_jitter * n2, 0.01)
-                if flip_u < flip_prob:
-                    category = others[int(label_u * len(others))]
-                emitted = not drop_u < drop_prob
+                if q4 < flip_cut:
+                    category = others[int((q6 >> 11) * unit * len(others))]
+                emitted = q5 >= drop_cut
             w = aspect * h
             x = cx - w / 2.0
             y = cy - h / 2.0

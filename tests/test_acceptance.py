@@ -8,7 +8,7 @@ import random
 import time
 
 from streetwatch.alarm import AlarmPolicy, stage_for_distance
-from streetwatch.camera import CameraIntrinsics, HeightTable, estimate_distance, project_height
+from streetwatch.camera import CameraIntrinsics, HeightTable, estimate_distance
 from streetwatch.evaluation import compare_gap_strategies, run_scenario
 from streetwatch.jsonl import (
     encode_alarm_event,
@@ -69,7 +69,8 @@ def test_distance_round_trip_accuracy_and_speed(capsys):
         for f, real_h, depth in table_cases:
             intr = CameraIntrinsics(focal_px=f, image_w=640.0, image_h=480.0)
             table = HeightTable({"car": real_h})
-            h = project_height(intr, real_h, depth)
+            # the projection h = f * H / Z
+            h = f * real_h / depth
             est = estimate_distance(intr, table, make_det("car", h=h))
             worst = max(worst, abs(est - depth) / depth)
         elapsed = time.perf_counter() - start

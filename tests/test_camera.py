@@ -1,4 +1,4 @@
-"""Distance estimation and projection geometry."""
+"""Distance estimation, checked against the projection h = f * H / Z."""
 import math
 
 import pytest
@@ -9,7 +9,6 @@ from streetwatch.camera import (
     HeightTable,
     estimate_distance,
     focal_px_from_mm,
-    project_height,
 )
 
 from conftest import make_det
@@ -48,17 +47,10 @@ def test_height_table_copies_its_input():
     assert table.entries["car"] == 140.0
 
 
-def test_project_height_inverts_estimation(intrinsics):
-    assert project_height(intrinsics, real_height_cm=140.0, depth_cm=1400.0) == 100.0
-    with pytest.raises(ValueError):
-        project_height(intrinsics, real_height_cm=140.0, depth_cm=0.0)
-    with pytest.raises(ValueError):
-        project_height(intrinsics, real_height_cm=-1.0, depth_cm=100.0)
-
-
 @pytest.mark.parametrize("depth", [120.0, 300.0, 600.0, 2000.0, 4999.0])
 def test_round_trip_distance(intrinsics, heights, depth):
-    h = project_height(intrinsics, 140.0, depth)
+    # the projection h = f * H / Z
+    h = intrinsics.focal_px * 140.0 / depth
     est = estimate_distance(intrinsics, heights, make_det("car", h=h))
     assert abs(est - depth) / depth <= 1e-12
 
@@ -71,7 +63,7 @@ def test_round_trip_distance(intrinsics, heights, depth):
 def test_round_trip_property(f, real_h, depth):
     intr = CameraIntrinsics(focal_px=f, image_w=640.0, image_h=480.0)
     table = HeightTable({"car": real_h})
-    h = project_height(intr, real_h, depth)
+    h = f * real_h / depth
     est = estimate_distance(intr, table, make_det("car", h=h))
     assert abs(est - depth) / depth <= 1e-12
 

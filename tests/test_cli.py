@@ -147,7 +147,7 @@ HUGE = 10**400  # an integer too large for a float
 @pytest.mark.parametrize(
     "path,value,text",
     [
-        (("actors", 0, "trajectory", "z0_cm"), -50.0, "actor 0: depth becomes non-positive"),
+        (("actors", 0, "trajectory", "z0_cm"), -50.0, "actor 0: depth at t=0.0 must be a positive finite number, got -50.0"),
         (("actors", 0, "trajectory", "x0_cm"), HUGE, "x0_cm must be a finite number"),
         (("actors", 0, "trajectory", "x0_cm"), True, "x0_cm must be a finite number, got True"),
         (("camera", "focal_px"), HUGE, "focal_px must be a positive finite number"),
@@ -599,7 +599,7 @@ def test_cli_import_leaves_the_simulator_and_the_scorer_unloaded():
 PACKAGE_NAMES = {
     "alarm": "AlarmEvent AlarmPolicy AlarmStage CooldownLedger DEFAULT_STAGES emit_alarms render_message "
     "stage_for_distance",
-    "camera": "CameraIntrinsics HeightTable estimate_distance focal_px_from_mm project_height",
+    "camera": "CameraIntrinsics HeightTable estimate_distance focal_px_from_mm",
     "config": "ConfigError load_config",
     "direction": "DirectionConfig DirectionLabel classify_direction",
     "evaluation": "AlignmentError BandPartition EvalError EvalReport GapComparison ScenarioRun "
@@ -624,14 +624,15 @@ def test_names_are_imported_from_their_modules_and_the_package_loads_none():
         "from streetwatch import evaluation, simulator\n"
         "missing = []\n"
         "for name in ('Pipeline', 'run_scenario', 'project_ground_point', 'with_noise', 'config_for_camera',"
-        " 'with_seed'):\n"
+        " 'with_seed', 'project_height'):\n"
         "    try:\n"
         "        getattr(streetwatch, name)\n"
         "        missing.append('resolved')\n"
         "    except AttributeError as exc:\n"
         "        missing.append(str(exc))\n"
+        "from streetwatch import camera\n"
         "print(json.dumps([loaded, unresolved, evaluation.__name__, simulator.__name__, streetwatch.__version__,"
-        " missing]))\n"
+        " missing, hasattr(camera, 'project_height')]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -650,5 +651,8 @@ def test_names_are_imported_from_their_modules_and_the_package_loads_none():
             "module 'streetwatch' has no attribute 'with_noise'",
             "module 'streetwatch' has no attribute 'config_for_camera'",
             "module 'streetwatch' has no attribute 'with_seed'",
+            "module 'streetwatch' has no attribute 'project_height'",
         ],
+        # retired from its module too
+        False,
     ]

@@ -902,6 +902,58 @@ def test_read_records_cites_the_line_number(tmp_path):
         list(read_records(path, decode_detection_frame))
 
 
+def repeated(line, old, new):
+    """line with new added after old, which it holds once."""
+    assert line.count(old) == 1
+    return line.replace(old, old + new)
+
+
+@pytest.mark.parametrize("spaced", [False, True], ids=["compact", "spaced"])
+@pytest.mark.parametrize(
+    "decode,line,old,new,key",
+    [
+        (decode_detection_frame, CANONICAL, '"t_ms":99', ',"t_ms":100', "t_ms"),
+        (decode_detection_frame, CANONICAL, '"confidence":0.875', ',"category":"bus"', "category"),
+        (decode_detection_frame, CANONICAL, '"h":30.0', ',"h":31.0', "h"),
+        (decode_truth_record, TRUTH, '"true_category":"car"', ',"actor_id":9', "actor_id"),
+        (decode_tracked_object, TRACKED, '"matched_from":4', ',"object_id":9', "object_id"),
+        (decode_tracked_object, TRACKED, '"x":10.0', ',"x":11.0', "x"),
+        (decode_alarm_event, EVENT, '"message":"Person moving left"', ',"stage":3', "stage"),
+    ],
+    ids=["frame", "frame-detection", "frame-bbox", "truth", "tracked", "tracked-bbox", "event"],
+)
+def test_a_repeated_key_is_refused_with_its_line(tmp_path, decode, line, old, new, key, spaced):
+    # json alone keeps the last value of a repeated key, and the key set
+    # still checks out, so each of these decoded as the last value
+    if spaced:
+        new = new.replace(",", ", ").replace(":", " : ", 1)
+    bad = repeated(line, old, new)
+    with pytest.raises(ParseError, match=f"^repeated key {key!r}$"):
+        decode(bad)
+    path = tmp_path / "stream.jsonl"
+    path.write_text(f"{line}\n{bad}\n{line}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^line 2: repeated key {key!r}$"):
+        list(read_records(path, decode))
+
+
+def test_a_repeated_key_is_refused_in_a_bytes_line_too():
+    with pytest.raises(ParseError, match="^repeated key 'actor_id'$"):
+        decode_truth_record(repeated(TRUTH, '"emitted":true', ',"actor_id":9').encode())
+
+
+def test_colons_inside_strings_are_not_repeated_keys():
+    # each colon in a label or message raises the line's count, so these
+    # lines are read a second time and found to repeat nothing
+    truth = TRUTH.replace('"true_category":"car"', '"true_category":"a:b::c"')
+    assert decode_truth_record(truth).true_category == Category("a:b::c")
+    event = EVENT.replace("Person moving left", "Person: moving left")
+    assert encode_alarm_event(decode_alarm_event(event)) == event
+    frame = CANONICAL.replace('"category":"car"', '"category":"car:x"')
+    assert encode_detection_frame(decode_detection_frame(frame)) == frame
+    tracked = TRACKED.replace('"category":"person"', '"category":":"')
+    assert encode_tracked_object(decode_tracked_object(tracked)) == tracked
+
+
 @pytest.mark.parametrize(
     "padded",
     [

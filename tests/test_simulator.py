@@ -141,25 +141,12 @@ def test_single_knob_bytes_are_pinned(knob):
 
 
 def test_noise_free_spec_draws_nothing(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a noise-free scenario drew a cell's uniforms")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a noise-free scenario hashed a draw key")
 
-    monkeypatch.setattr(simulator, "_cell_uniforms", refuse)
+    monkeypatch.setattr(simulator, "blake2b", refuse)
     frames, truth = generate(two_actor_scenario(NoiseSpec()))
     assert len(truth) == sum(len(f.detections) for f in frames) == 40
-
-
-def test_any_noise_number_keeps_the_draws(monkeypatch):
-    drawn = []
-    real = simulator._cell_uniforms
-
-    def counting(*key):
-        drawn.append(key)
-        return real(*key)
-
-    monkeypatch.setattr(simulator, "_cell_uniforms", counting)
-    _, truth = generate(two_actor_scenario(NoiseSpec(drop_prob=0.2)))
-    assert len(drawn) == len(truth) == 40
 
 
 def independent_uniforms(key):
@@ -170,22 +157,97 @@ def independent_uniforms(key):
     return tuple(math.ldexp(w // 2**11, -53) for w in words)
 
 
-@pytest.mark.parametrize("seed,actor_id,frame", [(42, 0, 0), (2**63 - 1, 12345, 999)])
-def test_cell_uniforms_follow_the_recipe(seed, actor_id, frame):
-    uniforms = simulator._cell_uniforms(seed, actor_id, frame)
-    assert uniforms == independent_uniforms(f"{seed}/{actor_id}/{frame}")
-    assert len(uniforms) == 7
-    assert all(type(u) is float and 0.0 <= u < 1.0 for u in uniforms)
-    assert len(set(uniforms)) == 7
+def box_muller(u0, u1, u2, u3):
+    """Three standard normals from four uniforms in [0, 1): the center's
+    two from u0 and u1, the height's from u2 and u3."""
+    r1 = math.sqrt(-2.0 * math.log(1.0 - u0))
+    a1 = 2.0 * math.pi * u1
+    r2 = math.sqrt(-2.0 * math.log(1.0 - u2))
+    a2 = 2.0 * math.pi * u3
+    return r1 * math.cos(a1), r1 * math.sin(a1), r2 * math.cos(a2)
+
+
+def test_any_noise_number_keeps_the_draws():
+    # a drop probability alone still drops each cell by its own u5
+    seed = 42
+    _, truth = generate(two_actor_scenario(NoiseSpec(drop_prob=0.2)))
+    assert len(truth) == 40
+    for rec in truth:
+        u5 = independent_uniforms(f"{seed}/{rec.actor_id}/{rec.frame_id}")[5]
+        assert rec.emitted is (not u5 < 0.2), (rec.actor_id, rec.frame_id)
+
+
+@pytest.mark.parametrize("seed", [42, 2**63 - 1])
+def test_each_cell_follows_the_draw_recipe(seed):
+    # every knob on and a flip in about half the cells, over 1000 frames so
+    # that frame keys run to three digits
+    noise = NoiseSpec(center_jitter_px=2.5, height_jitter_frac=0.05, drop_prob=0.3, label_flip_prob=0.5)
+    actors = (
+        ActorSpec(0, Category("car"), 140.0, 2.0, Trajectory("linear", -300.0, 900.0, vx_cm_s=30.0, vz_cm_s=-20.0)),
+        ActorSpec(12345, Category("person"), 165.0, 0.4, Trajectory("stationary", 120.0, 450.0)),
+        ActorSpec(7, Category("dog"), 50.0, 1.5, Trajectory("linear", 200.0, 600.0, vx_cm_s=-15.0), enter_s=3.0),
+        ActorSpec(3, Category("bus"), 320.0, 2.5, Trajectory("linear", 0.0, 1500.0, vz_cm_s=10.0), exit_s=12.5),
+    )
+    spec = ScenarioSpec(
+        duration_s=20.0,
+        frame_rate_hz=50.0,
+        camera=SUITE_CAMERA,
+        camera_height_cm=SUITE_CAMERA_HEIGHT_CM,
+        actors=actors,
+        noise=noise,
+        seed=seed,
+    )
+    frames, truth = generate(spec)
+    focal, half_w, half_h = SUITE_CAMERA.focal_px, SUITE_CAMERA.image_w / 2.0, SUITE_CAMERA.image_h / 2.0
+    records = iter(truth)
+    flips = drops = 0
+    for i, frame in enumerate(frames):
+        t = i / 50.0
+        detections = iter(frame.detections)
+        for actor in actors:
+            enter, exit_ = actor.span(spec.duration_s)
+            if not enter <= t <= exit_:
+                continue
+            rec = next(records)
+            assert (rec.frame_id, rec.actor_id) == (i, actor.actor_id)
+            u = independent_uniforms(f"{seed}/{actor.actor_id}/{i}")
+            if not u[5] < noise.drop_prob:
+                assert rec.emitted is True
+            else:
+                assert rec.emitted is False
+                drops += 1
+                continue
+            det = next(detections)
+            label = actor.category.label
+            if u[4] < noise.label_flip_prob:
+                others = [c for c in KNOWN_CATEGORIES if c != label]
+                label = others[int(u[6] * len(others))]
+                flips += 1
+            assert det.category.label == label
+            lateral, depth = actor.trajectory.position(t)
+            h = focal * actor.real_height_cm / depth
+            w = actor.aspect_ratio * h
+            x = half_w + focal * lateral / depth - w / 2.0
+            y = half_h + focal * SUITE_CAMERA_HEIGHT_CM / depth - h
+            n0, n1, n2 = box_muller(*u[:4])
+            cx = x + w / 2.0 + noise.center_jitter_px * n0
+            cy = y + h / 2.0 + noise.center_jitter_px * n1
+            h *= max(1.0 + noise.height_jitter_frac * n2, 0.01)
+            w = actor.aspect_ratio * h
+            box = det.bbox
+            assert (box.x, box.y, box.w, box.h) == (cx - w / 2.0, cy - h / 2.0, w, h), (i, actor.actor_id)
+        assert next(detections, None) is None
+    assert next(records, None) is None
+    assert 0 < drops < len(truth) and 0 < flips < len(truth) - drops
 
 
 def test_cell_uniforms_and_normals_have_their_moments():
     n = 100_000
-    cells = [simulator._cell_uniforms(5, k % 40, k // 40) for k in range(n)]
+    cells = [independent_uniforms(f"5/{k % 40}/{k // 40}") for k in range(n)]
     for j in range(7):
         mean = math.fsum(c[j] for c in cells) / n
         assert abs(mean - 0.5) <= 0.005, (j, mean)
-    normals = [simulator._three_normals(*c[:4]) for c in cells]
+    normals = [box_muller(*c[:4]) for c in cells]
     for j in range(3):
         values = [v[j] for v in normals]
         mean = math.fsum(values) / n
@@ -328,7 +390,7 @@ def test_boxes_follow_the_projection_in_its_operation_order(
         # no jitter, x comes back from it unchanged (2e6 random draws), y need not
         cx, cy = x + w / 2.0, y + h / 2.0
         if jitter:
-            n0, n1, _ = simulator._three_normals(*simulator._cell_uniforms(0, 0, i)[:4])
+            n0, n1, _ = box_muller(*independent_uniforms(f"0/0/{i}")[:4])
             cx += jitter * n0
             cy += jitter * n1
         w = aspect * h
@@ -412,11 +474,17 @@ def test_true_direction_comes_from_velocity_sign():
 
 
 def test_scenario_validation_errors():
-    with pytest.raises(ScenarioError, match="actor 0"):
+    with pytest.raises(ScenarioError, match=r"^actor 0: depth at t=2\.0 must be a positive finite number, got -100\.0$"):
         small_scenario(
             actors=(
                 ActorSpec(0, Category("car"), 140.0, 2.0, Trajectory("linear", 0.0, 100.0, vz_cm_s=-100.0)),
             ),
+            duration_s=2.0,
+        )
+    # a span-end depth that overflows is refused with the spec, not at a frame
+    with pytest.raises(ScenarioError, match=r"^actor 0: depth at t=2\.0 must be a positive finite number, got inf$"):
+        small_scenario(
+            actors=(ActorSpec(0, Category("car"), 140.0, 2.0, Trajectory("linear", 0.0, 1e308, vz_cm_s=1e308)),),
             duration_s=2.0,
         )
     with pytest.raises(ScenarioError, match="duplicate"):

@@ -10,6 +10,7 @@ never as 0.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -99,9 +100,9 @@ class EvalReport:
 
 
 def _group_by_frame(records: Iterable) -> Dict[int, List]:
-    grouped: Dict[int, List] = {}
+    grouped: Dict[int, List] = defaultdict(list)
     for rec in records:
-        grouped.setdefault(rec.frame_id, []).append(rec)
+        grouped[rec.frame_id].append(rec)
     return grouped
 
 
@@ -126,6 +127,7 @@ def score(
     """
     bands = bands or BandPartition()
     labels = bands.labels()
+    index_for = bands.index_for
 
     tracked_by_frame = _group_by_frame(tracked)
     truth_by_frame = _group_by_frame(truth)
@@ -151,7 +153,10 @@ def score(
             )
         for obj, rec in zip(tracked_here, emitted_here):
             aligned += 1
-            if obj.category == rec.true_category:
+            # the decoders share one Category per known label, so most
+            # pairs are the same object and skip the dataclass __eq__
+            category = obj.category
+            if category is rec.true_category or category == rec.true_category:
                 category_correct += 1
             last = actor_last_id.get(rec.actor_id)
             if last is not None and last != obj.object_id:
@@ -159,7 +164,7 @@ def score(
             actor_last_id[rec.actor_id] = obj.object_id
             if obj.direction is None:
                 continue
-            band = bands.index_for(rec.true_depth_cm)
+            band = index_for(rec.true_depth_cm)
             dir_classified[band] += 1
             if obj.direction == rec.true_direction:
                 dir_correct[band] += 1

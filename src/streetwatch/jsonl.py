@@ -75,9 +75,49 @@ _FRAME_KEYS, _DETECTION_KEYS, _BBOX_KEYS, _TRUTH_KEYS, _TRACKED_KEYS, _EVENT_KEY
 )
 
 
-def _expect_keys(data: dict, expected: frozenset, what: str) -> None:
-    if data.keys() != expected:
-        raise ParseError(f"{what}: {key_mismatch(data, expected)}")
+# The C scanner that json.loads runs, called directly
+_scan = json.decoder.JSONDecoder().scan_once
+
+
+def _record(line, keys: frozenset, what: str, colons: int, items: str = "") -> dict:
+    """The JSON object on line, checked as one record of what: parsed, its
+    key set compared with keys, then, for a record with an items array, the
+    array's shape, then repeated keys.
+
+    A str line that is one JSON object from its first character to its
+    last is taken from the scanner. Anything else, whitespace around the
+    object included, goes through json.loads, which words the error.
+    Once its key sets check out, a record without a repeat has exactly one
+    ":" per key at every depth: colons, plus seven for each entry of items
+    (a detection with its box). A colon inside a string only adds to the
+    count, so only a line with more is read again, through _unique_keys.
+    """
+    data = None
+    if type(line) is str:
+        try:
+            data, end = _scan(line, 0)
+        except (StopIteration, ValueError):
+            pass
+        else:
+            if end != len(line) or type(data) is not dict:
+                data = None
+    if data is None:
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}") from None
+        if not isinstance(data, dict):
+            raise ParseError(f"record must be a JSON object, got {type(data).__name__}")
+    if data.keys() != keys:
+        raise ParseError(f"{what}: {key_mismatch(data, keys)}")
+    if items:
+        raw = data[items]
+        if not isinstance(raw, list):
+            raise _shape_error(items, "an array", raw)
+        colons += 7 * len(raw)
+    if not isinstance(line, str) or line.count(":") > colons:
+        json.loads(line, object_pairs_hook=_unique_keys)
+    return data
 
 
 def _field_error(key: str, rule: str, v, nullable: bool = False) -> ParseError:
@@ -128,7 +168,7 @@ def _bbox_field(data: dict, key: str) -> BoundingBox:
     box = data[key]
     if type(box) is not dict:
         raise _shape_error(key, "an object", box)
-    # _expect_keys inline: a call per box shows in the decode time
+    # the key check inline: a call per box shows in the decode time
     if box.keys() != _BBOX_KEYS:
         raise ParseError(f"{key}: {key_mismatch(box, _BBOX_KEYS)}")
     x, y, w, h = box["x"], box["y"], box["w"], box["h"]
@@ -179,14 +219,9 @@ def _decode_detection(k: int, item) -> Detection:
 
 
 def decode_detection_frame(line: str) -> DetectionFrame:
-    data = _loads(line)
-    _expect_keys(data, _FRAME_KEYS, "detection frame")
-    raw = data["detections"]
-    if not isinstance(raw, list):
-        raise _shape_error("detections", "an array", raw)
     # three keys, and seven for each detection with its box
-    _refuse_repeats(line, 3 + 7 * len(raw))
-    detections = tuple([_decode_detection(k, item) for k, item in enumerate(raw)])
+    data = _record(line, _FRAME_KEYS, "detection frame", 3, "detections")
+    detections = tuple([_decode_detection(k, item) for k, item in enumerate(data["detections"])])
     # every value is checked by now, so the frame is marked for
     # validate_frame to trust
     return _checked_frame(_int_field(data, "frame_id"), _int_field(data, "t_ms"), detections)
@@ -207,9 +242,7 @@ def encode_truth_record(rec: TruthRecord) -> str:
 
 
 def decode_truth_record(line: str) -> TruthRecord:
-    data = _loads(line)
-    _expect_keys(data, _TRUTH_KEYS, "truth record")
-    _refuse_repeats(line, 7)
+    data = _record(line, _TRUTH_KEYS, "truth record", 7)
     # one pass: each value is checked once, and a miss raises or goes to
     # _num_field or _category_field
     direction = data["true_direction"]
@@ -271,9 +304,7 @@ def encode_tracked_object(obj: TrackedObject) -> str:
 
 
 def decode_tracked_object(line: str) -> TrackedObject:
-    data = _loads(line)
-    _expect_keys(data, _TRACKED_KEYS, "tracked object")
-    _refuse_repeats(line, 11)
+    data = _record(line, _TRACKED_KEYS, "tracked object", 11)
     # one pass, as in decode_truth_record; _bbox_field checks the box once
     distance = data["distance_cm"]
     if distance is not None and (type(distance) is not float or not 0.0 < distance < _INF):
@@ -294,7 +325,8 @@ def decode_tracked_object(line: str) -> TrackedObject:
     direction = data["direction"]
     if direction is not None and (type(direction) is not str or (direction := _DIRECTION.get(direction)) is None):
         raise _shape_error("direction", "left/right/forward or null", data["direction"])
-    if text := _match_error(direction, matched_from):
+    # only a direction can lack its match
+    if direction is not None and (text := _match_error(direction, matched_from)):
         raise ParseError(text)
     return _checked_tracked(object_id, frame_id, category, bbox, distance, direction, matched_from)
 
@@ -311,9 +343,7 @@ def encode_alarm_event(event: AlarmEvent) -> str:
 
 
 def decode_alarm_event(line: str) -> AlarmEvent:
-    data = _loads(line)
-    _expect_keys(data, _EVENT_KEYS, "alarm event")
-    _refuse_repeats(line, 8)
+    data = _record(line, _EVENT_KEYS, "alarm event", 8)
     # one pass, as in decode_truth_record
     vibration = data["vibration_s"]
     if type(vibration) is not float or not 0.0 < vibration < _INF:
@@ -351,40 +381,6 @@ def _unique_keys(pairs: list) -> dict:
     if len(data) < len(pairs):
         key = next(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
         raise ParseError(f"repeated key {key!r}")
-    return data
-
-
-def _refuse_repeats(line, colons: int) -> None:
-    """Refuse a repeated key in line, whose record has colons keys at every
-    depth once its key sets check out. Without a repeat that record has
-    exactly one ":" per key, and a colon inside a string only adds to the
-    count, so only a line with more is read again, through _unique_keys."""
-    if not isinstance(line, str) or line.count(":") > colons:
-        json.loads(line, object_pairs_hook=_unique_keys)
-
-
-# The C scanner that json.loads runs, called directly
-_scan = json.decoder.JSONDecoder().scan_once
-
-
-def _loads(line: str) -> dict:
-    # A str line that is one JSON object from its first character to its
-    # last is taken from the scanner. Anything else, whitespace around the
-    # object included, goes through json.loads, which words the error.
-    if type(line) is str:
-        try:
-            data, end = _scan(line, 0)
-        except (StopIteration, ValueError):
-            pass
-        else:
-            if end == len(line) and type(data) is dict:
-                return data
-    try:
-        data = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}") from None
-    if not isinstance(data, dict):
-        raise ParseError(f"record must be a JSON object, got {type(data).__name__}")
     return data
 
 

@@ -134,6 +134,7 @@ class ScenarioSpec:
         _check(self, "int>=0", "seed", error=ScenarioError)
         if self.seed > _MAX_SEED:
             raise ScenarioError(f"seed must be an integer in [0, 2**63), got {self.seed!r}")
+        focal = self.camera.focal_px
         seen = set()
         for actor in self.actors:
             if actor.actor_id in seen:
@@ -144,9 +145,16 @@ class ScenarioSpec:
                 raise ScenarioError(
                     f"actor {actor.actor_id}: span [{enter}, {exit_}] must lie inside [0, {self.duration_s}]"
                 )
-            # linear depth is monotone, so checking the span ends suffices
+            # linear motion makes the depth, f*H/Z and f*X/Z monotone over
+            # the span, so checking its ends suffices; each is computed as
+            # generate computes it
             for t in (enter, exit_):
-                text = _refusal("positive", f"depth at t={t}", actor.trajectory.position(t)[1])
+                x_cm, z_cm = actor.trajectory.position(t)
+                text = (
+                    _refusal("positive", f"depth at t={t}", z_cm)
+                    or _refusal("positive", f"image height f*H/Z at t={t}", focal * actor.real_height_cm / z_cm)
+                    or _refusal("finite", f"image offset f*X/Z at t={t}", focal * x_cm / z_cm)
+                )
                 if text:
                     raise ScenarioError(f"actor {actor.actor_id}: {text}")
 

@@ -1,10 +1,12 @@
-"""Shared builders and a brute-force association oracle."""
+"""Shared builders, a brute-force association oracle and reference loops."""
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
 from streetwatch.camera import CameraIntrinsics, HeightTable
+from streetwatch.direction import DirectionLabel
+from streetwatch.evaluation import BandPartition, EvalReport
 from streetwatch.matcher import MatchConfig
 from streetwatch.types import BoundingBox, Category, Detection, DetectionFrame
 
@@ -181,3 +183,89 @@ def tuple_sort_greedy(
         taken_ref.add(j)
         accepted.append((i, j, cost))
     return tuple(sorted(accepted))
+
+
+# --- scorer reference -------------------------------------------------------
+
+def reference_score(tracked, truth, bands=None, *, excuse=None) -> Dict[str, object]:
+    """evaluation.score's loop as it was before its identity-first category
+    compare, its bound band lookup and its list-free grouping, returned as
+    the report's to_dict()."""
+    bands = bands or BandPartition()
+    labels = bands.labels()
+
+    def group_by_frame(records):
+        grouped = {}
+        for rec in records:
+            grouped.setdefault(rec.frame_id, []).append(rec)
+        return grouped
+
+    tracked_by_frame = group_by_frame(tracked)
+    truth_by_frame = group_by_frame(truth)
+    truth_by_actor_frame = {} if excuse is None else {(r.actor_id, r.frame_id): r for r in truth}
+
+    aligned = 0
+    category_correct = 0
+    dir_classified = [0] * len(labels)
+    dir_correct = [0] * len(labels)
+    actor_last_id = {}
+    id_switches = 0
+
+    for frame_id in sorted(set(tracked_by_frame) | set(truth_by_frame)):
+        tracked_here = tracked_by_frame.get(frame_id, [])
+        emitted_here = [r for r in truth_by_frame.get(frame_id, []) if r.emitted]
+        assert len(tracked_here) == len(emitted_here)
+        for obj, rec in zip(tracked_here, emitted_here):
+            aligned += 1
+            if obj.category == rec.true_category:
+                category_correct += 1
+            last = actor_last_id.get(rec.actor_id)
+            if last is not None and last != obj.object_id:
+                id_switches += 1
+            actor_last_id[rec.actor_id] = obj.object_id
+            if obj.direction is None:
+                continue
+            band = bands.index_for(rec.true_depth_cm)
+            dir_classified[band] += 1
+            if obj.direction == rec.true_direction:
+                dir_correct[band] += 1
+            elif (
+                excuse is not None
+                and obj.direction == DirectionLabel.FORWARD
+                and rec.true_direction != DirectionLabel.FORWARD
+            ):
+                past = truth_by_actor_frame.get((rec.actor_id, rec.frame_id - excuse.direction.gap))
+                if past is not None:
+                    disp = excuse.camera.focal_px * (
+                        rec.true_lateral_cm / rec.true_depth_cm
+                        - past.true_lateral_cm / past.true_depth_cm
+                    )
+                    if abs(disp) <= excuse.direction.dead_zone_px:
+                        dir_correct[band] += 1
+
+    classified_total = sum(dir_classified)
+    correct_total = sum(dir_correct)
+
+    def ratio(num, den):
+        return None if den == 0 else num / den
+
+    return EvalReport(
+        category_accuracy=ratio(category_correct, aligned),
+        direction_accuracy_overall=ratio(correct_total, classified_total),
+        direction_accuracy_by_band={labels[k]: ratio(dir_correct[k], dir_classified[k]) for k in range(len(labels))},
+        matched_fraction=ratio(classified_total, aligned),
+        id_switches=id_switches,
+        counts={
+            "aligned": aligned,
+            "category_correct": category_correct,
+            "direction": {"classified": classified_total, "correct": correct_total},
+            "direction_by_band": {
+                labels[k]: {"classified": dir_classified[k], "correct": dir_correct[k]} for k in range(len(labels))
+            },
+        },
+        assumptions={
+            "band_boundaries_cm": list(bands.boundaries_cm),
+            "direction_scoring": "strict" if excuse is None else "excusable-forward",
+            "alignment": "positional",
+        },
+    ).to_dict()

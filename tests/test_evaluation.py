@@ -2,6 +2,7 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streetwatch.direction import DirectionLabel
 from streetwatch.evaluation import (
@@ -25,8 +26,10 @@ from streetwatch.simulator import (
     slow_crosser,
     standard_suite,
 )
-from streetwatch.types import BoundingBox
+from streetwatch.jsonl import decode_truth_record
+from streetwatch.types import KNOWN_CATEGORIES, BoundingBox
 
+from conftest import reference_score
 from test_simulator import small_scenario
 
 
@@ -246,3 +249,104 @@ def test_trailing_empty_frames_change_nothing():
     report = score(tracked, truth)
     assert report.direction_accuracy_overall == base_run.report.direction_accuracy_overall
     assert report.counts["aligned"] == base_run.report.counts["aligned"]
+
+
+# The decoders' one shared Category per known label, read back from a line
+SHARED = {
+    label: decode_truth_record(
+        '{"frame_id":0,"actor_id":0,"true_depth_cm":1.0,"true_lateral_cm":0.0,'
+        f'"true_direction":"left","emitted":true,"true_category":"{label}"}}'
+    ).true_category
+    for label in KNOWN_CATEGORIES
+}
+# known labels and one open-set label, each built on either side
+LABELS = (*KNOWN_CATEGORIES, "kiosk")
+# on and around both default boundaries, and custom bands' edges
+DEPTHS = (1.0, 150.0, 299.99999999999994, 300.0, 300.00000000000006, 450.0, 599.9999999999999, 600.0,
+          600.0000000000001, 900.0)
+
+
+def category(label, shared):
+    """The decoder's shared Category for a known label when asked, else a
+    fresh one: equal but not the same object."""
+    return SHARED[label] if shared and label in SHARED else Category(label)
+
+
+@st.composite
+def scored_runs(draw):
+    """A tracked stream and its truth stream: per frame, truth rows for
+    distinct actors and one tracked object per emitted row, in row order.
+    Labels flip, ids switch, and directions and depths vary."""
+    tracked, truth = [], []
+    for frame_id in range(draw(st.integers(0, 6))):
+        actors = draw(st.lists(st.integers(0, 3), unique=True, max_size=4))
+        for actor_id in actors:
+            label = draw(st.sampled_from(LABELS))
+            emitted = draw(st.booleans())
+            truth.append(TruthRecord(
+                frame_id=frame_id,
+                actor_id=actor_id,
+                true_depth_cm=draw(st.sampled_from(DEPTHS)),
+                true_lateral_cm=draw(st.sampled_from((-40.0, -0.5, 0.0, 0.25, 60.0))),
+                true_direction=draw(st.sampled_from(DirectionLabel)),
+                emitted=emitted,
+                true_category=category(label, draw(st.booleans())),
+            ))
+            if not emitted:
+                continue
+            flipped = draw(st.sampled_from(LABELS)) if draw(st.booleans()) else label
+            direction = draw(st.none() | st.sampled_from(DirectionLabel))
+            object_id = draw(st.integers(0, 4))
+            tracked.append(TrackedObject(
+                object_id=object_id,
+                frame_id=frame_id,
+                category=category(flipped, draw(st.booleans())),
+                bbox=BoundingBox(0.0, 0.0, 10.0, 10.0),
+                distance_cm=None,
+                direction=direction,
+                matched_from=None if direction is None else object_id,
+            ))
+    return tracked, truth
+
+
+def interleaved(records, rng):
+    """records with the frames' turns shuffled and each frame's own order kept."""
+    queues = {}
+    for rec in records:
+        queues.setdefault(rec.frame_id, []).append(rec)
+    out = []
+    while queues:
+        frame_id = rng.choice(sorted(queues))
+        out.append(queues[frame_id].pop(0))
+        if not queues[frame_id]:
+            del queues[frame_id]
+    return out
+
+
+@given(
+    run=scored_runs(),
+    shuffle=st.none() | st.randoms(use_true_random=False),
+    bands=st.sampled_from((None, BandPartition((300.0, 600.0)), BandPartition((150.0, 450.0, 900.0)))),
+    gap=st.sampled_from((None, 1, 2)),
+    dead_zone=st.sampled_from((0.5, 8.0, 200.0)),
+)
+@settings(max_examples=300, deadline=None)
+def test_score_matches_the_reference_loop(run, shuffle, bands, gap, dead_zone):
+    tracked, truth = run
+    if shuffle is not None:
+        tracked, truth = interleaved(tracked, shuffle), interleaved(truth, shuffle)
+    # strict scoring without a gap, excusable-forward scoring with one
+    excuse = None
+    if gap is not None:
+        cfg = config_for_scenario(small_scenario())
+        excuse = replace(cfg, direction=replace(cfg.direction, gap=gap, dead_zone_px=dead_zone))
+    assert score(tracked, truth, bands, excuse=excuse).to_dict() == reference_score(tracked, truth, bands, excuse=excuse)
+
+
+def test_equal_categories_that_are_not_the_same_object_score_as_equal():
+    # a fresh car against the decoder's shared one, and an open-set label
+    # built on each side
+    tracked = [_flat_track(0, 0, "car"), _flat_track(0, 1, "kiosk")]
+    truth = [replace(_truth(0), true_category=SHARED["car"]), _truth(1, label="kiosk")]
+    assert all(obj.category is not rec.true_category for obj, rec in zip(tracked, truth))
+    assert score(tracked, truth).category_accuracy == 1.0

@@ -941,16 +941,39 @@ def test_a_repeated_key_is_refused_in_a_bytes_line_too():
         decode_truth_record(repeated(TRUTH, '"emitted":true', ',"actor_id":9').encode())
 
 
-def test_colons_inside_strings_are_not_repeated_keys():
+def test_colons_inside_strings_are_not_repeated_keys(monkeypatch):
+    calls = []
+
+    def counted(pairs):
+        data = unique_keys(pairs)
+        calls.append(data)
+        return data
+
+    unique_keys = jsonl._unique_keys
+    monkeypatch.setattr(jsonl, "_unique_keys", counted)
+    # a canonical line has one colon per key, so the strict-key hook never
+    # runs on it
+    for decode, line in ((decode_truth_record, TRUTH), (decode_alarm_event, EVENT),
+                         (decode_detection_frame, CANONICAL), (decode_tracked_object, TRACKED)):
+        decode(line)
+    assert calls == []
     # each colon in a label or message raises the line's count, so these
     # lines are read a second time and found to repeat nothing
     truth = TRUTH.replace('"true_category":"car"', '"true_category":"a:b::c"')
-    assert decode_truth_record(truth).true_category == Category("a:b::c")
     event = EVENT.replace("Person moving left", "Person: moving left")
-    assert encode_alarm_event(decode_alarm_event(event)) == event
     frame = CANONICAL.replace('"category":"car"', '"category":"car:x"')
-    assert encode_detection_frame(decode_detection_frame(frame)) == frame
     tracked = TRACKED.replace('"category":"person"', '"category":":"')
+    for decode, line in ((decode_truth_record, truth), (decode_alarm_event, event),
+                         (decode_detection_frame, frame), (decode_tracked_object, tracked)):
+        del calls[:]
+        decode(line)
+        # one strict read: the hook sees each JSON object of the line once,
+        # the whole record among them
+        whole = json.loads(line)
+        assert [data for data in calls if data == whole] == [whole]
+    assert decode_truth_record(truth).true_category == Category("a:b::c")
+    assert encode_alarm_event(decode_alarm_event(event)) == event
+    assert encode_detection_frame(decode_detection_frame(frame)) == frame
     assert encode_tracked_object(decode_tracked_object(tracked)) == tracked
 
 

@@ -487,6 +487,16 @@ def test_scenario_validation_errors():
             actors=(ActorSpec(0, Category("car"), 140.0, 2.0, Trajectory("linear", 0.0, 1e308, vz_cm_s=1e308)),),
             duration_s=2.0,
         )
+    # so are a finite height and a finite offset whose projection
+    # overflows, which generate would refuse as a box at frame 0
+    crosser = scenario_by_name("single-crosser")
+    (actor,) = crosser.actors
+    with pytest.raises(ScenarioError, match=r"^actor 0: image height f\*H/Z at t=0\.0 must be a positive finite number, got inf$"):
+        dataclasses.replace(crosser, actors=(dataclasses.replace(actor, real_height_cm=1e308),))
+    with pytest.raises(ScenarioError, match=r"^actor 0: image offset f\*X/Z at t=0\.0 must be a finite number, got inf$"):
+        dataclasses.replace(
+            crosser, actors=(dataclasses.replace(actor, trajectory=dataclasses.replace(actor.trajectory, x0_cm=1e308)),)
+        )
     with pytest.raises(ScenarioError, match="duplicate"):
         small_scenario(
             actors=(

@@ -9,11 +9,11 @@ band fires again every cooldown_ms for as long as it stays.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 from .direction import DirectionLabel
-from .types import Category, ObjectId, _check, _slot_builder
+from .types import Category, ObjectId, _check, _check_type, _slot_builder
 
 if TYPE_CHECKING:  # pragma: no cover
     from .pipeline import TrackedObject
@@ -34,9 +34,6 @@ class AlarmStage:
         if not self.band_hi_cm > self.band_lo_cm:
             raise ValueError("band_hi_cm must exceed band_lo_cm")
 
-    def contains(self, distance_cm: float) -> bool:
-        return self.band_lo_cm <= distance_cm <= self.band_hi_cm
-
 
 # Stage 1 is the earliest warning, stage 3 the most urgent (nearest band,
 # longest vibration).
@@ -53,7 +50,8 @@ class AlarmPolicy:
 
     cumulative_bands widens each band downward to the top of the next
     nearer one (and stage 3 down to zero), so the gaps between bands also
-    alarm. Off by default: the stock behavior fires once per band sweep.
+    alarm; an edge two bands share belongs to the nearer stage. Off by
+    default: the stock behavior fires once per band sweep.
     """
 
     stages: Tuple[AlarmStage, ...] = DEFAULT_STAGES
@@ -62,6 +60,7 @@ class AlarmPolicy:
     cumulative_bands: bool = False
 
     def __post_init__(self):
+        _check_type(self, AlarmStage, "stages", each=True)
         # kept in stage order, so lookups never re-sort
         ordered = tuple(sorted(self.stages, key=lambda s: s.stage))
         object.__setattr__(self, "stages", ordered)
@@ -78,6 +77,12 @@ class AlarmPolicy:
         _check(self, "int>=0", "cooldown_ms")
         _check(self, "int>=1", "max_events_per_frame")
         _check(self, "bool", "cumulative_bands")
+        # the one band table: closed (lo, hi, stage), nearest stage first, so
+        # an edge two cumulative bands share goes to the nearer stage; such
+        # a band starts at the next nearer band's top, stage 3 at zero
+        his = [s.band_hi_cm for s in ordered]
+        lows = his[1:] + [0.0] if self.cumulative_bands else [s.band_lo_cm for s in ordered]
+        object.__setattr__(self, "_bands", tuple(zip(lows, his, ordered))[::-1])
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,57 +115,36 @@ def stage_for_distance(distance_cm: float, policy: AlarmPolicy) -> Optional[Alar
 
     Bands are closed on both ends, so 600.0 alarms and 600.001 does not.
     In cumulative mode each band reaches down to the next nearer band's
-    top edge, stage 3 all the way to zero.
+    top edge, stage 3 all the way to zero, and an edge two bands share
+    belongs to the nearer stage.
     """
     if not distance_cm > 0:
         raise ValueError(f"distance_cm must be positive, got {distance_cm!r}")
-    if policy.cumulative_bands:
-        # nearest stage first so the most urgent band wins
-        floor = 0.0
-        for st in reversed(policy.stages):
-            if floor < distance_cm <= st.band_hi_cm:
-                return st
-            floor = st.band_hi_cm
-        return None
-    for st in policy.stages:
-        if st.contains(distance_cm):
+    for lo, hi, st in policy._bands:
+        if lo <= distance_cm <= hi:
             return st
     return None
-
-
-@dataclass
-class CooldownLedger:
-    """Last emission time per (object_id, stage); prevents re-alarm chatter."""
-
-    last_emitted: Dict[Tuple[ObjectId, int], int] = field(default_factory=dict)
-
-    def record(self, object_id: ObjectId, stage: int, t_ms: int) -> None:
-        self.last_emitted[(object_id, stage)] = t_ms
-
-    def prune(self, t_ms: int, cooldown_ms: int) -> None:
-        # entries past cooldown cannot suppress anything; drop them so the
-        # ledger stays O(recent alarms) on long streams
-        stale = [k for k, last in self.last_emitted.items() if t_ms - last >= cooldown_ms]
-        for k in stale:
-            del self.last_emitted[k]
 
 
 def emit_alarms(
     tracked: Iterable["TrackedObject"],
     t_ms: int,
     policy: AlarmPolicy,
-    ledger: CooldownLedger,
+    ledger: Dict[Tuple[ObjectId, int], int],
 ) -> List[AlarmEvent]:
     """Alarm events for one frame's tracked objects.
 
     Objects without a distance never alarm. Candidates still in cooldown
     are dropped, the rest are sorted most-urgent first (stage descending,
     then distance ascending, then object_id) and capped at
-    max_events_per_frame. Only events actually emitted touch the ledger,
-    so a capped-out candidate may fire on the next frame.
+    max_events_per_frame. The ledger maps (object_id, stage) to the last
+    emission time. Only events actually emitted touch it, so a capped-out
+    candidate may fire on the next frame.
     """
-    # an entry that outlives the prune is still in its cooldown
-    ledger.prune(t_ms, policy.cooldown_ms)
+    # entries past cooldown cannot suppress anything; dropping them keeps
+    # the ledger O(recent alarms), and an entry that stays is in cooldown
+    for key in [key for key, last in ledger.items() if t_ms - last >= policy.cooldown_ms]:
+        del ledger[key]
     # stage 1 is the farthest band in both modes, so nothing beyond its top
     # edge can alarm; NaN and non-positive distances still reach the lookup
     # and raise there
@@ -174,16 +158,14 @@ def emit_alarms(
         if distance is None or distance > farthest_cm:
             continue
         st = stage_for_distance(distance, policy)
-        if st is None:
-            continue
-        if (obj.object_id, st.stage) in ledger.last_emitted:
+        if st is None or (obj.object_id, st.stage) in ledger:
             continue
         candidates.append((-st.stage, distance, obj.object_id, len(candidates), obj, st))
     candidates.sort()
     # only the events that fire are built
     emitted = []
     for _, distance, object_id, _, obj, st in candidates[: policy.max_events_per_frame]:
-        ledger.record(object_id, st.stage, t_ms)
+        ledger[object_id, st.stage] = t_ms
         emitted.append(
             _checked_event(
                 t_ms,

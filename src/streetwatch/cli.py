@@ -10,18 +10,18 @@ alignment failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
 from collections import Counter
 from dataclasses import replace
-from typing import Iterator, List, Optional, TextIO, Tuple
+from typing import List, Optional, Tuple
 
 from .alarm import stage_for_distance
 from .config import load_config
 from .jsonl import (
     ParseError,
+    _open_outputs,
     _undecodable_line,
     _unique_keys,
     decode_detection_frame,
@@ -32,6 +32,7 @@ from .jsonl import (
     encode_tracked_object,
     encode_truth_record,
     read_records,
+    write_lines,
 )
 from .pipeline import Pipeline, StreamOrderError
 
@@ -99,28 +100,6 @@ def _refuse_aliases(inputs: List[Tuple[str, Optional[str]]], outputs: List[Tuple
         for name_a, a in inputs + outputs[:k]:
             if a is not None and _same_file(a, b):
                 raise ValueError(f"{name_b} and {name_a} name the same file: {b}")
-
-
-@contextlib.contextmanager
-def _open_outputs(*paths: str) -> Iterator[List[TextIO]]:
-    """Open each path for writing and yield the handles.
-
-    If an open or the block fails, every file opened here is removed:
-    cut-off streams would look complete.
-    """
-    created: List[str] = []
-    try:
-        with contextlib.ExitStack() as stack:
-            handles = []
-            for path in paths:
-                handles.append(stack.enter_context(open(path, "w", encoding="utf-8", newline="")))
-                created.append(path)
-            yield handles
-    except BaseException:
-        for path in created:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-        raise
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -199,8 +178,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     except AlignmentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    with open(args.report, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(report.to_dict(), indent=2) + "\n")
+    write_lines(args.report, [json.dumps(report.to_dict(), indent=2)])
     print(report.render_text())
     return 0
 

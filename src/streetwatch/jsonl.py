@@ -9,13 +9,15 @@ values are errors that cite the offending line.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from collections import Counter
 from dataclasses import fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
+from typing import Callable, Iterable, Iterator, List, Optional, TextIO, TypeVar, Union
 
 from .alarm import AlarmEvent, _checked_event
 from .direction import DirectionLabel
@@ -418,10 +420,32 @@ def _undecodable_line(path: PathLike) -> Optional[str]:
     return None
 
 
+@contextlib.contextmanager
+def _open_outputs(*paths: PathLike) -> Iterator[List[TextIO]]:
+    """Open each path for writing and yield the handles.
+
+    If an open or the block fails, every file opened here is removed:
+    cut-off streams would look complete.
+    """
+    handles: List[TextIO] = []
+    try:
+        with contextlib.ExitStack() as stack:
+            for path in paths:
+                handles.append(stack.enter_context(open(path, "w", encoding="utf-8", newline="")))
+            yield handles
+    except BaseException:
+        # the handles opened so far are those of the first paths
+        for path in paths[: len(handles)]:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def write_lines(path: PathLike, lines: Iterable[str]) -> int:
-    """Write records one per line with a trailing newline. Returns the count."""
+    """Write records one per line with a trailing newline. Returns the count.
+    If a line fails, the file is removed rather than left cut off."""
     n = 0
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_outputs(path) as (fh,):
         for line in lines:
             fh.write(line)
             fh.write("\n")

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Iterable, Iterator, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .alarm import AlarmEvent, AlarmPolicy, CooldownLedger, emit_alarms
+from .alarm import AlarmEvent, AlarmPolicy, emit_alarms
 from .camera import CameraIntrinsics, HeightTable, estimate_distance
 from .direction import DirectionConfig, DirectionLabel, classify_direction
 from .matcher import MatchConfig, match_frames
@@ -116,7 +116,7 @@ class Pipeline:
         self.no_height = 0
         self._window: Deque[_WindowEntry] = deque(maxlen=WINDOW_DEPTH)
         self._next_id: ObjectId = 0
-        self._ledger = CooldownLedger()
+        self._ledger: Dict[Tuple[ObjectId, int], int] = {}
 
     def process_frame(self, frame: DetectionFrame) -> Tuple[List[TrackedObject], List[AlarmEvent]]:
         """Run one frame through the pipeline.

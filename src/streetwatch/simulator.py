@@ -34,7 +34,7 @@ from typing import List, Optional, Tuple
 from .camera import SUITE_CAMERA, SUITE_HEIGHTS_CM, CameraIntrinsics
 from .direction import DirectionConfig, DirectionLabel
 from .types import Category, Detection, DetectionFrame, KNOWN_CATEGORIES, TruthRecord, key_mismatch
-from .types import _box_error, _check, _checked_box, _checked_detection, _checked_frame, _checked_truth
+from .types import _box_error, _check, _check_type, _checked_box, _checked_detection, _checked_frame, _checked_truth
 from .types import _refusal, _refused_as
 
 TRAJECTORY_KINDS = ("linear", "stationary")
@@ -102,8 +102,8 @@ class ActorSpec:
     def __post_init__(self):
         _check(self, "int>=0", "actor_id", error=ScenarioError)
         where = f"actor {self.actor_id}: "
-        if not isinstance(self.category, Category):
-            raise ScenarioError(f"{where}category must be a Category, got {self.category!r}")
+        _check_type(self, Category, "category", error=ScenarioError, where=where)
+        _check_type(self, Trajectory, "trajectory", error=ScenarioError, where=where)
         _check(self, "positive", "real_height_cm", "aspect_ratio", error=ScenarioError, where=where)
         _check(self, "finite", "enter_s", "exit_s", nullable=True, error=ScenarioError, where=where)
 
@@ -128,12 +128,13 @@ class ScenarioSpec:
 
     def __post_init__(self):
         _check(self, "text", "name", error=ScenarioError)
-        if not isinstance(self.actors, tuple):
-            object.__setattr__(self, "actors", tuple(self.actors))
+        _check_type(self, ActorSpec, "actors", each=True, error=ScenarioError)
         _check(self, "positive", "duration_s", "frame_rate_hz", "camera_height_cm", error=ScenarioError)
         _check(self, "int>=0", "seed", error=ScenarioError)
         if self.seed > _MAX_SEED:
             raise ScenarioError(f"seed must be an integer in [0, 2**63), got {self.seed!r}")
+        _check_type(self, CameraIntrinsics, "camera", error=ScenarioError)
+        _check_type(self, NoiseSpec, "noise", error=ScenarioError)
         focal = self.camera.focal_px
         seen = set()
         for actor in self.actors:

@@ -82,6 +82,23 @@ def _check(obj, rule: str, *names: str, nullable: bool = False, error=ValueError
             raise error(where + text)
 
 
+def _type_refusal(name: str, v, cls: type) -> str:
+    """The text refusing v as field name when it is not a cls, or ""."""
+    article = "an" if cls.__name__[0] in "AEIOU" else "a"
+    return "" if isinstance(v, cls) else f"{name} must be {article} {cls.__name__}, got {v!r}"
+
+
+def _check_type(obj, cls: type, name: str, each: bool = False, error=ValueError, where: str = "") -> None:
+    """Raise error, with where before the text, when obj's field name does
+    not hold a cls record or, with each, a tuple of them."""
+    v = getattr(obj, name)
+    if each and (text := _type_refusal(name, v, tuple)):
+        raise error(where + text)
+    for label, item in [(f"{name}[{k}]", item) for k, item in enumerate(v)] if each else [(name, v)]:
+        if text := _type_refusal(label, item, cls):
+            raise error(where + text)
+
+
 # Each record invariant is checked in one place: these return the error
 # text, or "" when the values are valid. The constructors raise ValueError
 # with it and validate_frame raises FrameValidationError with it, so both
@@ -107,11 +124,7 @@ def _confidence_error(c) -> str:
 
 
 def _parts_error(category, bbox) -> str:
-    if not isinstance(category, Category):
-        return f"detection category must be a Category, got {category!r}"
-    if not isinstance(bbox, BoundingBox):
-        return f"detection bbox must be a BoundingBox, got {bbox!r}"
-    return ""
+    return _type_refusal("detection category", category, Category) or _type_refusal("detection bbox", bbox, BoundingBox)
 
 
 @dataclass(frozen=True)

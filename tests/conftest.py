@@ -1,5 +1,7 @@
 """Shared builders, a brute-force association oracle and reference loops."""
 import math
+import os
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
@@ -9,6 +11,13 @@ from streetwatch.direction import DirectionLabel
 from streetwatch.evaluation import BandPartition, EvalReport
 from streetwatch.matcher import MatchConfig
 from streetwatch.types import BoundingBox, Category, Detection, DetectionFrame
+
+# The CLI and import tests start child interpreters; they import the
+# package from this checkout too, as pytest's `pythonpath` setting makes
+# this one do, so a fresh checkout runs the suite without installing it.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+if SRC not in os.environ.get("PYTHONPATH", "").split(os.pathsep):
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
 def make_det(
@@ -269,3 +278,24 @@ def reference_score(tracked, truth, bands=None, *, excuse=None) -> Dict[str, obj
             "alignment": "positional",
         },
     ).to_dict()
+
+
+# --- stage lookup reference -------------------------------------------------
+
+def reference_stage_for_distance(distance_cm: float, policy):
+    """alarm.stage_for_distance as it was before the one band table: a
+    nearest-first scan with an open floor in cumulative mode, a stage-order
+    scan of closed bands otherwise."""
+    if not distance_cm > 0:
+        raise ValueError(f"distance_cm must be positive, got {distance_cm!r}")
+    if policy.cumulative_bands:
+        floor = 0.0
+        for st in reversed(policy.stages):
+            if floor < distance_cm <= st.band_hi_cm:
+                return st
+            floor = st.band_hi_cm
+        return None
+    for st in policy.stages:
+        if st.band_lo_cm <= distance_cm <= st.band_hi_cm:
+            return st
+    return None

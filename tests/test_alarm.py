@@ -1,4 +1,6 @@
 """Staged alarms: bands, cooldown, per-frame budget, message wording."""
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,7 +10,6 @@ from streetwatch.alarm import (
     AlarmEvent,
     AlarmPolicy,
     AlarmStage,
-    CooldownLedger,
     emit_alarms,
     render_message,
     stage_for_distance,
@@ -16,6 +17,8 @@ from streetwatch.alarm import (
 from streetwatch.direction import DirectionLabel
 from streetwatch.pipeline import TrackedObject
 from streetwatch.types import BoundingBox, Category
+
+from conftest import reference_stage_for_distance
 
 
 def tracked(object_id, distance_cm, label="car", direction=None, frame_id=0):
@@ -88,6 +91,26 @@ def test_cumulative_bands_fill_the_gaps(distance, expected):
     assert (None if st is None else st.stage) == expected
 
 
+@st.composite
+def policies(draw):
+    """A valid three-stage policy with random edges and vibrations, its
+    stages given in random order, in either band mode."""
+    edges = sorted(draw(st.lists(st.floats(1e-3, 1e4), min_size=6, max_size=6, unique=True)), reverse=True)
+    vibrations = sorted(draw(st.lists(st.floats(0.1, 5.0), min_size=3, max_size=3, unique=True)))
+    stages = [AlarmStage(k + 1, edges[2 * k + 1], edges[2 * k], vibrations[k]) for k in range(3)]
+    return AlarmPolicy(stages=tuple(draw(st.permutations(stages))), cumulative_bands=draw(st.booleans()))
+
+
+@given(data=st.data(), policy=policies())
+def test_stage_lookup_matches_the_reference_loops(data, policy):
+    # every band edge, one ulp either side of it, and random distances
+    edges = [edge for s in policy.stages for edge in (s.band_lo_cm, s.band_hi_cm)]
+    near_edges = [math.nextafter(edge, toward) for edge in edges for toward in (0.0, math.inf)]
+    randoms = data.draw(st.lists(st.floats(1e-6, 2e4), max_size=8))
+    for distance in edges + near_edges + randoms:
+        assert stage_for_distance(distance, policy) is reference_stage_for_distance(distance, policy), distance
+
+
 def test_policy_validation():
     with pytest.raises(ValueError):
         AlarmPolicy(stages=DEFAULT_STAGES[:2])
@@ -116,6 +139,13 @@ def test_policy_validation():
         AlarmPolicy(cooldown_ms=-1)
     with pytest.raises(ValueError):
         AlarmPolicy(max_events_per_frame=0)
+    # a field that holds the wrong record type is refused by name
+    with pytest.raises(ValueError, match=r"^stages must be a tuple, got None$"):
+        AlarmPolicy(stages=None)
+    with pytest.raises(ValueError, match=r"^stages\[0\] must be an AlarmStage, got 1$"):
+        AlarmPolicy(stages=(1, 2, 3))
+    with pytest.raises(ValueError, match=r"^stages\[2\] must be an AlarmStage, got None$"):
+        AlarmPolicy(stages=DEFAULT_STAGES[:2] + (None,))
 
 
 def test_stage_validation():
@@ -137,7 +167,7 @@ def test_messages():
 
 
 def test_emitted_event_carries_stage_payload():
-    events = emit_alarms([tracked(7, 585.0, direction=DirectionLabel.RIGHT)], 0, AlarmPolicy(), CooldownLedger())
+    events = emit_alarms([tracked(7, 585.0, direction=DirectionLabel.RIGHT)], 0, AlarmPolicy(), {})
     assert len(events) == 1
     ev = events[0]
     assert ev.object_id == 7
@@ -149,13 +179,13 @@ def test_emitted_event_carries_stage_payload():
 
 
 def test_objects_without_distance_never_alarm():
-    events = emit_alarms([tracked(0, None)], 0, AlarmPolicy(), CooldownLedger())
+    events = emit_alarms([tracked(0, None)], 0, AlarmPolicy(), {})
     assert events == []
 
 
 def test_cooldown_suppresses_then_releases():
     policy = AlarmPolicy()  # cooldown 1500 ms
-    ledger = CooldownLedger()
+    ledger = {}
     assert len(emit_alarms([tracked(0, 585.0)], 0, policy, ledger)) == 1
     assert emit_alarms([tracked(0, 585.0)], 100, policy, ledger) == []
     assert emit_alarms([tracked(0, 585.0)], 1499, policy, ledger) == []
@@ -165,7 +195,7 @@ def test_cooldown_suppresses_then_releases():
 
 def test_cooldown_is_per_object_and_per_stage():
     policy = AlarmPolicy()
-    ledger = CooldownLedger()
+    ledger = {}
     assert len(emit_alarms([tracked(0, 585.0)], 0, policy, ledger)) == 1
     # other object, same stage: fires
     assert len(emit_alarms([tracked(1, 590.0)], 50, policy, ledger)) == 1
@@ -175,7 +205,7 @@ def test_cooldown_is_per_object_and_per_stage():
 
 def test_frame_budget_keeps_the_most_urgent():
     policy = AlarmPolicy()  # max 2 per frame
-    ledger = CooldownLedger()
+    ledger = {}
     objs = [tracked(0, 585.0), tracked(1, 290.0), tracked(2, 140.0)]
     events = emit_alarms(objs, 0, policy, ledger)
     assert [e.stage for e in events] == [3, 2]
@@ -186,14 +216,14 @@ def test_a_capped_frame_builds_only_the_events_it_emits(monkeypatch):
     calls = []
     monkeypatch.setattr(alarm, "render_message", lambda *args: calls.append(args) or render_message(*args))
     objs = [tracked(k, 149.0 - k) for k in range(5)]
-    events = emit_alarms(objs, 0, AlarmPolicy(), CooldownLedger())  # max 2 per frame
+    events = emit_alarms(objs, 0, AlarmPolicy(), {})  # max 2 per frame
     assert [e.object_id for e in events] == [4, 3]
     assert len(calls) == 2
 
 
 def test_capped_candidate_fires_next_frame():
     policy = AlarmPolicy()
-    ledger = CooldownLedger()
+    ledger = {}
     objs = [tracked(0, 585.0), tracked(1, 290.0), tracked(2, 140.0)]
     emit_alarms(objs, 0, policy, ledger)
     # the stage-1 candidate was capped out, so its ledger slot stayed clean
@@ -204,24 +234,31 @@ def test_capped_candidate_fires_next_frame():
 
 def test_same_stage_orders_by_distance_then_id():
     policy = AlarmPolicy(max_events_per_frame=3)
-    ledger = CooldownLedger()
+    ledger = {}
     objs = [tracked(5, 595.0), tracked(1, 580.0), tracked(3, 580.0)]
     events = emit_alarms(objs, 0, policy, ledger)
     assert [(e.object_id, e.distance_cm) for e in events] == [(1, 580.0), (3, 580.0), (5, 595.0)]
 
 
 def test_ledger_prunes_expired_entries():
-    ledger = CooldownLedger()
-    ledger.record(0, 1, 0)
-    ledger.record(1, 1, 900)
-    ledger.prune(t_ms=1500, cooldown_ms=1500)
-    assert (0, 1) not in ledger.last_emitted
-    assert (1, 1) in ledger.last_emitted
+    ledger = {(0, 1): 0, (1, 1): 900, (2, 3): 1499}
+    # pruned before the lookup, whether or not anything is in a band
+    assert emit_alarms([tracked(5, 450.0)], 1500, AlarmPolicy(), ledger) == []
+    assert ledger == {(1, 1): 900, (2, 3): 1499}
+    assert emit_alarms([], 2999, AlarmPolicy(), ledger) == []
+    assert ledger == {}
+
+
+def test_emit_alarms_writes_the_ledger_only_for_what_it_emits():
+    ledger = {}
+    objs = [tracked(0, 585.0), tracked(1, 290.0), tracked(2, 140.0)]
+    emit_alarms(objs, 40, AlarmPolicy(), ledger)  # max 2 per frame
+    assert ledger == {(2, 3): 40, (1, 2): 40}
 
 
 def test_zero_cooldown_fires_every_frame():
     policy = AlarmPolicy(cooldown_ms=0)
-    ledger = CooldownLedger()
+    ledger = {}
     for t in (0, 33, 66):
         assert len(emit_alarms([tracked(0, 585.0)], t, policy, ledger)) == 1
 
@@ -229,7 +266,8 @@ def test_zero_cooldown_fires_every_frame():
 def emit_alarms_oracle(objects, t_ms, policy, ledger):
     """emit_alarms as documented, with a stage lookup for every object that
     has a distance."""
-    ledger.prune(t_ms, policy.cooldown_ms)
+    for key in [key for key, last in ledger.items() if t_ms - last >= policy.cooldown_ms]:
+        del ledger[key]
     candidates = []
     for obj in objects:
         if obj.distance_cm is None:
@@ -237,7 +275,7 @@ def emit_alarms_oracle(objects, t_ms, policy, ledger):
         stage = stage_for_distance(obj.distance_cm, policy)
         if stage is None:
             continue
-        last = ledger.last_emitted.get((obj.object_id, stage.stage))
+        last = ledger.get((obj.object_id, stage.stage))
         if not (last is None or t_ms - last >= policy.cooldown_ms):
             continue
         message = render_message(obj.category, obj.direction)
@@ -248,7 +286,7 @@ def emit_alarms_oracle(objects, t_ms, policy, ledger):
     candidates.sort(key=lambda c: c[0])
     emitted = [event for _key, event in candidates[: policy.max_events_per_frame]]
     for event in emitted:
-        ledger.record(event.object_id, event.stage, t_ms)
+        ledger[event.object_id, event.stage] = t_ms
     return emitted
 
 
@@ -265,13 +303,13 @@ distances = st.none() | st.sampled_from(band_edges) | st.floats(min_value=1e-3, 
 )
 def test_emit_alarms_matches_a_lookup_for_every_object(cumulative, cap, frames):
     policy = AlarmPolicy(max_events_per_frame=cap, cumulative_bands=cumulative)
-    ledger, oracle_ledger = CooldownLedger(), CooldownLedger()
+    ledger, oracle_ledger = {}, {}
     t_ms = 0
     for frame_id, (step_ms, frame_distances) in enumerate(frames):
         t_ms += step_ms
         objects = [tracked(k, d, frame_id=frame_id) for k, d in enumerate(frame_distances)]
         assert emit_alarms(objects, t_ms, policy, ledger) == emit_alarms_oracle(objects, t_ms, policy, oracle_ledger)
-        assert ledger.last_emitted == oracle_ledger.last_emitted
+        assert ledger == oracle_ledger
 
 
 @pytest.mark.parametrize("cumulative", [False, True])
@@ -279,4 +317,4 @@ def test_emit_alarms_matches_a_lookup_for_every_object(cumulative, cap, frames):
 def test_emit_alarms_refuses_what_the_stage_lookup_refuses(distance, cumulative):
     policy = AlarmPolicy(cumulative_bands=cumulative)
     with pytest.raises(ValueError, match="distance_cm must be positive"):
-        emit_alarms([tracked(0, distance)], 0, policy, CooldownLedger())
+        emit_alarms([tracked(0, distance)], 0, policy, {})

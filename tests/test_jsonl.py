@@ -1025,6 +1025,19 @@ def test_write_then_read_lists(tmp_path):
     assert list(read_records(path, decode_detection_frame)) == frames
 
 
+def test_write_lines_removes_the_file_when_a_line_fails(tmp_path):
+    # a cut-off stream would look complete: every line written so far ends
+    # in a newline
+    def lines():
+        yield '{"a":1}'
+        raise RuntimeError("encoder failed")
+
+    path = tmp_path / "cut.jsonl"
+    with pytest.raises(RuntimeError, match="encoder failed"):
+        write_lines(path, lines())
+    assert not path.exists()
+
+
 def test_blank_lines_are_skipped(tmp_path):
     path = tmp_path / "frames.jsonl"
     frame_line = encode_detection_frame(sample_frame())

@@ -553,7 +553,7 @@ class PipelineMachine(RuleBasedStateMachine):
     def state(self):
         p = self.pipeline
         window = [(e.frame, e.ids, tuple(e.centers)) for e in p._window]
-        return p.no_height, p._next_id, dict(p._ledger.last_emitted), window
+        return p.no_height, p._next_id, dict(p._ledger), window
 
     def in_band(self, event) -> bool:
         band = self.policy.stages[event.stage - 1]

@@ -497,6 +497,21 @@ def test_scenario_validation_errors():
         dataclasses.replace(
             crosser, actors=(dataclasses.replace(actor, trajectory=dataclasses.replace(actor.trajectory, x0_cm=1e308)),)
         )
+    # a field that holds the wrong record type is refused by name
+    with pytest.raises(ScenarioError, match=r"^camera must be a CameraIntrinsics, got None$"):
+        dataclasses.replace(crosser, camera=None)
+    with pytest.raises(ScenarioError, match=r"^noise must be a NoiseSpec, got None$"):
+        dataclasses.replace(crosser, noise=None)
+    with pytest.raises(ScenarioError, match=r"^actors must be a tuple, got None$"):
+        dataclasses.replace(crosser, actors=None)
+    with pytest.raises(ScenarioError, match=r"^actors\[0\] must be an ActorSpec, got 1$"):
+        dataclasses.replace(crosser, actors=(1,))
+    with pytest.raises(ScenarioError, match=r"^actors\[1\] must be an ActorSpec, got 'car'$"):
+        dataclasses.replace(crosser, actors=(actor, "car"))
+    with pytest.raises(ScenarioError, match=r"^actors must be a tuple, got \[ActorSpec\("):
+        dataclasses.replace(crosser, actors=[actor])
+    with pytest.raises(ScenarioError, match=r"^actor 0: trajectory must be a Trajectory, got None$"):
+        dataclasses.replace(actor, trajectory=None)
     with pytest.raises(ScenarioError, match="duplicate"):
         small_scenario(
             actors=(

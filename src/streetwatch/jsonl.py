@@ -16,6 +16,7 @@ import os
 from collections import Counter
 from dataclasses import fields
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, List, Optional, TextIO, TypeVar, Union
 
@@ -70,10 +71,15 @@ _DIRECTION_JSON = {None: "null", **_LABEL_JSON}
 # re-checked one per record.
 _KNOWN_CATEGORY = {label: Category(label) for label in KNOWN_CATEGORIES}
 
-# Each record's keys are its type's field names.
+# Each record's keys are its type's field names. Its getter reads them all in
+# one C call: a dict of as many keys, each of which it finds, has exactly those.
+# A dict of another size is read as {}, so every miss is the getter's KeyError.
+_RECORD_TYPES = (DetectionFrame, Detection, BoundingBox, TruthRecord, TrackedObject, AlarmEvent)
 _FRAME_KEYS, _DETECTION_KEYS, _BBOX_KEYS, _TRUTH_KEYS, _TRACKED_KEYS, _EVENT_KEYS = (
-    frozenset(f.name for f in fields(cls))
-    for cls in (DetectionFrame, Detection, BoundingBox, TruthRecord, TrackedObject, AlarmEvent)
+    frozenset(f.name for f in fields(cls)) for cls in _RECORD_TYPES
+)
+_FRAME_GET, _DETECTION_GET, _BBOX_GET, _TRUTH_GET, _TRACKED_GET, _EVENT_GET = (
+    itemgetter(*[f.name for f in fields(cls)]) for cls in _RECORD_TYPES
 )
 
 
@@ -81,10 +87,10 @@ _FRAME_KEYS, _DETECTION_KEYS, _BBOX_KEYS, _TRUTH_KEYS, _TRACKED_KEYS, _EVENT_KEY
 _scan = json.decoder.JSONDecoder().scan_once
 
 
-def _record(line, keys: frozenset, what: str, colons: int, items: str = "") -> dict:
-    """The JSON object on line, checked as one record of what: parsed, its
-    key set compared with keys, then, for a record with an items array, the
-    array's shape, then repeated keys.
+def _record(line, get: itemgetter, keys: frozenset, what: str, colons: int, items: str = "") -> tuple:
+    """The values of the JSON object on line in field order, checked as one
+    record of what: parsed, its key set proved by its size and one call of
+    get, then the shape of its items array, if it has one, then repeats.
 
     A str line that is one JSON object from its first character to its
     last is taken from the scanner. Anything else, whitespace around the
@@ -110,8 +116,10 @@ def _record(line, keys: frozenset, what: str, colons: int, items: str = "") -> d
             raise ParseError(f"invalid JSON: {exc.msg}") from None
         if not isinstance(data, dict):
             raise ParseError(f"record must be a JSON object, got {type(data).__name__}")
-    if data.keys() != keys:
-        raise ParseError(f"{what}: {key_mismatch(data, keys)}")
+    try:
+        values = get(data if len(data) == len(keys) else {})
+    except KeyError:
+        raise ParseError(f"{what}: {key_mismatch(data, keys)}") from None
     if items:
         raw = data[items]
         if not isinstance(raw, list):
@@ -119,7 +127,7 @@ def _record(line, keys: frozenset, what: str, colons: int, items: str = "") -> d
         colons += 7 * len(raw)
     if not isinstance(line, str) or line.count(":") > colons:
         json.loads(line, object_pairs_hook=_unique_keys)
-    return data
+    return values
 
 
 def _field_error(key: str, rule: str, v, nullable: bool = False) -> ParseError:
@@ -137,49 +145,40 @@ def _shape_error(key: str, want: str, v) -> ParseError:
 # range, or a table lookup. A value that misses is refused in the words of
 # its types rule, except where a second read still gives a value:
 # _num_field turns an int in a float field into a float, and
-# _category_field makes an unknown non-empty label its own Category.
-# _int_field checks the detection frame's stamps.
+# _category_field makes an unknown non-empty label its own Category. Each
+# takes the value v read under key.
 
-def _int_field(data: dict, key: str) -> int:
-    v = data[key]
-    if type(v) is not int or v < 0:
-        raise _field_error(key, "int>=0", v)
-    return v
-
-
-def _num_field(data: dict, key: str, rule: str = "finite", nullable: bool = False) -> float:
-    v = data[key]
+def _num_field(key: str, v, rule: str = "finite", nullable: bool = False) -> float:
     if text := _refusal(rule, key, v, nullable):
         raise ParseError(text)
     return float(v)
 
 
-def _category_field(data: dict, key: str) -> Category:
-    """The label under key when it is not a known one: a non-empty string
+def _category_field(key: str, v) -> Category:
+    """The label v under key when it is not a known one: a non-empty string
     becomes its own Category."""
-    v = data[key]
     if type(v) is not str or not v:
         raise _field_error(key, "text", v)
     return Category(v)
 
 
-def _bbox_field(data: dict, key: str) -> BoundingBox:
+def _bbox_field(key: str, box) -> BoundingBox:
     """The box under key, each number checked once: four floats that pass
     _box_error are taken as they are. Anything else is read again through
     _num_field, which words the error and turns ints into floats."""
-    box = data[key]
     if type(box) is not dict:
         raise _shape_error(key, "an object", box)
-    # the key check inline: a call per box shows in the decode time
-    if box.keys() != _BBOX_KEYS:
-        raise ParseError(f"{key}: {key_mismatch(box, _BBOX_KEYS)}")
-    x, y, w, h = box["x"], box["y"], box["w"], box["h"]
+    # the key proof inline: a call per box shows in the decode time
+    try:
+        x, y, w, h = _BBOX_GET(box if len(box) == 4 else {})
+    except KeyError:
+        raise ParseError(f"{key}: {key_mismatch(box, _BBOX_KEYS)}") from None
     if (
         type(x) is not float or type(y) is not float or type(w) is not float or type(h) is not float
         or _box_error(x, y, w, h)
     ):
-        x, y = _num_field(box, "x"), _num_field(box, "y")
-        w, h = _num_field(box, "w", "positive"), _num_field(box, "h", "positive")
+        x, y = _num_field("x", x), _num_field("y", y)
+        w, h = _num_field("w", w, "positive"), _num_field("h", h, "positive")
     return _checked_box(x, y, w, h)
 
 
@@ -205,16 +204,16 @@ def _decode_detection(k: int, item) -> Detection:
     try:
         if type(item) is not dict:
             raise ParseError("must be an object")
-        if item.keys() != _DETECTION_KEYS:
-            raise ParseError(key_mismatch(item, _DETECTION_KEYS))
+        try:
+            label, box, confidence = _DETECTION_GET(item if len(item) == 3 else {})
+        except KeyError:
+            raise ParseError(key_mismatch(item, _DETECTION_KEYS)) from None
         # one pass, as in decode_truth_record; _bbox_field checks the box once
-        category = item["category"]
-        if type(category) is not str or (category := _KNOWN_CATEGORY.get(category)) is None:
-            category = _category_field(item, "category")
-        bbox = _bbox_field(item, "bbox")
-        confidence = item["confidence"]
+        if type(label) is not str or (category := _KNOWN_CATEGORY.get(label)) is None:
+            category = _category_field("category", label)
+        bbox = _bbox_field("bbox", box)
         if type(confidence) is not float or not 0.0 <= confidence <= 1.0:
-            confidence = _num_field(item, "confidence", "fraction")
+            confidence = _num_field("confidence", confidence, "fraction")
     except ParseError as exc:
         raise ParseError(f"detection {k}: {exc}") from None
     return _checked_detection(category, bbox, confidence)
@@ -222,11 +221,15 @@ def _decode_detection(k: int, item) -> Detection:
 
 def decode_detection_frame(line: str) -> DetectionFrame:
     # three keys, and seven for each detection with its box
-    data = _record(line, _FRAME_KEYS, "detection frame", 3, "detections")
-    detections = tuple([_decode_detection(k, item) for k, item in enumerate(data["detections"])])
+    frame_id, t_ms, items = _record(line, _FRAME_GET, _FRAME_KEYS, "detection frame", 3, "detections")
+    detections = tuple([_decode_detection(k, item) for k, item in enumerate(items)])
+    if type(frame_id) is not int or frame_id < 0:
+        raise _field_error("frame_id", "int>=0", frame_id)
+    if type(t_ms) is not int or t_ms < 0:
+        raise _field_error("t_ms", "int>=0", t_ms)
     # every value is checked by now, so the frame is marked for
     # validate_frame to trust
-    return _checked_frame(_int_field(data, "frame_id"), _int_field(data, "t_ms"), detections)
+    return _checked_frame(frame_id, t_ms, detections)
 
 
 # --- truth stream -------------------------------------------------------
@@ -244,30 +247,23 @@ def encode_truth_record(rec: TruthRecord) -> str:
 
 
 def decode_truth_record(line: str) -> TruthRecord:
-    data = _record(line, _TRUTH_KEYS, "truth record", 7)
+    frame_id, actor_id, depth, lateral, way, emitted, label = _record(line, _TRUTH_GET, _TRUTH_KEYS, "truth record", 7)
     # one pass: each value is checked once, and a miss raises or goes to
     # _num_field or _category_field
-    direction = data["true_direction"]
-    if type(direction) is not str or (direction := _DIRECTION.get(direction)) is None:
-        raise _shape_error("true_direction", "left/right/forward", data["true_direction"])
-    depth = data["true_depth_cm"]
+    if type(way) is not str or (direction := _DIRECTION.get(way)) is None:
+        raise _shape_error("true_direction", "left/right/forward", way)
     if type(depth) is not float or not 0.0 < depth < _INF:
-        depth = _num_field(data, "true_depth_cm", "positive")
-    frame_id = data["frame_id"]
+        depth = _num_field("true_depth_cm", depth, "positive")
     if type(frame_id) is not int or frame_id < 0:
         raise _field_error("frame_id", "int>=0", frame_id)
-    actor_id = data["actor_id"]
     if type(actor_id) is not int or actor_id < 0:
         raise _field_error("actor_id", "int>=0", actor_id)
-    lateral = data["true_lateral_cm"]
     if type(lateral) is not float or not -_INF < lateral < _INF:
-        lateral = _num_field(data, "true_lateral_cm")
-    emitted = data["emitted"]
+        lateral = _num_field("true_lateral_cm", lateral)
     if type(emitted) is not bool:
         raise _field_error("emitted", "bool", emitted)
-    category = data["true_category"]
-    if type(category) is not str or (category := _KNOWN_CATEGORY.get(category)) is None:
-        category = _category_field(data, "true_category")
+    if type(label) is not str or (category := _KNOWN_CATEGORY.get(label)) is None:
+        category = _category_field("true_category", label)
     return _checked_truth(frame_id, actor_id, depth, lateral, direction, emitted, category)
 
 
@@ -306,27 +302,24 @@ def encode_tracked_object(obj: TrackedObject) -> str:
 
 
 def decode_tracked_object(line: str) -> TrackedObject:
-    data = _record(line, _TRACKED_KEYS, "tracked object", 11)
+    object_id, frame_id, label, box, distance, way, matched_from = _record(
+        line, _TRACKED_GET, _TRACKED_KEYS, "tracked object", 11
+    )
     # one pass, as in decode_truth_record; _bbox_field checks the box once
-    distance = data["distance_cm"]
     if distance is not None and (type(distance) is not float or not 0.0 < distance < _INF):
-        distance = _num_field(data, "distance_cm", "positive", nullable=True)
-    matched_from = data["matched_from"]
+        distance = _num_field("distance_cm", distance, "positive", nullable=True)
     if matched_from is not None and (type(matched_from) is not int or matched_from < 0):
         raise _field_error("matched_from", "int>=0", matched_from, nullable=True)
-    object_id = data["object_id"]
     if type(object_id) is not int or object_id < 0:
         raise _field_error("object_id", "int>=0", object_id)
-    frame_id = data["frame_id"]
     if type(frame_id) is not int or frame_id < 0:
         raise _field_error("frame_id", "int>=0", frame_id)
-    category = data["category"]
-    if type(category) is not str or (category := _KNOWN_CATEGORY.get(category)) is None:
-        category = _category_field(data, "category")
-    bbox = _bbox_field(data, "bbox")
-    direction = data["direction"]
-    if direction is not None and (type(direction) is not str or (direction := _DIRECTION.get(direction)) is None):
-        raise _shape_error("direction", "left/right/forward or null", data["direction"])
+    if type(label) is not str or (category := _KNOWN_CATEGORY.get(label)) is None:
+        category = _category_field("category", label)
+    bbox = _bbox_field("bbox", box)
+    direction = _DIRECTION.get(way) if type(way) is str else None
+    if direction is None and way is not None:
+        raise _shape_error("direction", "left/right/forward or null", way)
     # only a direction can lack its match
     if direction is not None and (text := _match_error(direction, matched_from)):
         raise ParseError(text)
@@ -345,30 +338,25 @@ def encode_alarm_event(event: AlarmEvent) -> str:
 
 
 def decode_alarm_event(line: str) -> AlarmEvent:
-    data = _record(line, _EVENT_KEYS, "alarm event", 8)
+    t_ms, object_id, label, stage, vibration, distance, way, message = _record(
+        line, _EVENT_GET, _EVENT_KEYS, "alarm event", 8
+    )
     # one pass, as in decode_truth_record
-    vibration = data["vibration_s"]
     if type(vibration) is not float or not 0.0 < vibration < _INF:
-        vibration = _num_field(data, "vibration_s", "positive")
-    distance = data["distance_cm"]
+        vibration = _num_field("vibration_s", vibration, "positive")
     if type(distance) is not float or not 0.0 < distance < _INF:
-        distance = _num_field(data, "distance_cm", "positive")
-    t_ms = data["t_ms"]
+        distance = _num_field("distance_cm", distance, "positive")
     if type(t_ms) is not int or t_ms < 0:
         raise _field_error("t_ms", "int>=0", t_ms)
-    object_id = data["object_id"]
     if type(object_id) is not int or object_id < 0:
         raise _field_error("object_id", "int>=0", object_id)
-    category = data["category"]
-    if type(category) is not str or (category := _KNOWN_CATEGORY.get(category)) is None:
-        category = _category_field(data, "category")
-    stage = data["stage"]
+    if type(label) is not str or (category := _KNOWN_CATEGORY.get(label)) is None:
+        category = _category_field("category", label)
     if type(stage) is not int or stage < 1:
         raise _field_error("stage", "int>=1", stage)
-    direction = data["direction"]
-    if direction is not None and (type(direction) is not str or (direction := _DIRECTION.get(direction)) is None):
-        raise _shape_error("direction", "left/right/forward or null", data["direction"])
-    message = data["message"]
+    direction = _DIRECTION.get(way) if type(way) is str else None
+    if direction is None and way is not None:
+        raise _shape_error("direction", "left/right/forward or null", way)
     if type(message) is not str or not message:
         raise _field_error("message", "text", message)
     return _checked_event(t_ms, object_id, category, stage, vibration, distance, direction, message)

@@ -54,17 +54,21 @@ def greedy_assign(
     keys keep the order the caller generated them in. A caller that lists
     candidates in ascending (i, j) order gets ties broken by the lower i,
     then the lower j. Returns n_cur slots in current-index order: slot i
-    holds the candidate accepted for item i, or None.
+    holds the candidate accepted for item i, or None. The scan stops once
+    one side is used up, since no later candidate could be accepted.
     """
     candidates.sort(key=itemgetter(0))
     accepted: List[Optional[Tuple[float, int, int]]] = [None] * n_cur
     taken_ref = [False] * n_ref
+    left = n_cur if n_cur < n_ref else n_ref  # min() without the call
     for cand in candidates:
         _key, i, j = cand
-        if accepted[i] is not None or taken_ref[j]:
-            continue
-        accepted[i] = cand
-        taken_ref[j] = True
+        if accepted[i] is None and not taken_ref[j]:
+            accepted[i] = cand
+            taken_ref[j] = True
+            left -= 1
+            if not left:
+                break
     return accepted
 
 

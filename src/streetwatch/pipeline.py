@@ -18,7 +18,7 @@ from .camera import CameraIntrinsics, HeightTable, estimate_distance
 from .direction import DirectionConfig, DirectionLabel, classify_direction
 from .matcher import MatchConfig, match_frames
 from .types import BoundingBox, Category, DetectionFrame, FrameValidationError, ObjectId, validate_frame
-from .types import _INF, _checked_frame, _set, _slot_builder
+from .types import _INF, _check_type, _checked_frame, _set, _slot_builder
 
 # Lookback window capacity in frames; gap must fit inside it.
 WINDOW_DEPTH = 3
@@ -88,11 +88,16 @@ class PipelineConfig:
     alarm: AlarmPolicy = field(default_factory=AlarmPolicy)
 
     def __post_init__(self):
+        _check_type(self, CameraIntrinsics, "camera")
         scale = self.camera.image_w / 640.0
         if self.matcher is None:
             _set(self, "matcher", MatchConfig(max_center_dist_px=MatchConfig.max_center_dist_px * scale))
         if self.direction is None:
             _set(self, "direction", DirectionConfig(dead_zone_px=DirectionConfig.dead_zone_px * scale))
+        _check_type(self, HeightTable, "heights")
+        _check_type(self, MatchConfig, "matcher")
+        _check_type(self, DirectionConfig, "direction")
+        _check_type(self, AlarmPolicy, "alarm")
         if self.direction.gap > WINDOW_DEPTH:
             raise ValueError(f"gap {self.direction.gap} exceeds the {WINDOW_DEPTH}-frame window")
 

@@ -194,6 +194,21 @@ def tuple_sort_greedy(
     return tuple(sorted(accepted))
 
 
+def reference_greedy_assign(candidates, n_cur: int, n_ref: int):
+    """matcher.greedy_assign as it was before it stopped once one side is
+    used up: every candidate is scanned."""
+    candidates.sort(key=lambda cand: cand[0])
+    accepted = [None] * n_cur
+    taken_ref = [False] * n_ref
+    for cand in candidates:
+        _key, i, j = cand
+        if accepted[i] is not None or taken_ref[j]:
+            continue
+        accepted[i] = cand
+        taken_ref[j] = True
+    return accepted
+
+
 # --- scorer reference -------------------------------------------------------
 
 def reference_score(tracked, truth, bands=None, *, excuse=None) -> Dict[str, object]:

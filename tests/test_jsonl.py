@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import math
+import operator
 import re
 
 import pytest
@@ -975,6 +976,99 @@ def test_colons_inside_strings_are_not_repeated_keys(monkeypatch):
     assert encode_alarm_event(decode_alarm_event(event)) == event
     assert encode_detection_frame(decode_detection_frame(frame)) == frame
     assert encode_tracked_object(decode_tracked_object(tracked)) == tracked
+
+
+# Each reader's object on a canonical line: (decoder, line, the object's
+# record type, where the object sits in the parsed line)
+READERS = {
+    "frame": (decode_detection_frame, CANONICAL, DetectionFrame, lambda data: data),
+    "detection": (decode_detection_frame, CANONICAL, Detection, lambda data: data["detections"][0]),
+    "box": (decode_detection_frame, CANONICAL, BoundingBox, lambda data: data["detections"][0]["bbox"]),
+    "truth": (decode_truth_record, TRUTH, TruthRecord, lambda data: data),
+    "tracked": (decode_tracked_object, TRACKED, TrackedObject, lambda data: data),
+    "event": (decode_alarm_event, EVENT, AlarmEvent, lambda data: data),
+}
+
+
+@pytest.mark.parametrize(
+    "reader,kind,old,new,text",
+    [
+        ("frame", "renamed", '"t_ms":', '"tms":', "detection frame: missing ['t_ms'], unexpected ['tms']"),
+        ("frame", "dropped", '"t_ms":99,', "", "detection frame: missing ['t_ms']"),
+        ("frame", "added", '"t_ms":99,', '"t_ms":99,"fps":10,', "detection frame: unexpected ['fps']"),
+        ("detection", "renamed", '"confidence":', '"conf":', "detection 0: missing ['confidence'], unexpected ['conf']"),
+        ("detection", "dropped", ',"confidence":0.875', "", "detection 0: missing ['confidence']"),
+        ("detection", "added", '"confidence":0.875', '"confidence":0.875,"score":0.5', "detection 0: unexpected ['score']"),
+        ("box", "renamed", '"w":', '"width":', "detection 0: bbox: missing ['w'], unexpected ['width']"),
+        ("box", "dropped", ',"h":30.0', "", "detection 0: bbox: missing ['h']"),
+        ("box", "added", '"h":30.0', '"h":30.0,"z":1.0', "detection 0: bbox: unexpected ['z']"),
+        ("truth", "renamed", '"emitted":', '"shown":', "truth record: missing ['emitted'], unexpected ['shown']"),
+        ("truth", "dropped", ',"emitted":true', "", "truth record: missing ['emitted']"),
+        ("truth", "added", '"emitted":true', '"emitted":true,"seen":true', "truth record: unexpected ['seen']"),
+        ("tracked", "renamed", '"matched_from":', '"matched":', "tracked object: missing ['matched_from'], unexpected ['matched']"),
+        ("tracked", "dropped", ',"distance_cm":412.5', "", "tracked object: missing ['distance_cm']"),
+        ("tracked", "added", '"matched_from":4', '"matched_from":4,"speed":1.0', "tracked object: unexpected ['speed']"),
+        ("event", "renamed", '"stage":', '"level":', "alarm event: missing ['stage'], unexpected ['level']"),
+        ("event", "dropped", ',"stage":2', "", "alarm event: missing ['stage']"),
+        ("event", "added", '"message":"Person moving left"', '"message":"Person moving left","lang":"en"', "alarm event: unexpected ['lang']"),
+    ],
+)
+def test_each_reader_proves_its_key_set(reader, kind, old, new, text):
+    decode, line, cls, where = READERS[reader]
+    assert line.count(old) == 1
+    bad = line.replace(old, new)
+    # a rename keeps the count, so only the getter's KeyError refuses it; a
+    # drop or an addition changes the count
+    size = len(where(json.loads(bad))) - len(dataclasses.fields(cls))
+    assert {"renamed": size == 0, "dropped": size < 0, "added": size > 0}[kind]
+    assert error_text(decode, bad) == text
+
+
+def test_key_mismatch_runs_only_on_a_miss(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return key_mismatch(*args)
+
+    key_mismatch = jsonl.key_mismatch
+    monkeypatch.setattr(jsonl, "key_mismatch", counted)
+    run = run_scenario(scenario_by_name("crowded-midrange"))
+    lines = [
+        *((decode_detection_frame, encode_detection_frame(frame)) for frame in run.frames),
+        *((decode_truth_record, encode_truth_record(rec)) for rec in run.truth),
+        *((decode_tracked_object, encode_tracked_object(obj)) for obj in run.tracked),
+        *((decode_alarm_event, encode_alarm_event(event)) for event in run.events),
+        (decode_detection_frame, CANONICAL), (decode_truth_record, TRUTH),
+        (decode_tracked_object, TRACKED), (decode_alarm_event, EVENT),
+    ]
+    assert {decode for decode, _ in lines} == {decode for decode, *_ in READERS.values()}
+    for decode, line in lines:
+        decode(line)
+    assert calls == []
+    # the counter sees a miss
+    assert error_text(decode_truth_record, TRUTH.replace('"emitted":', '"shown":'))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "name,cls",
+    [
+        ("FRAME", DetectionFrame),
+        ("DETECTION", Detection),
+        ("BBOX", BoundingBox),
+        ("TRUTH", TruthRecord),
+        ("TRACKED", TrackedObject),
+        ("EVENT", AlarmEvent),
+    ],
+)
+def test_each_key_getter_reads_its_record_types_fields_in_order(name, cls):
+    # the key sets are the record types' field names, never a hand-kept list
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    get = getattr(jsonl, f"_{name}_GET")
+    assert type(get) is operator.itemgetter
+    assert get.__reduce__() == (operator.itemgetter, names)
+    assert getattr(jsonl, f"_{name}_KEYS") == frozenset(names)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streetwatch.matcher import MatchConfig, match_frames
+from streetwatch.matcher import MatchConfig, greedy_assign, match_frames
 from streetwatch.types import BoundingBox, Detection
 
 from conftest import (
@@ -14,6 +14,7 @@ from conftest import (
     is_mutual_nn_instance,
     make_det,
     make_frame,
+    reference_greedy_assign,
     tuple_sort_greedy,
 )
 
@@ -262,3 +263,25 @@ def test_determinism():
         cur = _random_frame(rng, 1, ["car", "person", "bus"])
         ref = _random_frame(rng, 0, ["car", "person", "bus"])
         assert match_frames(cur, ref, cfg) == match_frames(cur, ref, cfg)
+
+
+@st.composite
+def assignment_instances(draw):
+    """(candidates, n_cur, n_ref): keys from a few values, so that equal
+    keys are common, over sides of different sizes; any (i, j) may repeat."""
+    n_cur, n_ref = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    if n_cur == 0 or n_ref == 0:
+        return [], n_cur, n_ref
+    cand = st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.5]), st.integers(0, n_cur - 1), st.integers(0, n_ref - 1))
+    return draw(st.lists(cand, max_size=40)), n_cur, n_ref
+
+
+@given(instance=assignment_instances())
+@settings(max_examples=400, deadline=None)
+def test_greedy_assign_matches_the_reference_loop(instance):
+    candidates, n_cur, n_ref = instance
+    expected = reference_greedy_assign(list(candidates), n_cur, n_ref)
+    accepted = greedy_assign(list(candidates), n_cur, n_ref)
+    assert accepted == expected
+    # slot for slot the same candidate object, not an equal one
+    assert all(a is e for a, e in zip(accepted, expected))

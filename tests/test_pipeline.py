@@ -286,10 +286,42 @@ def test_pipeline_config_scales_with_width():
         assert cfg.direction == DirectionConfig(dead_zone_px=dead_zone)
         assert cfg.camera == camera and cfg.heights is heights and cfg.alarm == AlarmPolicy()
     for width in (0.0, -640.0):
-        # a width the intrinsics refuse scales to a gate the matcher refuses
-        camera = types.SimpleNamespace(focal_px=1000.0, image_w=width, image_h=480.0)
+        # a width the intrinsics refuse, set past their checks, scales to a
+        # gate the matcher refuses
+        camera = CameraIntrinsics(focal_px=1000.0, image_w=640.0, image_h=480.0)
+        object.__setattr__(camera, "image_w", width)
         with pytest.raises(ValueError, match="max_center_dist_px must be a positive finite number, got "):
             PipelineConfig(camera, heights)
+
+
+CAMERA = CameraIntrinsics(focal_px=1000.0, image_w=640.0, image_h=480.0)
+HEIGHTS = HeightTable({"car": 140.0})
+
+
+@pytest.mark.parametrize(
+    "fields,text",
+    [
+        (dict(camera=None), "camera must be a CameraIntrinsics, got None"),
+        (
+            dict(camera=types.SimpleNamespace(focal_px=1000.0, image_w=640.0, image_h=480.0)),
+            "camera must be a CameraIntrinsics, got namespace(focal_px=1000.0, image_w=640.0, image_h=480.0)",
+        ),
+        (dict(heights=None), "heights must be a HeightTable, got None"),
+        (dict(heights={"car": 140.0}), "heights must be a HeightTable, got {'car': 140.0}"),
+        (dict(matcher=160.0), "matcher must be a MatchConfig, got 160.0"),
+        (dict(direction=DirectionConfig.dead_zone_px), "direction must be a DirectionConfig, got 8.0"),
+        (dict(alarm=None), "alarm must be an AlarmPolicy, got None"),
+        (dict(alarm=AlarmPolicy), "alarm must be an AlarmPolicy, got <class 'streetwatch.alarm.AlarmPolicy'>"),
+        # the camera is checked before the width scale, the rest after the
+        # defaults are filled in, in field order
+        (dict(camera=None, heights=None), "camera must be a CameraIntrinsics, got None"),
+        (dict(heights=None, alarm=None), "heights must be a HeightTable, got None"),
+    ],
+)
+def test_pipeline_config_refuses_a_field_of_the_wrong_type(fields, text):
+    with pytest.raises(ValueError) as info:
+        PipelineConfig(**dict(dict(camera=CAMERA, heights=HEIGHTS), **fields))
+    assert str(info.value) == text
 
 
 def test_pipeline_config_keeps_a_matcher_or_direction_it_is_given():

@@ -7,10 +7,11 @@ Simulator section states.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict, Optional
 
-from .types import Category, Detection, _check, _refusal
+from .types import Category, Detection, _check, _check_type, _refusal
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,7 @@ class HeightTable:
     entries: Mapping[str, float]
 
     def __post_init__(self):
+        _check_type(self, Mapping, "entries")
         copied: Dict[str, float] = {}
         for label, height in dict(self.entries).items():
             text = _refusal("text", "height table key", label) or _refusal("positive", f"height for {label!r}", height)

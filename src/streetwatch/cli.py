@@ -21,6 +21,7 @@ from .alarm import stage_for_distance
 from .config import load_config
 from .jsonl import (
     ParseError,
+    _TOO_DEEP,
     _open_outputs,
     _undecodable_line,
     _unique_keys,
@@ -117,6 +118,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             raise ScenarioError(f"{args.scenario}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{args.scenario}: invalid JSON: {exc}") from None
+        except RecursionError:
+            raise ScenarioError(f"{args.scenario}: {_TOO_DEEP}") from None
         except UnicodeDecodeError as exc:
             where = _undecodable_line(args.scenario) or f"not UTF-8 ({exc})"
             raise ScenarioError(f"{args.scenario}: {where}") from None

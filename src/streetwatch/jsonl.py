@@ -34,6 +34,10 @@ class ParseError(ValueError):
     """A stream line failed to parse or validate."""
 
 
+# The error text for JSON nested deeper than the parser's recursion limit
+_TOO_DEEP = "invalid JSON: nested too deeply"
+
+
 # Each writer formats its record with one f-string in the canonical key
 # order, through _num for numbers and _str for strings, so its line is the
 # one json.dumps(..., separators=(",", ":"), allow_nan=False) writes.
@@ -106,6 +110,8 @@ def _record(line, get: itemgetter, keys: frozenset, what: str, colons: int, item
             data, end = _scan(line, 0)
         except (StopIteration, ValueError):
             pass
+        except RecursionError:
+            raise ParseError(_TOO_DEEP) from None
         else:
             if end != len(line) or type(data) is not dict:
                 data = None
@@ -114,6 +120,8 @@ def _record(line, get: itemgetter, keys: frozenset, what: str, colons: int, item
             data = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}") from None
+        except RecursionError:
+            raise ParseError(_TOO_DEEP) from None
         if not isinstance(data, dict):
             raise ParseError(f"record must be a JSON object, got {type(data).__name__}")
     try:
@@ -126,7 +134,11 @@ def _record(line, get: itemgetter, keys: frozenset, what: str, colons: int, item
             raise _shape_error(items, "an array", raw)
         colons += 7 * len(raw)
     if not isinstance(line, str) or line.count(":") > colons:
-        json.loads(line, object_pairs_hook=_unique_keys)
+        try:
+            json.loads(line, object_pairs_hook=_unique_keys)
+        except RecursionError:
+            # the hook's frames can tip a line the scan passed
+            raise ParseError(_TOO_DEEP) from None
     return values
 
 

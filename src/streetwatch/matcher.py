@@ -76,8 +76,8 @@ def match_frames(
     current: DetectionFrame,
     reference: DetectionFrame,
     cfg: MatchConfig,
-    current_centers: Optional[Sequence[Tuple[float, float]]] = None,
-    reference_centers: Optional[Sequence[Tuple[float, float]]] = None,
+    current_centers: Sequence[Tuple[float, float]],
+    reference_centers: Sequence[Tuple[float, float]],
 ) -> MatchResult:
     """Associate the current frame's detections with the reference frame's.
 
@@ -85,16 +85,12 @@ def match_frames(
     They are listed in ascending (current, reference) index order and
     assigned by greedy_assign, nearest first, so equal distances go to the
     lower current index, then the lower reference index. Pairs come back
-    in current-index order. current_centers and
-    reference_centers, when given, hold each side's BoundingBox.center()
-    in detection order; a side left out is computed here.
+    in current-index order. current_centers and reference_centers hold
+    each side's BoundingBox.center() in detection order, as the pipeline
+    keeps them, so a frame's centers are computed once, not once a round.
     """
     cur = current.detections
     ref = reference.detections
-    if current_centers is None:
-        current_centers = [d.bbox.center() for d in cur]
-    if reference_centers is None:
-        reference_centers = [d.bbox.center() for d in ref]
     if len(current_centers) != len(cur) or len(reference_centers) != len(ref):
         raise ValueError("centers must hold one (x, y) per detection")
 

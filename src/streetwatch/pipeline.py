@@ -2,10 +2,10 @@
 
 The pipeline is deliberately stateless beyond a three-frame window, a
 monotonic id counter and the alarm cooldown ledger, so memory and per-frame
-cost never depend on stream length. Association is one loop over the
-window: the lookback-gap frame first, against the whole frame and as the
-only source of direction, then each other frame newest first, ids only,
-against the detections still unmatched. Ids reach back the whole window.
+cost never depend on stream length. Association is two steps: the gap
+round matches the whole frame against the frame gap back, the only source
+of direction; the ids-only rounds then match what is left against each
+other window frame, newest first. Ids reach back the whole window.
 """
 from __future__ import annotations
 
@@ -22,17 +22,6 @@ from .types import _INF, _check_type, _checked_frame, _set, _slot_builder
 
 # Lookback window capacity in frames; gap must fit inside it.
 WINDOW_DEPTH = 3
-
-# _ROUNDS[gap][n]: the association rounds over a window of n frames, as
-# steps back from the newest: the gap frame first, when the window holds
-# it, then every other frame newest first
-_ROUNDS = {
-    gap: tuple(
-        ((gap,) if gap <= n else ()) + tuple(back for back in range(1, n + 1) if back != gap)
-        for n in range(WINDOW_DEPTH + 1)
-    )
-    for gap in range(1, WINDOW_DEPTH + 1)
-}
 
 
 class StreamOrderError(Exception):
@@ -118,6 +107,7 @@ class Pipeline:
 
     def __init__(self, config: PipelineConfig):
         self.config = config
+        _check_type(self, PipelineConfig, "config")
         self.no_height = 0
         self._window: Deque[_WindowEntry] = deque(maxlen=WINDOW_DEPTH)
         self._next_id: ObjectId = 0
@@ -127,8 +117,8 @@ class Pipeline:
         """Run one frame through the pipeline.
 
         Order per frame: validate, estimate distances, associate over the
-        window (ids + direction from the gap frame, then ids only from the
-        rest), assign fresh ids, emit alarms, advance the window.
+        window (the gap round, then the ids-only rounds), assign fresh ids,
+        emit alarms, advance the window.
         Raises StreamOrderError on a frame that does not strictly follow
         the previous one, and FrameValidationError on an invalid frame or
         on a distance estimate that is not a positive finite number. Either
@@ -163,30 +153,32 @@ class Pipeline:
 
         matched_from: List[Optional[ObjectId]] = [None] * n
         directions: List[Optional[DirectionLabel]] = [None] * n
-        claimed = set()
+        window = self._window
         gap = cfg.direction.gap
+        if gap <= len(window):
+            # the gap round: ids and direction, for the whole frame
+            ref = window[-gap]
+            for i, j, _cost in match_frames(frame, ref.frame, cfg.matcher, centers, ref.centers).pairs:
+                matched_from[i] = ref.ids[j]
+                directions[i] = classify_direction(centers[i][0], ref.centers[j][0], cfg.direction)
+        # the ids-only rounds: claimed holds the ids continued so far (and None)
+        claimed = set(matched_from)
         rows = range(n)
-        for back in _ROUNDS[gap][len(self._window)]:
-            ref = self._window[-back]
-            current, current_centers = frame, centers
-            if back != gap:
-                # rows maps the leftovers' sub-frame indices back to this frame's
-                rows = [i for i in rows if matched_from[i] is None]
-                if not rows:
-                    break
-                # stamps and detections from the frame validate_frame passed above
-                current = _checked_frame(frame.frame_id, frame.t_ms, tuple([dets[i] for i in rows]))
-                current_centers = [centers[i] for i in rows]
-            for k, j, _cost in match_frames(current, ref.frame, cfg.matcher, current_centers, ref.centers).pairs:
+        for back in [back for back in range(1, len(window) + 1) if back != gap]:
+            # rows maps the leftovers' sub-frame indices back to this frame's
+            rows = [i for i in rows if matched_from[i] is None]
+            if not rows:
+                break
+            ref = window[-back]
+            # stamps and detections from the frame validate_frame passed above
+            current = _checked_frame(frame.frame_id, frame.t_ms, tuple([dets[i] for i in rows]))
+            pairs = match_frames(current, ref.frame, cfg.matcher, [centers[i] for i in rows], ref.centers).pairs
+            for k, j, _cost in pairs:
                 rid = ref.ids[j]
-                if rid in claimed:
-                    # id already continued through an earlier round
-                    continue
-                i = rows[k]
-                matched_from[i] = rid
-                claimed.add(rid)
-                if back == gap:
-                    directions[i] = classify_direction(centers[i][0], ref.centers[j][0], cfg.direction)
+                if rid not in claimed:
+                    # not already continued through an earlier round
+                    matched_from[rows[k]] = rid
+                    claimed.add(rid)
 
         ids: List[ObjectId] = []
         for rid in matched_from:

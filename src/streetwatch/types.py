@@ -228,13 +228,15 @@ def validate_frame(frame: DetectionFrame) -> None:
     Construction already rejects invalid values; this guards objects that
     were assembled around the constructors. It reads the fields and builds
     nothing. Raises FrameValidationError naming the first offending
-    detection index, with the text its constructor would have raised.
-    A frame from _checked_frame (the detection decoder's or the
+    detection index, with the text its constructor would have raised, or
+    refusing an object that is not a DetectionFrame at all. A frame from _checked_frame (the detection decoder's or the
     simulator's) had every value checked as it was built, and returns at
     once.
     """
     if getattr(frame, "_checked", False):
         return
+    if text := _type_refusal("frame", frame, DetectionFrame):
+        raise FrameValidationError(text)
     _check(frame, "int>=0", "frame_id", "t_ms", error=FrameValidationError)
     for i, det in enumerate(frame.detections):
         if not isinstance(det, Detection):

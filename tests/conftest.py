@@ -37,6 +37,11 @@ def make_frame(frame_id: int, t_ms: int, detections: Sequence[Detection]) -> Det
     return DetectionFrame(frame_id=frame_id, t_ms=t_ms, detections=tuple(detections))
 
 
+def centers(frame: DetectionFrame) -> List[Tuple[float, float]]:
+    """Each detection's BoundingBox.center(), as match_frames takes them."""
+    return [d.bbox.center() for d in frame.detections]
+
+
 @pytest.fixture
 def intrinsics() -> CameraIntrinsics:
     return CameraIntrinsics(focal_px=1000.0, image_w=640.0, image_h=480.0)

@@ -35,6 +35,7 @@ from streetwatch.types import Category
 
 from conftest import (
     best_assignment_bruteforce,
+    centers,
     is_mutual_nn_instance,
     make_det,
     make_frame,
@@ -128,7 +129,7 @@ def test_association_against_exhaustive_oracle(capsys):
                 return make_frame(frame_id, frame_id * 33, dets)
 
             cur, ref = rand_frame(1), rand_frame(0)
-            result = match_frames(cur, ref, cfg)
+            result = match_frames(cur, ref, cfg, centers(cur), centers(ref))
 
             cur_idx = [i for i, _, _ in result.pairs]
             ref_idx = [j for _, j, _ in result.pairs]

@@ -290,6 +290,39 @@ def test_replay_non_utf8_byte_cites_the_line(tmp_path):
     assert not events.exists()
 
 
+# one value nested 10,000 deep: past the JSON parser's recursion limit
+DEEP = "[" * 10_000 + "]" * 10_000
+
+
+@pytest.mark.parametrize("command", ["replay", "eval", "simulate"])
+def test_a_line_nested_too_deeply_exits_one_and_leaves_no_output(tmp_path, command):
+    det, truth, _ = simulate(tmp_path)
+    outs = [tmp_path / "out-a.jsonl", tmp_path / "out-b.jsonl"]
+    if command == "simulate":
+        source = tmp_path / "scenario.json"
+        source.write_text(f'{{\n"actors": {DEEP}}}\n', encoding="utf-8")
+        args = ("simulate", str(source), "--out-detections", str(outs[0]), "--out-truth", str(outs[1]))
+        where = f"{source}: "
+    else:
+        source = det
+        if command == "eval":
+            source = tmp_path / "tracked.jsonl"
+            proc = run_cli("replay", str(det), "--out-tracked", str(source), "--out-events", str(tmp_path / "e.jsonl"))
+            assert proc.returncode == 0, proc.stderr
+        lines = source.read_text(encoding="utf-8").splitlines()
+        lines[1] = f'{{"frame_id":{DEEP}}}'
+        source.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if command == "replay":
+            args = ("replay", str(det), "--out-tracked", str(outs[0]), "--out-events", str(outs[1]))
+        else:
+            args = ("eval", str(source), str(truth), "--report", str(outs[0]))
+        where = "line 2: "
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {where}invalid JSON: nested too deeply\n"
+    assert not any(out.exists() for out in outs)
+
+
 @pytest.mark.parametrize("field", ["x", "confidence"])
 def test_replay_integer_too_large_for_a_float_is_a_parse_error(tmp_path, field):
     det, _, _ = simulate(tmp_path)

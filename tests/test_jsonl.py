@@ -5,6 +5,7 @@ import json
 import math
 import operator
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -598,6 +599,14 @@ CANONICAL = '{"frame_id":3,"t_ms":99,"detections":[{"category":"car","bbox":{"x"
         ('{"x":80.0,"y":35.25,"w":40.0,"h":30.0}', "[80.0,35.25,40.0,30.0]", "detection 0: bbox must be an object, got [80.0, 35.25, 40.0, 30.0]"),
         ('[{"category"', '[7,{"category"', "detection 0: must be an object"),
         ('"frame_id":3', '"frame_id":3.0', "frame_id must be an integer >= 0, got 3.0"),
+        ('"frame_id":3', '"frame_id":-1', "frame_id must be an integer >= 0, got -1"),
+        ('"frame_id":3', '"frame_id":true', "frame_id must be an integer >= 0, got True"),
+        ('"t_ms":99', '"t_ms":-1', "t_ms must be an integer >= 0, got -1"),
+        ('"t_ms":99', '"t_ms":99.0', "t_ms must be an integer >= 0, got 99.0"),
+        ('"t_ms":99', '"t_ms":true', "t_ms must be an integer >= 0, got True"),
+        # two faults: the one README's frame order checks first is named
+        ('"frame_id":3,"t_ms":99,"detections":[{"category":"car"', '"frame_id":-1,"t_ms":99,"detections":[{"category":""', "detection 0: category must be a non-empty string, got ''"),
+        ('"frame_id":3,"t_ms":99', '"frame_id":-1,"t_ms":-1', "frame_id must be an integer >= 0, got -1"),
         ('[{"category":"car","bbox":{"x":80.0,"y":35.25,"w":40.0,"h":30.0},"confidence":0.875}]', "null", "detections must be an array, got None"),
     ],
 )
@@ -755,6 +764,7 @@ def test_loose_alarm_event_values_decode_as_their_canonical_form():
 
 
 DECODERS = [decode_detection_frame, decode_truth_record, decode_tracked_object, decode_alarm_event]
+DEEP = "[" * 10_000 + "]" * 10_000
 
 
 @pytest.mark.parametrize("decode", DECODERS)
@@ -767,6 +777,10 @@ DECODERS = [decode_detection_frame, decode_truth_record, decode_tracked_object, 
         ("", "invalid JSON: Expecting value"),
         ("{", "invalid JSON: Expecting property name enclosed in double quotes"),
         ('\ufeff{"a":1}', "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        # 10,000 deep, past the parser's recursion limit, through the scanner
+        # and, padded, through json.loads
+        pytest.param('{"a":' + DEEP + "}", "invalid JSON: nested too deeply", id="nested-scanned"),
+        pytest.param(' {"a":' + DEEP + "}", "invalid JSON: nested too deeply", id="nested-loaded"),
     ],
 )
 def test_lines_that_are_not_one_json_object_keep_json_error_texts(decode, line, text):
@@ -901,6 +915,18 @@ def test_read_records_cites_the_line_number(tmp_path):
     write_lines(path, lines)
     with pytest.raises(ParseError, match="line 3"):
         list(read_records(path, decode_detection_frame))
+
+
+@pytest.mark.parametrize("opener,closer", [('{"a":', "}"), ("[", "]")], ids=["objects", "arrays"])
+def test_no_depth_near_the_recursion_limit_escapes_the_reader(tmp_path, opener, closer):
+    # the scan, the repeat-key reparse and the refusal's repr of the value
+    # each recurse, so a depth one of them passes can tip the next over
+    path = tmp_path / "deep.jsonl"
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 150, limit + 1):
+        path.write_text(f'{{"frame_id":{opener * depth}0{closer * depth},"t_ms":0,"detections":[]}}\n', encoding="utf-8")
+        with pytest.raises(ParseError, match="^line 1: (invalid JSON: nested too deeply|frame_id must be)"):
+            list(read_records(path, decode_detection_frame))
 
 
 def repeated(line, old, new):

@@ -10,6 +10,7 @@ from streetwatch.types import BoundingBox, Detection
 
 from conftest import (
     best_assignment_bruteforce,
+    centers,
     euclidean_cost,
     is_mutual_nn_instance,
     make_det,
@@ -39,7 +40,7 @@ def test_cost_is_none_across_categories():
 def test_single_pair_within_gate():
     cur = make_frame(1, 33, [make_det("car", cx=100.0)])
     ref = make_frame(0, 0, [make_det("car", cx=110.0)])
-    result = match_frames(cur, ref, MatchConfig())
+    result = match_frames(cur, ref, MatchConfig(), centers(cur), centers(ref))
     assert result.pairs == ((0, 0, pytest.approx(10.0)),)
     assert unmatched(result, 1, 1) == ((), ())
 
@@ -47,7 +48,7 @@ def test_single_pair_within_gate():
 def test_gate_rejects_distant_pair():
     cur = make_frame(1, 33, [make_det("car", cx=100.0)])
     ref = make_frame(0, 0, [make_det("car", cx=300.0)])
-    result = match_frames(cur, ref, MatchConfig(max_center_dist_px=160.0))
+    result = match_frames(cur, ref, MatchConfig(max_center_dist_px=160.0), centers(cur), centers(ref))
     assert result.pairs == ()
     assert unmatched(result, 1, 1) == ((0,), (0,))
 
@@ -55,14 +56,14 @@ def test_gate_rejects_distant_pair():
 def test_gate_boundary_is_inclusive():
     cur = make_frame(1, 33, [make_det("car", cx=0.0, cy=0.0)])
     ref = make_frame(0, 0, [make_det("car", cx=160.0, cy=0.0)])
-    result = match_frames(cur, ref, MatchConfig(max_center_dist_px=160.0))
+    result = match_frames(cur, ref, MatchConfig(max_center_dist_px=160.0), centers(cur), centers(ref))
     assert len(result.pairs) == 1
 
 
 def test_category_is_a_hard_constraint():
     cur = make_frame(1, 33, [make_det("car", cx=100.0)])
     ref = make_frame(0, 0, [make_det("truck", cx=100.0)])
-    result = match_frames(cur, ref, MatchConfig())
+    result = match_frames(cur, ref, MatchConfig(), centers(cur), centers(ref))
     assert result.pairs == ()
 
 
@@ -71,7 +72,7 @@ def test_greedy_prefers_globally_cheapest():
     # the global sort must pair each with its own
     cur = make_frame(1, 33, [make_det("car", cx=100.0), make_det("car", cx=150.0)])
     ref = make_frame(0, 0, [make_det("car", cx=148.0), make_det("car", cx=104.0)])
-    result = match_frames(cur, ref, MatchConfig())
+    result = match_frames(cur, ref, MatchConfig(), centers(cur), centers(ref))
     assert {(i, j) for i, j, _ in result.pairs} == {(0, 1), (1, 0)}
 
 
@@ -79,7 +80,7 @@ def test_tie_breaks_on_current_then_reference_index():
     # both current cars are equidistant from both reference cars
     cur = make_frame(1, 33, [make_det("car", cx=100.0), make_det("car", cx=120.0)])
     ref = make_frame(0, 0, [make_det("car", cx=100.0 + 10.0), make_det("car", cx=120.0 - 10.0)])
-    result = match_frames(cur, ref, MatchConfig())
+    result = match_frames(cur, ref, MatchConfig(), centers(cur), centers(ref))
     assert {(i, j) for i, j, _ in result.pairs} == {(0, 0), (1, 1)}
 
 
@@ -95,7 +96,7 @@ def test_ties_break_as_in_the_tuple_sorting_greedy(cur_side, ref_side):
     cur = make_frame(1, 33, [make_det(label, cx=100.0 + 30.0 * a, cy=100.0 + 30.0 * b) for label, a, b in cur_side])
     ref = make_frame(0, 0, [make_det(label, cx=100.0 + 30.0 * a, cy=100.0 + 30.0 * b) for label, a, b in ref_side])
     cfg = MatchConfig()
-    assert match_frames(cur, ref, cfg).pairs == tuple_sort_greedy(cur, ref, cfg)
+    assert match_frames(cur, ref, cfg, centers(cur), centers(ref)).pairs == tuple_sort_greedy(cur, ref, cfg)
 
 
 def test_config_validation():
@@ -106,10 +107,10 @@ def test_config_validation():
 def test_empty_frames():
     empty = make_frame(1, 33, [])
     ref = make_frame(0, 0, [make_det("car")])
-    result = match_frames(empty, ref, MatchConfig())
+    result = match_frames(empty, ref, MatchConfig(), centers(empty), centers(ref))
     assert result.pairs == ()
     assert unmatched(result, 0, 1) == ((), (0,))
-    result = match_frames(ref, empty, MatchConfig())
+    result = match_frames(ref, empty, MatchConfig(), centers(ref), centers(empty))
     assert unmatched(result, 1, 0) == ((0,), ())
 
 
@@ -135,7 +136,7 @@ def test_greedy_equals_bruteforce_on_mutual_nn_instances():
     for _ in range(300):
         cur = _random_frame(rng, 1, ["car", "person"])
         ref = _random_frame(rng, 0, ["car", "person"])
-        result = match_frames(cur, ref, cfg)
+        result = match_frames(cur, ref, cfg, centers(cur), centers(ref))
         if not is_mutual_nn_instance(cur, ref, cfg):
             continue
         checked += 1
@@ -151,7 +152,7 @@ def test_greedy_never_beats_bruteforce_cardinality():
     for _ in range(200):
         cur = _random_frame(rng, 1, ["car"])
         ref = _random_frame(rng, 0, ["car"])
-        result = match_frames(cur, ref, cfg)
+        result = match_frames(cur, ref, cfg, centers(cur), centers(ref))
         count, total = best_assignment_bruteforce(cur, ref, cfg)
         assert len(result.pairs) <= count
         if len(result.pairs) == count:
@@ -185,7 +186,7 @@ def frames_pair(draw):
 def test_match_invariants(pair):
     cur, ref = pair
     cfg = MatchConfig()
-    result = match_frames(cur, ref, cfg)
+    result = match_frames(cur, ref, cfg, centers(cur), centers(ref))
     cur_indices = [i for i, _, _ in result.pairs]
     ref_indices = [j for _, j, _ in result.pairs]
     # partial bijection
@@ -219,15 +220,12 @@ def test_translation_invariance(pair, dx, dy):
         return make_frame(frame.frame_id, frame.t_ms, dets)
 
     cfg = MatchConfig()
-    base = match_frames(cur, ref, cfg)
-    moved = match_frames(shift(cur), shift(ref), cfg)
+    base = match_frames(cur, ref, cfg, centers(cur), centers(ref))
+    moved_cur, moved_ref = shift(cur), shift(ref)
+    moved = match_frames(moved_cur, moved_ref, cfg, centers(moved_cur), centers(moved_ref))
     assert [(i, j) for i, j, _ in base.pairs] == [(i, j) for i, j, _ in moved.pairs]
     sizes = (len(cur.detections), len(ref.detections))
     assert unmatched(base, *sizes) == unmatched(moved, *sizes)
-
-
-def centers(frame):
-    return [d.bbox.center() for d in frame.detections]
 
 
 @settings(max_examples=200, deadline=None)
@@ -235,25 +233,23 @@ def centers(frame):
 def test_precomputed_centers_give_the_same_result(pair, data):
     cur, ref = pair
     cfg = MatchConfig()
-    base = match_frames(cur, ref, cfg)
-    assert match_frames(cur, ref, cfg, centers(cur), centers(ref)) == base
-    assert match_frames(cur, ref, cfg, centers(cur)) == base
-    assert match_frames(cur, ref, cfg, reference_centers=centers(ref)) == base
     # a leftover subset with its slice of the full frame's centers, as the
     # pipeline's leftover rounds pass them
     n = len(cur.detections)
     rows = sorted(data.draw(st.sets(st.integers(min_value=0, max_value=n - 1)) if n else st.just(set())))
     sub = make_frame(cur.frame_id, cur.t_ms, [cur.detections[i] for i in rows])
     full = centers(cur)
-    assert match_frames(sub, ref, cfg, [full[i] for i in rows], centers(ref)) == match_frames(sub, ref, cfg)
+    assert match_frames(sub, ref, cfg, [full[i] for i in rows], centers(ref)) == match_frames(
+        sub, ref, cfg, centers(sub), centers(ref)
+    )
 
 
 def test_centers_must_match_the_detections():
     frame = make_frame(0, 0, [make_det("car")])
     with pytest.raises(ValueError, match="one \\(x, y\\) per detection"):
-        match_frames(frame, frame, MatchConfig(), [])
+        match_frames(frame, frame, MatchConfig(), [], centers(frame))
     with pytest.raises(ValueError, match="one \\(x, y\\) per detection"):
-        match_frames(frame, frame, MatchConfig(), reference_centers=[(0.0, 0.0)] * 2)
+        match_frames(frame, frame, MatchConfig(), centers(frame), [(0.0, 0.0)] * 2)
 
 
 def test_determinism():
@@ -262,7 +258,9 @@ def test_determinism():
     for _ in range(50):
         cur = _random_frame(rng, 1, ["car", "person", "bus"])
         ref = _random_frame(rng, 0, ["car", "person", "bus"])
-        assert match_frames(cur, ref, cfg) == match_frames(cur, ref, cfg)
+        assert match_frames(cur, ref, cfg, centers(cur), centers(ref)) == match_frames(
+            cur, ref, cfg, centers(cur), centers(ref)
+        )
 
 
 @st.composite

@@ -324,6 +324,13 @@ def test_pipeline_config_refuses_a_field_of_the_wrong_type(fields, text):
     assert str(info.value) == text
 
 
+@pytest.mark.parametrize("config", [None, dict(camera=CAMERA, heights=HEIGHTS)], ids=["None", "dict"])
+def test_pipeline_refuses_a_config_that_is_not_a_pipeline_config(config):
+    with pytest.raises(ValueError) as info:
+        Pipeline(config)
+    assert str(info.value) == f"config must be a PipelineConfig, got {config!r}"
+
+
 def test_pipeline_config_keeps_a_matcher_or_direction_it_is_given():
     wide = CameraIntrinsics(focal_px=1000.0, image_w=1280.0, image_h=480.0)
     heights = HeightTable({"car": 140.0})

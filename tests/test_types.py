@@ -4,6 +4,7 @@ import dataclasses
 import math
 import pickle
 import re
+import types
 
 import pytest
 
@@ -201,6 +202,21 @@ def test_validate_frame_rejects_what_is_not_a_detection(bad, intrinsics, heights
         pipeline.process_frame(frame)
 
 
+@pytest.mark.parametrize(
+    "frame",
+    [None, types.SimpleNamespace(frame_id=0, t_ms=0, detections=())],
+    ids=["None", "duck-typed"],
+)
+def test_validate_frame_refuses_what_is_not_a_detection_frame(frame, intrinsics, heights):
+    text = f"frame must be a DetectionFrame, got {frame!r}"
+    with pytest.raises(FrameValidationError) as info:
+        validate_frame(frame)
+    assert str(info.value) == text
+    with pytest.raises(FrameValidationError) as info:
+        Pipeline(PipelineConfig(camera=intrinsics, heights=heights)).process_frame(frame)
+    assert str(info.value) == text
+
+
 @pytest.mark.parametrize("field", ["frame_id", "t_ms"])
 @pytest.mark.parametrize("value", [True, False, -1, 3.0, "3"])
 def test_frame_constructor_and_validate_frame_agree_on_stamps(field, value, intrinsics, heights):
@@ -357,3 +373,10 @@ def test_each_constructor_refuses_a_value_in_the_words_of_the_rule_table(cls, na
 def test_the_height_table_refuses_a_key_or_height_in_the_words_of_the_rule_table(entries, field, value):
     match = refusal_of(lambda: HeightTable(entries))
     assert (match["field"], match["value"]) == (field, repr(value))
+
+
+@pytest.mark.parametrize("entries", [None, [("car", 140.0)]], ids=["None", "pairs"])
+def test_the_height_table_refuses_entries_that_are_not_a_mapping(entries):
+    with pytest.raises(ValueError) as info:
+        HeightTable(entries)
+    assert str(info.value) == f"entries must be a Mapping, got {entries!r}"
